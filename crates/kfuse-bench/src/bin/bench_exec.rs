@@ -10,14 +10,11 @@
 //! the headline's relative spread is reported alongside it, so a run-to-run
 //! delta inside the spread band reads as noise rather than a regression.
 //!
-//! Per schedule the fast executor is timed under three configurations:
-//! the default interior (`Interior::Auto`, which resolves to the widest
-//! SIMD tier the host supports — the headline `fast_mpix_s`), the forced
-//! scalar interior (`fast_scalar_mpix_s`, what the pre-SIMD engine and
-//! non-x86 hosts run), and two worker threads (`fast_mt2_mpix_s`). The
-//! optimized schedule is additionally measured with the separable mask
-//! factorization enabled (`FusionConfig::with_separable`, the
-//! `optimized_separable` row).
+//! Per schedule the fast executor is timed under two configurations: the
+//! default (the headline `fast_mpix_s`) and two worker threads
+//! (`fast_mt2_mpix_s`). The optimized schedule is additionally measured
+//! with the separable mask factorization enabled
+//! (`FusionConfig::with_separable`, the `optimized_separable` row).
 //!
 //! Prints a Mpix/s table and writes machine-readable results to
 //! `BENCH_exec.json` at the repository root. The previous file, if any,
@@ -27,18 +24,14 @@
 //!
 //! Run with `cargo run --release -p kfuse-bench --bin bench_exec`.
 //! Set `KFUSE_BENCH_SCALE=<div>` to divide the workload edge lengths
-//! (e.g. `KFUSE_BENCH_SCALE=8` for a quick smoke run). `KFUSE_FORCE_SCALAR`
-//! pins the Auto interior to scalar (the CI escape hatch); the detected
-//! tier is always recorded as the top-level `simd_level`.
+//! (e.g. `KFUSE_BENCH_SCALE=8` for a quick smoke run).
 
 use kfuse_apps::paper_apps;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{
-    detected_level, execute_fast_with, execute_reference, synthetic_image, FastConfig, Interior,
-};
+use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, FastConfig};
 use kfuse_tune::{measure_until, Sample};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -77,16 +70,9 @@ struct Measurement {
     fast_spread: f64,
     /// Timed repeats behind the headline median.
     fast_repeats: usize,
-    fast_scalar_mpix_s: f64,
     fast_mt2_mpix_s: f64,
     interp_mpix_s: f64,
     speedup: f64,
-}
-
-impl Measurement {
-    fn simd_uplift(&self) -> f64 {
-        self.fast_mpix_s / self.fast_scalar_mpix_s
-    }
 }
 
 fn measure(p: &Pipeline, w: usize, h: usize, schedule: &'static str) -> Measurement {
@@ -98,10 +84,6 @@ fn measure(p: &Pipeline, w: usize, h: usize, schedule: &'static str) -> Measurem
         })
     };
     let fast = time_fast(FastConfig::default());
-    let scalar = time_fast(FastConfig {
-        interior: Interior::Scalar,
-        ..FastConfig::default()
-    });
     let mt2 = time_fast(FastConfig {
         threads: Some(2),
         ..FastConfig::default()
@@ -117,7 +99,6 @@ fn measure(p: &Pipeline, w: usize, h: usize, schedule: &'static str) -> Measurem
         fast_mpix_s: mpix / fast.median_s,
         fast_spread: fast.spread,
         fast_repeats: fast.n,
-        fast_scalar_mpix_s: mpix / scalar.median_s,
         fast_mt2_mpix_s: mpix / mt2.median_s,
         interp_mpix_s: mpix / interp_s,
         speedup: interp_s / fast.median_s,
@@ -202,23 +183,12 @@ fn main() {
         .max(1);
     let fusion_cfg = FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()));
     let threads = FastConfig::default().resolved_threads();
-    let simd_level = format!("{:?}", detected_level()).to_lowercase();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
     let prev = previous_optimized(path, scale);
 
-    println!("simd level: {simd_level}");
     println!(
-        "{:<10} {:>9} {:<20} {:>12} {:>7} {:>12} {:>7} {:>12} {:>14} {:>9}",
-        "app",
-        "size",
-        "schedule",
-        "fast Mpix/s",
-        "spread",
-        "scalar",
-        "simd",
-        "2-thread",
-        "interp Mpix/s",
-        "speedup"
+        "{:<10} {:>9} {:<20} {:>12} {:>7} {:>12} {:>14} {:>9}",
+        "app", "size", "schedule", "fast Mpix/s", "spread", "2-thread", "interp Mpix/s", "speedup"
     );
     let mut json_apps = String::new();
     for app in paper_apps() {
@@ -238,14 +208,12 @@ fn main() {
             measure(&separable, w, h, "optimized_separable"),
         ] {
             println!(
-                "{:<10} {:>9} {:<20} {:>12.2} {:>6.1}% {:>12.2} {:>6.2}x {:>12.2} {:>14.3} {:>8.1}x",
+                "{:<10} {:>9} {:<20} {:>12.2} {:>6.1}% {:>12.2} {:>14.3} {:>8.1}x",
                 app.name,
                 format!("{w}x{h}"),
                 m.schedule,
                 m.fast_mpix_s,
                 m.fast_spread * 100.0,
-                m.fast_scalar_mpix_s,
-                m.simd_uplift(),
                 m.fast_mt2_mpix_s,
                 m.interp_mpix_s,
                 m.speedup
@@ -258,15 +226,13 @@ fn main() {
             }
             write!(
                 json_schedules,
-                "\n      \"{}\": {{\"fast_mpix_s\": {:.3}, \"fast_spread\": {:.4}, \"fast_repeats\": {}, \"interp_mpix_s\": {:.3}, \"speedup\": {:.2}, \"fast_scalar_mpix_s\": {:.3}, \"simd_uplift\": {:.2}, \"fast_mt2_mpix_s\": {:.3}}}",
+                "\n      \"{}\": {{\"fast_mpix_s\": {:.3}, \"fast_spread\": {:.4}, \"fast_repeats\": {}, \"interp_mpix_s\": {:.3}, \"speedup\": {:.2}, \"fast_mt2_mpix_s\": {:.3}}}",
                 m.schedule,
                 m.fast_mpix_s,
                 m.fast_spread,
                 m.fast_repeats,
                 m.interp_mpix_s,
                 m.speedup,
-                m.fast_scalar_mpix_s,
-                m.simd_uplift(),
                 m.fast_mt2_mpix_s
             )
             .unwrap();
@@ -300,7 +266,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"executor throughput (fast tiled engine vs reference interpreter)\",\n  \"scale_divisor\": {scale},\n  \"threads\": {threads},\n  \"simd_level\": \"{simd_level}\",\n  \"tile\": [{}, {}],\n  \"apps\": [{json_apps}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"executor throughput (fast tiled engine vs reference interpreter)\",\n  \"scale_divisor\": {scale},\n  \"threads\": {threads},\n  \"tile\": [{}, {}],\n  \"apps\": [{json_apps}\n  ]\n}}\n",
         FastConfig::default().tile_w,
         FastConfig::default().tile_h,
     );

@@ -37,7 +37,7 @@ use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageId};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{detected_level, synthetic_image, CompiledPlan, FastConfig, Scratch, Tiling};
+use kfuse_sim::{synthetic_image, CompiledPlan, FastConfig, Scratch, Tiling};
 use kfuse_stream::{run_reference, StreamPipeline, StreamSession};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -265,7 +265,6 @@ fn main() {
         .max(1);
     let fusion = FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()));
     let threads = FastConfig::default().resolved_threads();
-    let simd_level = format!("{:?}", detected_level()).to_lowercase();
 
     // Process-level settle: the first measured row of a run is
     // reproducibly noisier than every later one on this class of machine
@@ -288,7 +287,6 @@ fn main() {
         );
     }
 
-    println!("simd level: {simd_level}");
     println!(
         "{:<18} {:>9} {:<12} {:<10} {:>14} {:>7} {:>13} {:>12} {:>10}",
         "app",
@@ -397,7 +395,7 @@ fn main() {
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     let json = format!(
-        "{{\n  \"benchmark\": \"streaming sessions (steady-state state reuse vs cold per-frame resubmission)\",\n  \"scale_divisor\": {scale},\n  \"frames\": {FRAMES},\n  \"threads\": {threads},\n  \"simd_level\": \"{simd_level}\",\n  \"apps\": [{json_apps}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"streaming sessions (steady-state state reuse vs cold per-frame resubmission)\",\n  \"scale_divisor\": {scale},\n  \"frames\": {FRAMES},\n  \"threads\": {threads},\n  \"apps\": [{json_apps}\n  ]\n}}\n"
     );
     std::fs::write(path, json).expect("write BENCH_stream.json");
     println!("\nwrote {path}");

@@ -3,8 +3,8 @@
 //!
 //! For every app the static planner's configuration
 //! ([`kfuse_tune::Choice::static_default`]: optimized schedule, default
-//! tile, auto interior) and the full `kfuse_tune::autotune` search
-//! (schedule × tile shape × interior tier × separable rewrite) are
+//! tile) and the full `kfuse_tune::autotune` search
+//! (schedule × tile shape × separable rewrite) are
 //! measured **in the same pass with the same noise-aware rule** —
 //! median-of-adaptive-repeats, the `measure_until` helper `bench_exec`
 //! also uses — so the static row is simply one candidate in the tuner's
@@ -17,14 +17,13 @@
 //!
 //! Prints a table and writes `BENCH_tune.json` at the repository root.
 //! `KFUSE_BENCH_SCALE=<div>` divides the workload edge lengths (CI smoke
-//! runs use a large divisor); `KFUSE_FORCE_SCALAR` pins auto interiors to
-//! scalar as everywhere else.
+//! runs use a large divisor).
 //!
 //! Run with `cargo run --release -p kfuse-bench --bin bench_tune`.
 
 use kfuse_apps::paper_apps;
 use kfuse_core::{PlanPolicy, StaticModelPolicy};
-use kfuse_sim::{detected_level, execute_fast_with, execute_reference};
+use kfuse_sim::{execute_fast_with, execute_reference};
 use kfuse_tune::{autotune, output_pixels, probe_inputs, Choice, TuneOptions};
 use std::fmt::Write as _;
 
@@ -55,10 +54,8 @@ fn main() {
         include_separable: true,
         ..TuneOptions::default()
     };
-    let simd_level = format!("{:?}", detected_level()).to_lowercase();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tune.json");
 
-    println!("simd level: {simd_level}");
     println!(
         "{:<10} {:>9} {:>13} {:>7} {:>13} {:>7} {:<24} {:>8} {:>6}",
         "app",
@@ -150,7 +147,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"planning policy throughput (static analytic model vs autotuned choice)\",\n  \"scale_divisor\": {scale},\n  \"simd_level\": \"{simd_level}\",\n  \"apps\": [{json_apps}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"planning policy throughput (static analytic model vs autotuned choice)\",\n  \"scale_divisor\": {scale},\n  \"apps\": [{json_apps}\n  ]\n}}\n"
     );
     std::fs::write(path, json).expect("write BENCH_tune.json");
     println!("\nwrote {path}");

@@ -8,15 +8,13 @@
 //!   anything else runs the unfused baseline;
 //! * `PROF_ITERS` — loop count, default 10;
 //! * `PROF_SCALE` — divide the paper's workload dimensions, default 1;
-//! * `PROF_INTERIOR` — `scalar`, `sse2`, or `avx2` to pin a SIMD tier
-//!   (default: auto-detect, see DESIGN.md §3.12);
 //! * `PROF_SEP` — set to enable separable mask factorization in the
 //!   fusion config;
 //! * `PROF_SCRATCH` — set to reuse one compiled plan + scratch buffer
 //!   across iterations (isolates steady-state execution from per-run
 //!   compile and allocation).
 //!
-//! Example: `PROF_APP=Sobel PROF_ITERS=50 PROF_INTERIOR=scalar \
+//! Example: `PROF_APP=Sobel PROF_ITERS=50 \
 //! cargo run --release -p kfuse-bench --bin prof_fast`.
 
 use kfuse_apps::paper_apps;
@@ -57,15 +55,7 @@ fn main() {
         .iter()
         .map(|&id| (id, synthetic_image(p.image(id).clone(), 42)))
         .collect();
-    let cfg = FastConfig {
-        interior: match std::env::var("PROF_INTERIOR").as_deref() {
-            Ok("scalar") => kfuse_sim::Interior::Scalar,
-            Ok("sse2") => kfuse_sim::Interior::Sse2,
-            Ok("avx2") => kfuse_sim::Interior::Avx2,
-            _ => kfuse_sim::Interior::Auto,
-        },
-        ..FastConfig::default()
-    };
+    let cfg = FastConfig::default();
     let scratch = std::env::var("PROF_SCRATCH").is_ok();
     let plan = kfuse_sim::CompiledPlan::compile(&p).unwrap();
     let mut sc = kfuse_sim::Scratch::default();
@@ -79,8 +69,7 @@ fn main() {
     }
     let dt = t.elapsed().as_secs_f64();
     println!(
-        "{name} {sched} {:?}: {:.1} ms/iter, {:.2} Mpix/s",
-        cfg.interior,
+        "{name} {sched}: {:.1} ms/iter, {:.2} Mpix/s",
         dt / iters as f64 * 1e3,
         (w * h * iters) as f64 / dt / 1e6
     );

@@ -8,11 +8,9 @@
 //!
 //! * the fast executor under several tile shapes and thread counts,
 //!   including tiles smaller than the mask radius;
-//! * the fast executor once per SIMD interior tier (scalar, SSE2, AVX2 —
-//!   explicit tiers clamp to the host, so the lanes run everywhere);
 //! * the separable rewrite ([`kfuse_core::factor_pipeline`]): when any
 //!   stage splits, the factored pipeline must itself be bit-identical
-//!   across the interpreter and both tape interiors (factored vs
+//!   across the interpreter and the fast executor (factored vs
 //!   *unfactored* differs by FP reassociation and is pinned with a
 //!   tolerance in `tests/separable_factorization.rs`, not here);
 //! * a [`CompiledPlan`] executed plain and traced (with the resulting
@@ -36,7 +34,7 @@ use kfuse_obs::{validate_chrome_trace, Tracer};
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{
     execute_fast_with, execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig,
-    Interior, Scratch, Tiling,
+    Scratch, Tiling,
 };
 use std::fmt;
 
@@ -191,7 +189,6 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
                 tile_w: 3,
                 tile_h: 2,
                 threads: Some(2),
-                ..FastConfig::default()
             },
         ),
         (
@@ -200,7 +197,6 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
                 tile_w: 1,
                 tile_h: 1,
                 threads: Some(1),
-                ..FastConfig::default()
             },
         ),
     ];
@@ -209,28 +205,10 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
         compare(p, &reference, &got, path)?;
     }
 
-    // Interior lanes: the SIMD knob must never change a bit. Explicitly
-    // requested tiers clamp to what the host supports, so on a scalar
-    // host all three lanes degenerate to the scalar interior (still a
-    // valid identity check), while on an AVX2 host this pins
-    // scalar == SSE2 == AVX2 == reference.
-    for (path, interior) in [
-        ("fast:scalar-interior", Interior::Scalar),
-        ("fast:sse2-interior", Interior::Sse2),
-        ("fast:avx2-interior", Interior::Avx2),
-    ] {
-        let cfg = FastConfig {
-            interior,
-            ..FastConfig::default()
-        };
-        let got = run_fast(p, &inputs, &cfg, path)?;
-        compare(p, &reference, &got, path)?;
-    }
-
     // Separable lane: split exactly-separable convolution stages (the
     // generator is biased to emit them) and require the *factored*
-    // pipeline to agree bit for bit across the interpreter and both tape
-    // interiors. The factored form matches the original only to FP
+    // pipeline to agree bit for bit across the interpreter and the fast
+    // executor. The factored form matches the original only to FP
     // reassociation, so its own reference run is the oracle here.
     let (factored, splits) = kfuse_core::factor_pipeline(p);
     if splits > 0 {
@@ -243,17 +221,8 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
                 path: "separable:reference".into(),
                 error: e.to_string(),
             })?;
-        for (path, interior) in [
-            ("separable:scalar", Interior::Scalar),
-            ("separable:simd", Interior::Auto),
-        ] {
-            let cfg = FastConfig {
-                interior,
-                ..FastConfig::default()
-            };
-            let got = run_fast(&factored, &inputs, &cfg, path)?;
-            compare(p, &sep_reference, &got, path)?;
-        }
+        let got = run_fast(&factored, &inputs, &FastConfig::default(), "separable:fast")?;
+        compare(p, &sep_reference, &got, "separable:fast")?;
     }
 
     // Compiled plan: plain, then traced with a validated Chrome export.

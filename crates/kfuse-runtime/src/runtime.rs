@@ -1979,7 +1979,7 @@ mod tests {
     }
 
     /// A small tuning config that keeps test passes cheap: one candidate
-    /// tile/interior, minimal repeats, hot after 2 lookups.
+    /// tile, minimal repeats, hot after 2 lookups.
     fn tiny_tuning() -> crate::tune::TuneConfig {
         crate::tune::TuneConfig {
             hot_threshold: 2,

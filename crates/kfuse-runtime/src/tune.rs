@@ -150,13 +150,12 @@ pub struct RetuneReport {
 }
 
 /// The execution configuration the runtime uses for a tuned choice: the
-/// choice's tile shape and interior tier, with the runtime's
-/// deployment-level settings (thread count) preserved.
+/// choice's tile shape, with the runtime's deployment-level settings
+/// (thread count) preserved.
 pub(crate) fn runtime_fast_config(choice: Choice, exec: &FastConfig) -> FastConfig {
     FastConfig {
         tile_w: choice.tile_w,
         tile_h: choice.tile_h,
-        interior: choice.interior,
         ..*exec
     }
 }

@@ -16,15 +16,10 @@
 //! enforce this across all six paper applications, every schedule, and
 //! every border mode.
 //!
-//! The interior of each row runs on the widest SIMD tier the host
-//! supports (AVX2 → SSE2 → scalar, see [`crate::simd`]), still
-//! bit-identical — each lane performs exactly the scalar operation.
-//! [`FastConfig::interior`] pins a specific tier per run; setting the
-//! `KFUSE_FORCE_SCALAR` environment variable (any value but empty or
-//! `0`) pins the *detected* tier to scalar for the whole process — the
-//! escape hatch CI uses to exercise non-x86 behavior on x86 hosts. The
-//! variable is read once per process ([`crate::simd::detected_level`]),
-//! so set it before the first execution.
+//! The statically in-bounds interior of each row runs instruction-at-a-time
+//! over contiguous spans (the row passes in `simd.rs`): plain loops that
+//! perform exactly the interpreter's per-pixel operation and that the
+//! compiler vectorizes. There is one interior; nothing selects it.
 
 use crate::exec::{ExecError, Execution};
 use crate::plan::CompiledPlan;
@@ -124,7 +119,6 @@ mod tests {
             tile_w: 4,
             tile_h: 4,
             threads: Some(3),
-            ..FastConfig::default()
         };
         let fast = execute_fast_with(&p, &[(input, img.clone())], &cfg).unwrap();
         let reference = execute_reference(&p, &[(input, img)]).unwrap();

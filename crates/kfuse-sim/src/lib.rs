@@ -37,7 +37,7 @@ pub mod exec;
 pub mod fast;
 pub mod micro;
 pub mod plan;
-pub mod simd;
+mod simd;
 pub mod tape;
 pub mod tile;
 pub mod timing;
@@ -47,7 +47,6 @@ pub use exec::{execute, execute_kernel, execute_reference, synthetic_image, Exec
 pub use fast::{execute_fast, execute_fast_with, FastConfig};
 pub use micro::{build_trace, MicroSim, MicroTiming, WarpOp};
 pub use plan::CompiledPlan;
-pub use simd::{detected_level, Interior, SimdLevel};
 pub use tape::{compile_stage, Tape};
 pub use tile::{
     execute_kernel_compiled, execute_kernel_compiled_traced, execute_kernel_tiled, modeled_traffic,

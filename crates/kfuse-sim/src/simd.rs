@@ -1,135 +1,24 @@
-//! Explicit SIMD evaluation of instruction-tape rows.
+//! Elementwise row passes of the instruction-tape interior.
 //!
 //! The row-matrix interior of [`crate::tile`] evaluates one tape
-//! instruction at a time over a contiguous span of pixels. The workspace
-//! compiles at the x86-64 baseline (SSE2), so the autovectorizer can use at
-//! most 4 lanes and misses several ops entirely; this module supplies
-//! hand-written `std::arch` kernels for those elementwise passes — 8-wide
-//! AVX2 and 4-wide SSE2 tiers, selected **at runtime** with
-//! [`std::arch::is_x86_feature_detected`] — with a scalar tail for row
-//! remainders and a scalar fallback on every other architecture.
+//! instruction at a time over a contiguous span of pixels. Each pass here
+//! is a plain loop over `f32` slices with the operator match hoisted out:
+//! the SIMD code is whatever LLVM's vectorizer makes of it at the width
+//! the build targets.
 //!
 //! # Bit identity
 //!
 //! The fast executor's contract is bit-identical output to
-//! [`crate::exec::execute_reference`], and the SIMD tier must not weaken
-//! it. Every lowering below performs, per lane, *exactly* the operation the
-//! scalar evaluator performs:
-//!
-//! * `+ − × ÷` and `sqrt` are IEEE-754 correctly rounded in both scalar
-//!   and vector forms — identical by construction. No FMA contraction is
-//!   ever used: it would change results.
-//! * `min`/`max` follow Rust's `f32::min`/`max` (IEEE `minNum`: a NaN
-//!   operand loses). x86 `minps(a, b)` instead returns `b` when either
-//!   operand is NaN, so the lowering computes `minps(b, a)` — which yields
-//!   `a` whenever `b` is NaN — and then patches lanes where `a` is NaN
-//!   with `b`, reproducing `minNum` including NaN-payload propagation.
-//! * `floor` uses `roundps` toward −∞, which *quiets* signaling NaNs
-//!   while the libm scalar `floorf` returns the input NaN unchanged;
-//!   unordered lanes are therefore blended back to the input.
-//! * `rsqrt` is lowered as `div(1.0, sqrt(x))` — two correctly rounded
-//!   operations, never the approximate `rsqrtps` — matching the scalar
-//!   `x.sqrt().recip()`.
-//! * comparisons produce `0.0`/`1.0` by masking a vector of ones;
-//!   `Select` blends on `c > 0`, false for NaN in both forms.
-//! * transcendentals (`exp`, `ln`, `sin`, `cos`, `powf`) have no exact
-//!   vector equivalent and run scalar per lane, inside the same pass.
-//!
-//! The per-op differential tests at the bottom pin these equivalences on
-//! NaN payloads (quiet and signaling), infinities, signed zeros,
-//! subnormals, and a deterministic sweep of random bit patterns.
+//! [`crate::exec::execute_reference`]. Every pass performs, per element,
+//! *exactly* the operation the interpreter performs ([`BinOp::apply`],
+//! [`UnOp::apply`]): `+ − × ÷` and `sqrt` are IEEE-754 correctly rounded,
+//! `min`/`max` are Rust's `f32::min`/`max`, `rsqrt` is `sqrt` then `recip`
+//! (two correctly rounded operations), and `a + b * c` is never contracted
+//! into an FMA. The per-op tests at the bottom pin this on NaN payloads
+//! (quiet and signaling), infinities, signed zeros, subnormals, and a
+//! deterministic sweep of random bit patterns.
 
 use kfuse_ir::{BinOp, UnOp};
-use std::sync::OnceLock;
-
-/// Interior-evaluation strategy knob of
-/// [`TileConfig`](crate::tile::TileConfig).
-///
-/// `Eq`/`Hash` keep the tile configuration usable as a plan-cache key.
-/// Explicitly requested tiers are clamped to what the host supports, so a
-/// config asking for AVX2 degrades gracefully instead of faulting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Interior {
-    /// Use the best tier the host supports (honors `KFUSE_FORCE_SCALAR`).
-    #[default]
-    Auto,
-    /// Force the scalar interior — the escape hatch CI uses to exercise
-    /// non-x86 behavior on x86 hosts.
-    Scalar,
-    /// At most the 4-wide SSE2 tier.
-    Sse2,
-    /// At most the 8-wide AVX2 tier.
-    Avx2,
-}
-
-/// A resolved SIMD tier (what will actually execute).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SimdLevel {
-    /// Plain scalar loops (the autovectorizable row passes).
-    Scalar,
-    /// 4-wide `std::arch` SSE2.
-    Sse2,
-    /// 8-wide `std::arch` AVX2.
-    Avx2,
-}
-
-impl SimdLevel {
-    /// Short lowercase tag (`"scalar"`, `"sse2"`, `"avx2"`) for benchmark
-    /// tables and JSON.
-    pub fn tag(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// Whether `KFUSE_FORCE_SCALAR` is set to a truthy value (anything but
-/// empty or `0`). Read once; the bins document the variable.
-fn force_scalar_env() -> bool {
-    std::env::var_os("KFUSE_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The best tier the host supports, detected once per process.
-///
-/// Honors the `KFUSE_FORCE_SCALAR` environment variable (any non-empty
-/// value other than `0`), which pins the result to
-/// [`SimdLevel::Scalar`] — the escape hatch for exercising the scalar
-/// interior on SIMD-capable CI hosts.
-pub fn detected_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        if force_scalar_env() {
-            return SimdLevel::Scalar;
-        }
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdLevel::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return SimdLevel::Sse2;
-            }
-        }
-        SimdLevel::Scalar
-    })
-}
-
-impl Interior {
-    /// Resolves the knob against the detected host capability: `Auto`
-    /// takes the detected tier; explicit tiers are clamped to it.
-    pub fn resolve(self) -> SimdLevel {
-        match self {
-            Interior::Auto => detected_level(),
-            Interior::Scalar => SimdLevel::Scalar,
-            Interior::Sse2 => detected_level().min(SimdLevel::Sse2),
-            Interior::Avx2 => detected_level().min(SimdLevel::Avx2),
-        }
-    }
-}
-
-// --- Scalar row passes ------------------------------------------------------
 
 /// Elementwise binary operation over register rows; the operator match is
 /// hoisted out of the loop so each arm vectorizes.
@@ -193,413 +82,14 @@ pub(crate) fn muladd_rows_scalar(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32
     }
 }
 
-// --- Dispatch ---------------------------------------------------------------
-
-/// Binary operation over rows at the given tier. All slices share a length.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn bin_rows(level: SimdLevel, op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert!(a.len() == out.len() && b.len() == out.len());
-    match level {
-        SimdLevel::Scalar => bin_rows_scalar(op, a, b, out),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level` only resolves to a tier `detected_level()`
-        // reported as available on this host.
-        SimdLevel::Sse2 => unsafe { x86::bin_rows_sse2(op, a, b, out) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::bin_rows_avx2(op, a, b, out) },
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-        _ => bin_rows_scalar(op, a, b, out),
-    }
-}
-
-/// Unary operation over rows at the given tier.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn un_rows(level: SimdLevel, op: UnOp, a: &[f32], out: &mut [f32]) {
-    debug_assert!(a.len() == out.len());
-    match level {
-        SimdLevel::Scalar => un_rows_scalar(op, a, out),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level` only resolves to a tier `detected_level()`
-        // reported as available on this host.
-        SimdLevel::Sse2 => unsafe { x86::un_rows_sse2(op, a, out) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::un_rows_avx2(op, a, out) },
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-        _ => un_rows_scalar(op, a, out),
-    }
-}
-
-/// `Select` over rows at the given tier.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn select_rows(level: SimdLevel, c: &[f32], t: &[f32], f: &[f32], out: &mut [f32]) {
-    debug_assert!(c.len() == out.len() && t.len() == out.len() && f.len() == out.len());
-    match level {
-        SimdLevel::Scalar => select_rows_scalar(c, t, f, out),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level` only resolves to a tier `detected_level()`
-        // reported as available on this host.
-        SimdLevel::Sse2 => unsafe { x86::select_rows_sse2(c, t, f, out) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::select_rows_avx2(c, t, f, out) },
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-        _ => select_rows_scalar(c, t, f, out),
-    }
-}
-
-/// `MulAdd` over rows at the given tier.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn muladd_rows(level: SimdLevel, a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
-    debug_assert!(a.len() == out.len() && b.len() == out.len() && c.len() == out.len());
-    match level {
-        SimdLevel::Scalar => muladd_rows_scalar(a, b, c, out),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level` only resolves to a tier `detected_level()`
-        // reported as available on this host.
-        SimdLevel::Sse2 => unsafe { x86::muladd_rows_sse2(a, b, c, out) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::muladd_rows_avx2(a, b, c, out) },
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-        _ => muladd_rows_scalar(a, b, c, out),
-    }
-}
-
-// --- x86 tiers --------------------------------------------------------------
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-pub(crate) use x86::{
-    bin_rows_avx2_in, bin_rows_sse2_in, muladd_rows_avx2_in, muladd_rows_sse2_in,
-    select_rows_avx2_in, select_rows_sse2_in, un_rows_avx2_in, un_rows_sse2_in,
-};
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-mod x86 {
-    use super::{bin_rows_scalar, muladd_rows_scalar, select_rows_scalar, un_rows_scalar};
-    use kfuse_ir::{BinOp, UnOp};
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// `_MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC`: round toward −∞
-    /// without raising exceptions (the `roundps` immediate for `floor`).
-    const FLOOR_ROUND: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
-
-    /// Eight-wide AVX2 binary pass with a scalar tail. `Pow` has no exact
-    /// vector form and is delegated whole to the scalar pass.
-    ///
-    /// SAFETY: callers must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn bin_rows_avx2(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        bin_rows_avx2_in(op, a, b, out)
-    }
-
-    /// Body of [`bin_rows_avx2`], `#[inline(always)]` so whole-tape loops
-    /// marked `#[target_feature(enable = "avx2")]` absorb it without a
-    /// per-instruction call (see `eval_rows_vector` in [`crate::tile`]).
-    ///
-    /// SAFETY: must only run on a host with AVX2, inlined into (or called
-    /// from) a context compiled with the `avx2` feature.
-    #[inline(always)]
-    pub unsafe fn bin_rows_avx2_in(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        macro_rules! lanes {
-            (|$x:ident, $y:ident| $e:expr) => {
-                while i + 8 <= n {
-                    let $x = _mm256_loadu_ps(a.as_ptr().add(i));
-                    let $y = _mm256_loadu_ps(b.as_ptr().add(i));
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i), $e);
-                    i += 8;
-                }
-            };
-        }
-        match op {
-            BinOp::Add => lanes!(|x, y| _mm256_add_ps(x, y)),
-            BinOp::Sub => lanes!(|x, y| _mm256_sub_ps(x, y)),
-            BinOp::Mul => lanes!(|x, y| _mm256_mul_ps(x, y)),
-            BinOp::Div => lanes!(|x, y| _mm256_div_ps(x, y)),
-            // minps(y, x) returns x when y is NaN; lanes where x is NaN
-            // are patched to y — together: the non-NaN operand wins, as
-            // in `f32::min` (see module docs).
-            BinOp::Min => lanes!(|x, y| {
-                let x_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-                _mm256_blendv_ps(_mm256_min_ps(y, x), y, x_nan)
-            }),
-            BinOp::Max => lanes!(|x, y| {
-                let x_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-                _mm256_blendv_ps(_mm256_max_ps(y, x), y, x_nan)
-            }),
-            BinOp::Pow => {}
-            BinOp::Lt => lanes!(|x, y| {
-                _mm256_and_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(x, y), _mm256_set1_ps(1.0))
-            }),
-            BinOp::Gt => lanes!(|x, y| {
-                _mm256_and_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(x, y), _mm256_set1_ps(1.0))
-            }),
-        }
-        bin_rows_scalar(op, &a[i..n], &b[i..n], &mut out[i..n]);
-    }
-
-    /// Eight-wide AVX2 unary pass with a scalar tail; transcendentals are
-    /// delegated whole to the scalar pass.
-    ///
-    /// SAFETY: callers must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn un_rows_avx2(op: UnOp, a: &[f32], out: &mut [f32]) {
-        un_rows_avx2_in(op, a, out)
-    }
-
-    /// Body of [`un_rows_avx2`]; see [`bin_rows_avx2_in`] for the contract.
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`].
-    #[inline(always)]
-    pub unsafe fn un_rows_avx2_in(op: UnOp, a: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        macro_rules! lanes {
-            (|$x:ident| $e:expr) => {
-                while i + 8 <= n {
-                    let $x = _mm256_loadu_ps(a.as_ptr().add(i));
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i), $e);
-                    i += 8;
-                }
-            };
-        }
-        match op {
-            UnOp::Neg => lanes!(|x| _mm256_xor_ps(x, _mm256_set1_ps(-0.0))),
-            UnOp::Abs => lanes!(|x| _mm256_andnot_ps(_mm256_set1_ps(-0.0), x)),
-            UnOp::Sqrt => lanes!(|x| _mm256_sqrt_ps(x)),
-            UnOp::Rsqrt => lanes!(|x| _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(x))),
-            // roundps quiets signaling NaNs; libm floorf passes them
-            // through untouched, so unordered lanes keep the input.
-            UnOp::Floor => lanes!(|x| {
-                let x_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-                _mm256_blendv_ps(_mm256_round_ps::<FLOOR_ROUND>(x), x, x_nan)
-            }),
-            UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos => {}
-        }
-        un_rows_scalar(op, &a[i..n], &mut out[i..n]);
-    }
-
-    /// Eight-wide AVX2 `Select` with a scalar tail: `c > 0 ? t : f`.
-    ///
-    /// SAFETY: callers must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn select_rows_avx2(c: &[f32], t: &[f32], f: &[f32], out: &mut [f32]) {
-        select_rows_avx2_in(c, t, f, out)
-    }
-
-    /// Body of [`select_rows_avx2`]; see [`bin_rows_avx2_in`] for the
-    /// contract.
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`].
-    #[inline(always)]
-    pub unsafe fn select_rows_avx2_in(c: &[f32], t: &[f32], f: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let vc = _mm256_loadu_ps(c.as_ptr().add(i));
-            let vt = _mm256_loadu_ps(t.as_ptr().add(i));
-            let vf = _mm256_loadu_ps(f.as_ptr().add(i));
-            let m = _mm256_cmp_ps::<_CMP_GT_OQ>(vc, _mm256_setzero_ps());
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_blendv_ps(vf, vt, m));
-            i += 8;
-        }
-        select_rows_scalar(&c[i..n], &t[i..n], &f[i..n], &mut out[i..n]);
-    }
-
-    /// Eight-wide AVX2 `MulAdd` with a scalar tail: `a + b * c`.
-    ///
-    /// SAFETY: callers must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn muladd_rows_avx2(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
-        muladd_rows_avx2_in(a, b, c, out)
-    }
-
-    /// Body of [`muladd_rows_avx2`]; see [`bin_rows_avx2_in`] for the
-    /// contract. Deliberately `mulps` + `addps`, **not** `vfmadd`: the
-    /// fused instruction would skip the intermediate rounding and break
-    /// bit-identity with the interpreter.
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`].
-    #[inline(always)]
-    pub unsafe fn muladd_rows_avx2_in(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(c.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(va, _mm256_mul_ps(vb, vc)),
-            );
-            i += 8;
-        }
-        muladd_rows_scalar(&a[i..n], &b[i..n], &c[i..n], &mut out[i..n]);
-    }
-
-    /// `mask ? a : b` for SSE2, which lacks `blendvps`.
-    #[inline(always)]
-    unsafe fn blend_sse2(mask: __m128, a: __m128, b: __m128) -> __m128 {
-        _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b))
-    }
-
-    /// Four-wide SSE2 binary pass with a scalar tail. `Pow` is scalar.
-    ///
-    /// SAFETY: callers must have verified SSE2 support at runtime (always
-    /// true on x86-64).
-    #[target_feature(enable = "sse2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn bin_rows_sse2(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        bin_rows_sse2_in(op, a, b, out)
-    }
-
-    /// Body of [`bin_rows_sse2`]; see [`bin_rows_avx2_in`] for the
-    /// contract (with `sse2` in place of `avx2`).
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`], for SSE2.
-    #[inline(always)]
-    pub unsafe fn bin_rows_sse2_in(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        macro_rules! lanes {
-            (|$x:ident, $y:ident| $e:expr) => {
-                while i + 4 <= n {
-                    let $x = _mm_loadu_ps(a.as_ptr().add(i));
-                    let $y = _mm_loadu_ps(b.as_ptr().add(i));
-                    _mm_storeu_ps(out.as_mut_ptr().add(i), $e);
-                    i += 4;
-                }
-            };
-        }
-        match op {
-            BinOp::Add => lanes!(|x, y| _mm_add_ps(x, y)),
-            BinOp::Sub => lanes!(|x, y| _mm_sub_ps(x, y)),
-            BinOp::Mul => lanes!(|x, y| _mm_mul_ps(x, y)),
-            BinOp::Div => lanes!(|x, y| _mm_div_ps(x, y)),
-            BinOp::Min => lanes!(|x, y| {
-                let x_nan = _mm_cmpunord_ps(x, x);
-                blend_sse2(x_nan, y, _mm_min_ps(y, x))
-            }),
-            BinOp::Max => lanes!(|x, y| {
-                let x_nan = _mm_cmpunord_ps(x, x);
-                blend_sse2(x_nan, y, _mm_max_ps(y, x))
-            }),
-            BinOp::Pow => {}
-            BinOp::Lt => lanes!(|x, y| _mm_and_ps(_mm_cmplt_ps(x, y), _mm_set1_ps(1.0))),
-            BinOp::Gt => lanes!(|x, y| _mm_and_ps(_mm_cmpgt_ps(x, y), _mm_set1_ps(1.0))),
-        }
-        bin_rows_scalar(op, &a[i..n], &b[i..n], &mut out[i..n]);
-    }
-
-    /// Four-wide SSE2 unary pass with a scalar tail. `Floor` needs
-    /// `roundps` (SSE4.1) and runs scalar, as do the transcendentals.
-    ///
-    /// SAFETY: callers must have verified SSE2 support at runtime.
-    #[target_feature(enable = "sse2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn un_rows_sse2(op: UnOp, a: &[f32], out: &mut [f32]) {
-        un_rows_sse2_in(op, a, out)
-    }
-
-    /// Body of [`un_rows_sse2`]; see [`bin_rows_avx2_in`] for the contract.
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`], for SSE2.
-    #[inline(always)]
-    pub unsafe fn un_rows_sse2_in(op: UnOp, a: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        macro_rules! lanes {
-            (|$x:ident| $e:expr) => {
-                while i + 4 <= n {
-                    let $x = _mm_loadu_ps(a.as_ptr().add(i));
-                    _mm_storeu_ps(out.as_mut_ptr().add(i), $e);
-                    i += 4;
-                }
-            };
-        }
-        match op {
-            UnOp::Neg => lanes!(|x| _mm_xor_ps(x, _mm_set1_ps(-0.0))),
-            UnOp::Abs => lanes!(|x| _mm_andnot_ps(_mm_set1_ps(-0.0), x)),
-            UnOp::Sqrt => lanes!(|x| _mm_sqrt_ps(x)),
-            UnOp::Rsqrt => lanes!(|x| _mm_div_ps(_mm_set1_ps(1.0), _mm_sqrt_ps(x))),
-            UnOp::Floor | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos => {}
-        }
-        un_rows_scalar(op, &a[i..n], &mut out[i..n]);
-    }
-
-    /// Four-wide SSE2 `Select` with a scalar tail.
-    ///
-    /// SAFETY: callers must have verified SSE2 support at runtime.
-    #[target_feature(enable = "sse2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn select_rows_sse2(c: &[f32], t: &[f32], f: &[f32], out: &mut [f32]) {
-        select_rows_sse2_in(c, t, f, out)
-    }
-
-    /// Body of [`select_rows_sse2`]; see [`bin_rows_avx2_in`] for the
-    /// contract.
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`], for SSE2.
-    #[inline(always)]
-    pub unsafe fn select_rows_sse2_in(c: &[f32], t: &[f32], f: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let vc = _mm_loadu_ps(c.as_ptr().add(i));
-            let vt = _mm_loadu_ps(t.as_ptr().add(i));
-            let vf = _mm_loadu_ps(f.as_ptr().add(i));
-            let m = _mm_cmpgt_ps(vc, _mm_setzero_ps());
-            _mm_storeu_ps(out.as_mut_ptr().add(i), blend_sse2(m, vt, vf));
-            i += 4;
-        }
-        select_rows_scalar(&c[i..n], &t[i..n], &f[i..n], &mut out[i..n]);
-    }
-
-    /// Four-wide SSE2 `MulAdd` with a scalar tail: `a + b * c`.
-    ///
-    /// SAFETY: callers must have verified SSE2 support at runtime.
-    #[target_feature(enable = "sse2")]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub unsafe fn muladd_rows_sse2(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
-        muladd_rows_sse2_in(a, b, c, out)
-    }
-
-    /// Body of [`muladd_rows_sse2`]; `mulps` + `addps`, never an FMA —
-    /// see [`muladd_rows_avx2_in`].
-    ///
-    /// SAFETY: as [`bin_rows_avx2_in`], for SSE2.
-    #[inline(always)]
-    pub unsafe fn muladd_rows_sse2_in(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm_loadu_ps(b.as_ptr().add(i));
-            let vc = _mm_loadu_ps(c.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(va, _mm_mul_ps(vb, vc)));
-            i += 4;
-        }
-        muladd_rows_scalar(&a[i..n], &b[i..n], &c[i..n], &mut out[i..n]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Special f32 bit patterns: signed zeros, infinities, quiet and
     /// signaling NaNs with distinct payloads, subnormals, and boundary
-    /// magnitudes — the values where scalar/vector semantics could differ.
+    /// magnitudes — the values where a vectorized loop could differ from
+    /// the per-pixel `apply`.
     fn specials() -> Vec<f32> {
         [
             0x0000_0000u32, // +0
@@ -636,20 +126,8 @@ mod tests {
             .collect()
     }
 
-    fn levels() -> Vec<SimdLevel> {
-        let mut l = vec![SimdLevel::Scalar];
-        let best = detected_level();
-        if best >= SimdLevel::Sse2 {
-            l.push(SimdLevel::Sse2);
-        }
-        if best >= SimdLevel::Avx2 {
-            l.push(SimdLevel::Avx2);
-        }
-        l
-    }
-
     /// A value set that exercises every special pair plus a random sweep,
-    /// with a length that forces both full vectors and a scalar tail.
+    /// with a length that is not a multiple of any vector width.
     fn operand_grid() -> (Vec<f32>, Vec<f32>) {
         let s = specials();
         let mut a = Vec::new();
@@ -692,232 +170,121 @@ mod tests {
         UnOp::Floor,
     ];
 
+    /// [`bin_rows_scalar`] against [`BinOp::apply`] on every pair of the grid.
     #[test]
     fn binary_ops_bit_identical_across_levels() {
         let (a, b) = operand_grid();
-        let mut want = vec![0.0f32; a.len()];
         let mut got = vec![0.0f32; a.len()];
         for op in ALL_BIN {
-            for (k, w) in want.iter_mut().enumerate() {
-                *w = op.apply(a[k], b[k]);
-            }
-            for level in levels() {
-                got.fill(0.0);
-                bin_rows(level, op, &a, &b, &mut got);
-                for k in 0..a.len() {
-                    // With two NaN operands, which payload propagates is
-                    // non-deterministic even between two scalar compilations
-                    // (LLVM may commute fadd/fmul), so only the NaN-ness of
-                    // the result is portable there. Every value the executors
-                    // can actually produce from finite inputs is a canonical
-                    // NaN, where the two payloads coincide.
-                    if a[k].is_nan() && b[k].is_nan() && want[k].is_nan() {
-                        assert!(
-                            got[k].is_nan(),
-                            "{op:?} at {level:?}: lane {k}: non-NaN from two NaN operands",
-                        );
-                        continue;
-                    }
-                    assert!(
-                        want[k].to_bits() == got[k].to_bits(),
-                        "{op:?} at {level:?}: lane {k}: {:e} ({:#010x}) vs scalar {:e} ({:#010x}) \
-                         for operands {:e}, {:e}",
-                        got[k],
-                        got[k].to_bits(),
-                        want[k],
-                        want[k].to_bits(),
-                        a[k],
-                        b[k],
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unary_ops_bit_identical_across_levels() {
-        let (a, _) = operand_grid();
-        let mut want = vec![0.0f32; a.len()];
-        let mut got = vec![0.0f32; a.len()];
-        for op in ALL_UN {
-            for (k, w) in want.iter_mut().enumerate() {
-                *w = op.apply(a[k]);
-            }
-            for level in levels() {
-                got.fill(0.0);
-                un_rows(level, op, &a, &mut got);
-                for k in 0..a.len() {
-                    assert!(
-                        want[k].to_bits() == got[k].to_bits(),
-                        "{op:?} at {level:?}: lane {k}: {:e} ({:#010x}) vs scalar {:e} ({:#010x}) \
-                         for operand {:e} ({:#010x})",
-                        got[k],
-                        got[k].to_bits(),
-                        want[k],
-                        want[k].to_bits(),
-                        a[k],
-                        a[k].to_bits(),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn muladd_bit_identical_across_levels() {
-        let (a, b) = operand_grid();
-        let c = std::hint::black_box(pseudo_random(a.len(), 0x0BAD_C0DE_1234_5678));
-        let mut want = vec![0.0f32; a.len()];
-        let mut got = vec![0.0f32; a.len()];
-        for (k, w) in want.iter_mut().enumerate() {
-            *w = a[k] + b[k] * c[k];
-        }
-        for level in levels() {
             got.fill(0.0);
-            muladd_rows(level, &a, &b, &c, &mut got);
+            bin_rows_scalar(op, &a, &b, &mut got);
             for k in 0..a.len() {
-                // Same caveat as the binary test: with two NaNs meeting in
-                // the multiply or in the add, the surviving payload is not
-                // portable across compilations — only NaN-ness is.
-                let prod = b[k] * c[k];
-                let two_nans = (b[k].is_nan() && c[k].is_nan()) || (a[k].is_nan() && prod.is_nan());
-                if two_nans && want[k].is_nan() {
+                let want = op.apply(a[k], b[k]);
+                // With two NaN operands, which payload propagates is
+                // non-deterministic even between two scalar compilations
+                // (LLVM may commute fadd/fmul), so only the NaN-ness of
+                // the result is portable there. Every value the executors
+                // can actually produce from finite inputs is a canonical
+                // NaN, where the two payloads coincide.
+                if a[k].is_nan() && b[k].is_nan() && want.is_nan() {
                     assert!(
                         got[k].is_nan(),
-                        "muladd at {level:?}: lane {k}: non-NaN from NaN operands",
+                        "{op:?}: lane {k}: non-NaN from two NaN operands",
                     );
                     continue;
                 }
                 assert!(
-                    want[k].to_bits() == got[k].to_bits(),
-                    "muladd at {level:?}: lane {k}: {:e} ({:#010x}) vs scalar {:e} ({:#010x}) \
-                     for operands {:e}, {:e}, {:e}",
+                    want.to_bits() == got[k].to_bits(),
+                    "{op:?}: lane {k}: {:e} ({:#010x}) vs apply {:e} ({:#010x}) \
+                     for operands {:e}, {:e}",
                     got[k],
                     got[k].to_bits(),
-                    want[k],
-                    want[k].to_bits(),
+                    want,
+                    want.to_bits(),
                     a[k],
                     b[k],
-                    c[k],
                 );
             }
         }
     }
 
+    /// [`un_rows_scalar`] against [`UnOp::apply`] on every value of the grid.
+    #[test]
+    fn unary_ops_bit_identical_across_levels() {
+        let (a, _) = operand_grid();
+        let mut got = vec![0.0f32; a.len()];
+        for op in ALL_UN {
+            got.fill(0.0);
+            un_rows_scalar(op, &a, &mut got);
+            for k in 0..a.len() {
+                let want = op.apply(a[k]);
+                assert!(
+                    want.to_bits() == got[k].to_bits(),
+                    "{op:?}: lane {k}: {:e} ({:#010x}) vs apply {:e} ({:#010x}) \
+                     for operand {:e} ({:#010x})",
+                    got[k],
+                    got[k].to_bits(),
+                    want,
+                    want.to_bits(),
+                    a[k],
+                    a[k].to_bits(),
+                );
+            }
+        }
+    }
+
+    /// [`muladd_rows_scalar`] against `Mul` then `Add` through `apply`.
+    #[test]
+    fn muladd_bit_identical_across_levels() {
+        let (a, b) = operand_grid();
+        let c = std::hint::black_box(pseudo_random(a.len(), 0x0BAD_C0DE_1234_5678));
+        let mut got = vec![0.0f32; a.len()];
+        muladd_rows_scalar(&a, &b, &c, &mut got);
+        for k in 0..a.len() {
+            // The pair of instructions the tape peephole fused.
+            let prod = BinOp::Mul.apply(b[k], c[k]);
+            let want = BinOp::Add.apply(a[k], prod);
+            // Same caveat as the binary test: with two NaNs meeting in
+            // the multiply or in the add, the surviving payload is not
+            // portable across compilations — only NaN-ness is.
+            let two_nans = (b[k].is_nan() && c[k].is_nan()) || (a[k].is_nan() && prod.is_nan());
+            if two_nans && want.is_nan() {
+                assert!(
+                    got[k].is_nan(),
+                    "muladd: lane {k}: non-NaN from NaN operands"
+                );
+                continue;
+            }
+            assert!(
+                want.to_bits() == got[k].to_bits(),
+                "muladd: lane {k}: {:e} ({:#010x}) vs apply {:e} ({:#010x}) \
+                 for operands {:e}, {:e}, {:e}",
+                got[k],
+                got[k].to_bits(),
+                want,
+                want.to_bits(),
+                a[k],
+                b[k],
+                c[k],
+            );
+        }
+    }
+
+    /// [`select_rows_scalar`] against the interpreter's `c > 0` branch.
     #[test]
     fn select_bit_identical_across_levels() {
         let (c, t) = operand_grid();
         let f = pseudo_random(c.len(), 0xDEAD_BEEF_0BAD_F00D);
-        let mut want = vec![0.0f32; c.len()];
         let mut got = vec![0.0f32; c.len()];
-        for (k, w) in want.iter_mut().enumerate() {
-            *w = if c[k] > 0.0 { t[k] } else { f[k] };
-        }
-        for level in levels() {
-            got.fill(0.0);
-            select_rows(level, &c, &t, &f, &mut got);
-            for k in 0..c.len() {
-                assert_eq!(
-                    want[k].to_bits(),
-                    got[k].to_bits(),
-                    "select at {level:?}, lane {k} (c = {:e})",
-                    c[k]
-                );
-            }
-        }
-    }
-
-    /// Spans shorter than a vector must work (pure scalar tail).
-    #[test]
-    fn short_spans_hit_the_tail() {
-        for len in 0..9 {
-            let a = pseudo_random(len, 7);
-            let b = pseudo_random(len, 11);
-            let mut want = vec![0.0f32; len];
-            let mut got = vec![0.0f32; len];
-            bin_rows(SimdLevel::Scalar, BinOp::Mul, &a, &b, &mut want);
-            for level in levels() {
-                got.fill(0.0);
-                bin_rows(level, BinOp::Mul, &a, &b, &mut got);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "len {len} at {level:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn interior_resolution_clamps_to_host() {
-        let best = detected_level();
-        assert_eq!(Interior::Auto.resolve(), best);
-        assert_eq!(Interior::Scalar.resolve(), SimdLevel::Scalar);
-        assert!(Interior::Sse2.resolve() <= SimdLevel::Sse2);
-        assert!(Interior::Sse2.resolve() <= best);
-        assert!(Interior::Avx2.resolve() <= best);
-        #[cfg(target_arch = "x86_64")]
-        {
-            // x86-64 baseline guarantees SSE2, so unless the env forces
-            // scalar, the SSE2 request is satisfied exactly.
-            if best >= SimdLevel::Sse2 {
-                assert_eq!(Interior::Sse2.resolve(), SimdLevel::Sse2);
-            }
-        }
-    }
-
-    #[test]
-    fn level_tags_are_stable() {
-        assert_eq!(SimdLevel::Scalar.tag(), "scalar");
-        assert_eq!(SimdLevel::Sse2.tag(), "sse2");
-        assert_eq!(SimdLevel::Avx2.tag(), "avx2");
-    }
-}
-
-#[cfg(test)]
-mod microbench {
-    use super::*;
-
-    #[test]
-    #[ignore = "manual microbenchmark"]
-    fn rows_microbench() {
-        for &len in &[126usize, 510, 2040] {
-            let a = std::hint::black_box(vec![1.1f32; len]);
-            let b = std::hint::black_box(vec![2.2f32; len]);
-            let c = std::hint::black_box(vec![3.3f32; len]);
-            let mut out = vec![0.0f32; len];
-            let reps = 2_000_000u32
-                .checked_div(len as u32 / 32)
-                .unwrap_or(1)
-                .max(1) as usize;
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
-                let t = std::time::Instant::now();
-                for _ in 0..reps {
-                    bin_rows(level, kfuse_ir::BinOp::Mul, &a, &b, &mut out);
-                    std::hint::black_box(&mut out);
-                }
-                let mul = t.elapsed().as_secs_f64();
-                let t = std::time::Instant::now();
-                for _ in 0..reps {
-                    muladd_rows(level, &a, &b, &c, &mut out);
-                    std::hint::black_box(&mut out);
-                }
-                let mad = t.elapsed().as_secs_f64();
-                let t = std::time::Instant::now();
-                for _ in 0..reps {
-                    un_rows(level, kfuse_ir::UnOp::Sqrt, &a, &mut out);
-                    std::hint::black_box(&mut out);
-                }
-                let sq = t.elapsed().as_secs_f64();
-                let per = |s: f64| s / reps as f64 / len as f64 * 1e9;
-                println!(
-                    "len {len:5} {:>6}: mul {:.3} ns/elt  muladd {:.3} ns/elt  sqrt {:.3} ns/elt",
-                    level.tag(),
-                    per(mul),
-                    per(mad),
-                    per(sq)
-                );
-            }
+        select_rows_scalar(&c, &t, &f, &mut got);
+        for k in 0..c.len() {
+            let want = if c[k] > 0.0 { t[k] } else { f[k] };
+            assert_eq!(
+                want.to_bits(),
+                got[k].to_bits(),
+                "select: lane {k} (c = {:e})",
+                c[k]
+            );
         }
     }
 }

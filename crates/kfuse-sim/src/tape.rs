@@ -343,8 +343,8 @@ fn fuse_muladd(instrs: &mut Vec<Instr>, roots: &mut [u32]) {
 /// `0..const_len` (pre-filled once per tile) and roots stay live to the
 /// end (read after the scan). An instruction's own slot is allocated
 /// *before* its dead operands are released, so an output row never aliases
-/// one of its operand rows — the disjointness the vector interior's
-/// split borrows rely on.
+/// one of its operand rows — the disjointness the vector interior relies
+/// on when it borrows the output row mutably next to its operand rows.
 fn assign_slots(instrs: &[Instr], const_len: usize, roots: &[u32]) -> (Vec<u32>, usize) {
     let n = instrs.len();
     let mut last_use = vec![usize::MAX; n];

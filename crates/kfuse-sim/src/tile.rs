@@ -31,7 +31,7 @@
 //! a pure computation once and reusing the result cannot change any bit.
 
 use crate::exec::{resolve_kernel_inputs, Evaluator, ExecError};
-use crate::simd::{self, Interior, SimdLevel};
+use crate::simd;
 use crate::tape::{compile_stage, Instr, LoadTarget, Tape};
 use kfuse_ir::border::Resolved;
 use kfuse_ir::{Image, Kernel, Pipeline};
@@ -54,10 +54,6 @@ pub struct TileConfig {
     pub tile_h: usize,
     /// Worker threads; `None` uses [`std::thread::available_parallelism`].
     pub threads: Option<usize>,
-    /// Interior-evaluation strategy: runtime-dispatched SIMD tiers or the
-    /// scalar escape hatch (see [`Interior`]; `KFUSE_FORCE_SCALAR` pins
-    /// [`Interior::Auto`] to scalar).
-    pub interior: Interior,
 }
 
 impl Default for TileConfig {
@@ -69,7 +65,6 @@ impl Default for TileConfig {
             tile_w: 128,
             tile_h: 64,
             threads: None,
-            interior: Interior::Auto,
         }
     }
 }
@@ -492,51 +487,19 @@ enum Src {
 }
 
 /// Resolves the row of a register for the current span: its slot row in
-/// the register matrix, or the zero-copy view recorded by the load that
-/// produced it.
+/// the register matrix (through `reg`, which knows how the caller holds
+/// the matrix), or the zero-copy view recorded by the load that produced
+/// it.
 #[inline(always)]
 fn src_row<'s>(
     src: Src,
-    buf: &'s [f32],
-    cap: usize,
+    reg: impl FnOnce(u32) -> &'s [f32],
     len: usize,
     planes: &'s [Vec<f32>],
     ctx: &'s Ctx<'_>,
 ) -> &'s [f32] {
     match src {
-        Src::Reg(slot) => &buf[slot as usize * cap..][..len],
-        Src::Input { input, ty, base } => &ctx.inputs[input].row(ty)[base..base + len],
-        Src::Stage { stage, row, base } => {
-            let rct = ctx.rects[stage];
-            let nc = ctx.chans[stage];
-            &planes[stage][row * rct.w * nc + base..][..len]
-        }
-    }
-}
-
-/// [`src_row`] over a raw matrix base pointer, for use inside the
-/// instruction loop where the output row of the same matrix is borrowed
-/// mutably.
-///
-/// # Safety
-///
-/// `base` must point at a live register matrix of at least
-/// `(slot + 1) * cap` elements for every slot recorded in `src`, and the
-/// returned row must not overlap any `&mut` row the caller constructs —
-/// guaranteed by the tape's slot allocator, which never assigns an
-/// instruction's output slot to a register still live (see
-/// `assign_slots` in [`crate::tape`]).
-#[inline(always)]
-unsafe fn src_row_raw<'s>(
-    src: Src,
-    base: *const f32,
-    cap: usize,
-    len: usize,
-    planes: &'s [Vec<f32>],
-    ctx: &'s Ctx<'_>,
-) -> &'s [f32] {
-    match src {
-        Src::Reg(slot) => std::slice::from_raw_parts(base.add(slot as usize * cap), len),
+        Src::Reg(slot) => reg(slot),
         Src::Input { input, ty, base } => &ctx.inputs[input].row(ty)[base..base + len],
         Src::Stage { stage, row, base } => {
             let rct = ctx.rects[stage];
@@ -578,285 +541,128 @@ impl RowRegs {
 ///
 /// Every load in the span is in bounds (guaranteed by [`fast_span`]), so
 /// input and plane reads are straight strided copies. Arithmetic rows run
-/// through [`crate::simd`] at the resolved `level` — explicit AVX2/SSE2
-/// kernels or the scalar loops, all bit-identical (see the module docs
-/// there).
+/// through the elementwise passes of [`crate::simd`].
+///
+/// `direct` is only passed for tapes whose single root is the final
+/// instruction and an operator (see [`eval_row`]): the last instruction
+/// then writes its row there instead of into the matrix.
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code)]
 fn eval_rows_vector(
     tape: &Tape,
     rr: &mut RowRegs,
     planes: &[Vec<f32>],
     ctx: &Ctx<'_>,
-    level: SimdLevel,
     y: usize,
     x0: usize,
     len: usize,
-    direct: Option<&mut [f32]>,
+    mut direct: Option<&mut [f32]>,
 ) {
-    match level {
-        SimdLevel::Scalar => eval_rows_vector_scalar(tape, rr, planes, ctx, y, x0, len, direct),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level` only resolves to a tier `detected_level()`
-        // reported as available on this host.
-        SimdLevel::Sse2 => unsafe {
-            eval_rows_vector_sse2(tape, rr, planes, ctx, y, x0, len, direct)
-        },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe {
-            eval_rows_vector_avx2(tape, rr, planes, ctx, y, x0, len, direct)
-        },
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-        _ => eval_rows_vector_scalar(tape, rr, planes, ctx, y, x0, len, direct),
-    }
-}
-
-/// The instruction loop of [`eval_rows_vector`], stamped out once per SIMD
-/// tier. A `#[target_feature]` function cannot be inlined into a caller
-/// compiled without that feature, so dispatching on the tier *inside* the
-/// loop would pay an opaque call per tape instruction per row span — on
-/// short spans that call overhead eats most of the vector win. Instead the
-/// whole loop is compiled per tier and the tier's `#[inline(always)]` row
-/// kernels (see [`crate::simd`]) dissolve into it.
-macro_rules! eval_rows_loop {
-    ($tape:expr, $rr:expr, $planes:expr, $ctx:expr, $y:expr, $x0:expr, $len:expr, $direct:expr,
-     $bin:expr, $un:expr, $sel:expr, $mad:expr) => {{
-        let (tape, rr, planes, ctx) = ($tape, $rr, $planes, $ctx);
-        let (y, x0, len): (usize, usize, usize) = ($y, $x0, $len);
-        let mut direct: Option<&mut [f32]> = $direct;
-        let cap = rr.cap;
-        let srcs = &mut rr.srcs;
-        let buf = &mut rr.buf;
-        // `direct` is only passed for tapes whose single root is the final
-        // operator instruction (see `eval_row`), so taking it at
-        // `i == last` in the operator arms below covers every eligible
-        // tape.
-        let last = tape.instrs.len() - 1;
-        // Operator arms read operand rows and write the output row of the
-        // same matrix through raw pointers: output and operand slots can
-        // sit on either side of each other after slot reuse, so a
-        // `split_at_mut` no longer expresses the disjointness.
+    let cap = rr.cap;
+    // `prepare` sized the matrix for this tape and span; the row borrows
+    // below rely on it.
+    assert!(len <= cap && tape.n_slots * cap <= rr.buf.len());
+    let srcs = &mut rr.srcs;
+    let base = rr.buf.as_mut_ptr();
+    let last = tape.instrs.len() - 1;
+    for i in tape.const_len..tape.instrs.len() {
+        let slot = tape.slots[i];
+        // The output row and the operand rows are rows of the same matrix,
+        // on either side of each other after slot reuse; they are borrowed
+        // through the raw base pointer, without per-row bounds or overlap
+        // checks (what those checks cost here is in DESIGN.md §3.7).
         //
-        // SAFETY (for every `src_row_raw` / `from_raw_parts_mut` below):
-        // `buf` holds `tape.n_slots * cap >= (slot + 1) * cap` elements
-        // for every slot the tape records, and the slot allocator
-        // (`assign_slots` in `crate::tape`) never assigns an instruction's
-        // output slot to a register that is still live — so the `&mut`
-        // output row is disjoint from every operand row, and view operands
-        // (input images, stage planes) are disjoint from the matrix by
-        // construction.
-        for i in tape.const_len..tape.instrs.len() {
-            let slot = tape.slots[i];
-            let dst = slot as usize * cap;
-            match tape.instrs[i] {
-                Instr::Const(v) => {
-                    buf[dst..dst + len].fill(v);
-                    srcs[i] = Src::Reg(slot);
-                }
-                Instr::LoadInput {
-                    input, dx, dy, ch, ..
-                } => {
-                    let img = ctx.inputs[input as usize];
-                    let nc = img.channels();
-                    let ty = (y as i64 + i64::from(dy)) as usize;
-                    let base = (x0 as i64 + i64::from(dx)) as usize * nc + ch as usize;
-                    if nc == 1 {
-                        // Zero-copy: consumers read the image row in place.
-                        srcs[i] = Src::Input {
-                            input: input as usize,
-                            ty,
-                            base,
-                        };
-                    } else {
-                        let row = img.row(ty);
-                        for (k, o) in buf[dst..dst + len].iter_mut().enumerate() {
-                            *o = row[base + k * nc];
-                        }
-                        srcs[i] = Src::Reg(slot);
+        // SAFETY (for `from_raw_parts_mut` here and `from_raw_parts` in
+        // `reg`): every slot the tape records is below `n_slots`, so by
+        // the assertion above each `len`-element row lies inside `buf`,
+        // which nothing else touches while `rr` is mutably borrowed. The
+        // slot allocator (`assign_slots` in `crate::tape`) never assigns
+        // an instruction's output slot to a register that is still live,
+        // so the `&mut` output row is disjoint from every operand row;
+        // view operands (input images, stage planes) are not part of the
+        // matrix.
+        let reg = |operand: u32| {
+            debug_assert_ne!(operand, slot, "operand row aliases the output row");
+            // SAFETY: see the comment above.
+            unsafe { std::slice::from_raw_parts(base.add(operand as usize * cap), len) }
+        };
+        let out = match if i == last { direct.take() } else { None } {
+            Some(o) => o,
+            // SAFETY: see the comment above.
+            None => unsafe { std::slice::from_raw_parts_mut(base.add(slot as usize * cap), len) },
+        };
+        srcs[i] = Src::Reg(slot);
+        match tape.instrs[i] {
+            Instr::Const(v) => out.fill(v),
+            Instr::LoadInput {
+                input, dx, dy, ch, ..
+            } => {
+                let img = ctx.inputs[input as usize];
+                let nc = img.channels();
+                let ty = (y as i64 + i64::from(dy)) as usize;
+                let base = (x0 as i64 + i64::from(dx)) as usize * nc + ch as usize;
+                if nc == 1 {
+                    // Zero-copy: consumers read the image row in place.
+                    srcs[i] = Src::Input {
+                        input: input as usize,
+                        ty,
+                        base,
+                    };
+                } else {
+                    let row = img.row(ty);
+                    for (k, o) in out.iter_mut().enumerate() {
+                        *o = row[base + k * nc];
                     }
-                }
-                Instr::LoadStage {
-                    stage, dx, dy, ch, ..
-                } => {
-                    let j = stage as usize;
-                    let r = ctx.rects[j];
-                    let nc = ctx.chans[j];
-                    // Plane-relative coordinates: the fast span guarantees
-                    // the whole span is in-plane, and overlapped planes can
-                    // start at negative image rows/columns.
-                    let pr = ((y as i64 + i64::from(dy)) - r.y0) as usize;
-                    let base = ((x0 as i64 + i64::from(dx)) - r.x0) as usize * nc + ch as usize;
-                    if nc == 1 {
-                        // Zero-copy: consumers read the plane row in place.
-                        srcs[i] = Src::Stage {
-                            stage: j,
-                            row: pr,
-                            base,
-                        };
-                    } else {
-                        let row = &planes[j][pr * r.w * nc..][..r.w * nc];
-                        for (k, o) in buf[dst..dst + len].iter_mut().enumerate() {
-                            *o = row[base + k * nc];
-                        }
-                        srcs[i] = Src::Reg(slot);
-                    }
-                }
-                Instr::Bin(op, a, b) => {
-                    let taken = if i == last { direct.take() } else { None };
-                    // SAFETY: see the loop-level comment.
-                    unsafe {
-                        let base = buf.as_mut_ptr();
-                        let a = src_row_raw(srcs[a as usize], base, cap, len, planes, ctx);
-                        let b = src_row_raw(srcs[b as usize], base, cap, len, planes, ctx);
-                        let out = match taken {
-                            Some(o) => o,
-                            None => std::slice::from_raw_parts_mut(base.add(dst), len),
-                        };
-                        $bin(op, a, b, out);
-                    }
-                    srcs[i] = Src::Reg(slot);
-                }
-                Instr::Un(op, a) => {
-                    let taken = if i == last { direct.take() } else { None };
-                    // SAFETY: see the loop-level comment.
-                    unsafe {
-                        let base = buf.as_mut_ptr();
-                        let a = src_row_raw(srcs[a as usize], base, cap, len, planes, ctx);
-                        let out = match taken {
-                            Some(o) => o,
-                            None => std::slice::from_raw_parts_mut(base.add(dst), len),
-                        };
-                        $un(op, a, out);
-                    }
-                    srcs[i] = Src::Reg(slot);
-                }
-                Instr::Select(c, t, f) => {
-                    let taken = if i == last { direct.take() } else { None };
-                    // SAFETY: see the loop-level comment.
-                    unsafe {
-                        let base = buf.as_mut_ptr();
-                        let c = src_row_raw(srcs[c as usize], base, cap, len, planes, ctx);
-                        let t = src_row_raw(srcs[t as usize], base, cap, len, planes, ctx);
-                        let f = src_row_raw(srcs[f as usize], base, cap, len, planes, ctx);
-                        let out = match taken {
-                            Some(o) => o,
-                            None => std::slice::from_raw_parts_mut(base.add(dst), len),
-                        };
-                        $sel(c, t, f, out);
-                    }
-                    srcs[i] = Src::Reg(slot);
-                }
-                Instr::MulAdd(a, b, c) => {
-                    let taken = if i == last { direct.take() } else { None };
-                    // SAFETY: see the loop-level comment.
-                    unsafe {
-                        let base = buf.as_mut_ptr();
-                        let a = src_row_raw(srcs[a as usize], base, cap, len, planes, ctx);
-                        let b = src_row_raw(srcs[b as usize], base, cap, len, planes, ctx);
-                        let c = src_row_raw(srcs[c as usize], base, cap, len, planes, ctx);
-                        let out = match taken {
-                            Some(o) => o,
-                            None => std::slice::from_raw_parts_mut(base.add(dst), len),
-                        };
-                        $mad(a, b, c, out);
-                    }
-                    srcs[i] = Src::Reg(slot);
                 }
             }
+            Instr::LoadStage {
+                stage, dx, dy, ch, ..
+            } => {
+                let j = stage as usize;
+                let r = ctx.rects[j];
+                let nc = ctx.chans[j];
+                // Plane-relative coordinates: the fast span guarantees
+                // the whole span is in-plane, and overlapped planes can
+                // start at negative image rows/columns.
+                let pr = ((y as i64 + i64::from(dy)) - r.y0) as usize;
+                let base = ((x0 as i64 + i64::from(dx)) - r.x0) as usize * nc + ch as usize;
+                if nc == 1 {
+                    // Zero-copy: consumers read the plane row in place.
+                    srcs[i] = Src::Stage {
+                        stage: j,
+                        row: pr,
+                        base,
+                    };
+                } else {
+                    let row = &planes[j][pr * r.w * nc..][..r.w * nc];
+                    for (k, o) in out.iter_mut().enumerate() {
+                        *o = row[base + k * nc];
+                    }
+                }
+            }
+            Instr::Bin(op, a, b) => {
+                let a = src_row(srcs[a as usize], reg, len, planes, ctx);
+                let b = src_row(srcs[b as usize], reg, len, planes, ctx);
+                simd::bin_rows_scalar(op, a, b, out);
+            }
+            Instr::Un(op, a) => {
+                let a = src_row(srcs[a as usize], reg, len, planes, ctx);
+                simd::un_rows_scalar(op, a, out);
+            }
+            Instr::Select(c, t, f) => {
+                let c = src_row(srcs[c as usize], reg, len, planes, ctx);
+                let t = src_row(srcs[t as usize], reg, len, planes, ctx);
+                let f = src_row(srcs[f as usize], reg, len, planes, ctx);
+                simd::select_rows_scalar(c, t, f, out);
+            }
+            Instr::MulAdd(a, b, c) => {
+                let a = src_row(srcs[a as usize], reg, len, planes, ctx);
+                let b = src_row(srcs[b as usize], reg, len, planes, ctx);
+                let c = src_row(srcs[c as usize], reg, len, planes, ctx);
+                simd::muladd_rows_scalar(a, b, c, out);
+            }
         }
-    }};
-}
-
-/// Scalar-tier instruction loop (also the non-x86 fallback).
-#[allow(clippy::too_many_arguments)]
-fn eval_rows_vector_scalar(
-    tape: &Tape,
-    rr: &mut RowRegs,
-    planes: &[Vec<f32>],
-    ctx: &Ctx<'_>,
-    y: usize,
-    x0: usize,
-    len: usize,
-    direct: Option<&mut [f32]>,
-) {
-    eval_rows_loop!(
-        tape,
-        rr,
-        planes,
-        ctx,
-        y,
-        x0,
-        len,
-        direct,
-        simd::bin_rows_scalar,
-        simd::un_rows_scalar,
-        simd::select_rows_scalar,
-        simd::muladd_rows_scalar
-    );
-}
-
-/// SSE2-tier instruction loop.
-///
-/// SAFETY: callers must have verified SSE2 support at runtime.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "sse2")]
-unsafe fn eval_rows_vector_sse2(
-    tape: &Tape,
-    rr: &mut RowRegs,
-    planes: &[Vec<f32>],
-    ctx: &Ctx<'_>,
-    y: usize,
-    x0: usize,
-    len: usize,
-    direct: Option<&mut [f32]>,
-) {
-    eval_rows_loop!(
-        tape,
-        rr,
-        planes,
-        ctx,
-        y,
-        x0,
-        len,
-        direct,
-        simd::bin_rows_sse2_in,
-        simd::un_rows_sse2_in,
-        simd::select_rows_sse2_in,
-        simd::muladd_rows_sse2_in
-    );
-}
-
-/// AVX2-tier instruction loop.
-///
-/// SAFETY: callers must have verified AVX2 support at runtime.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn eval_rows_vector_avx2(
-    tape: &Tape,
-    rr: &mut RowRegs,
-    planes: &[Vec<f32>],
-    ctx: &Ctx<'_>,
-    y: usize,
-    x0: usize,
-    len: usize,
-    direct: Option<&mut [f32]>,
-) {
-    eval_rows_loop!(
-        tape,
-        rr,
-        planes,
-        ctx,
-        y,
-        x0,
-        len,
-        direct,
-        simd::bin_rows_avx2_in,
-        simd::un_rows_avx2_in,
-        simd::select_rows_avx2_in,
-        simd::muladd_rows_avx2_in
-    );
+    }
 }
 
 /// The sub-range of `[x_lo, x_hi)` at row `y` where every load of `tape`
@@ -907,7 +713,6 @@ fn eval_row(
     rr: &mut RowRegs,
     planes: &[Vec<f32>],
     ctx: &Ctx<'_>,
-    level: SimdLevel,
     y: usize,
     x_lo: usize,
     x_hi: usize,
@@ -941,11 +746,12 @@ fn eval_row(
             );
         if direct {
             let dst = &mut out_row[flo - x_lo..fhi - x_lo];
-            eval_rows_vector(tape, rr, planes, ctx, level, y, flo, len, Some(dst));
+            eval_rows_vector(tape, rr, planes, ctx, y, flo, len, Some(dst));
         } else {
-            eval_rows_vector(tape, rr, planes, ctx, level, y, flo, len, None);
+            eval_rows_vector(tape, rr, planes, ctx, y, flo, len, None);
             for (c, &r) in tape.roots.iter().enumerate() {
-                let src = src_row(rr.srcs[r as usize], &rr.buf, rr.cap, len, planes, ctx);
+                let reg = |slot: u32| &rr.buf[slot as usize * rr.cap..][..len];
+                let src = src_row(rr.srcs[r as usize], reg, len, planes, ctx);
                 if nc == 1 {
                     out_row[flo - x_lo..fhi - x_lo].copy_from_slice(src);
                 } else {
@@ -1006,7 +812,6 @@ struct Run<'a> {
     out_nc: usize,
     tile_w: usize,
     tile_h: usize,
-    level: SimdLevel,
 }
 
 impl Run<'_> {
@@ -1091,7 +896,6 @@ impl Run<'_> {
                             rr,
                             done,
                             &ctx,
-                            self.level,
                             py as usize,
                             ix0 as usize,
                             ix1 as usize,
@@ -1151,19 +955,7 @@ impl Run<'_> {
                 for y in y0..y1 {
                     let row = &mut out_band[(y - y_start) * stride..][..stride];
                     let seg = &mut row[x0 * self.out_nc..x1 * self.out_nc];
-                    eval_row(
-                        tape,
-                        regs,
-                        rr,
-                        planes,
-                        &ctx,
-                        self.level,
-                        y,
-                        x0,
-                        x1,
-                        seg,
-                        self.out_nc,
-                    );
+                    eval_row(tape, regs, rr, planes, &ctx, y, x0, x1, seg, self.out_nc);
                 }
                 x0 = x1;
             }
@@ -1276,7 +1068,6 @@ fn execute_kernel_compiled_inner(
         out_nc,
         tile_w,
         tile_h,
-        level: cfg.interior.resolve(),
     };
 
     let tile_rows = ih.div_ceil(tile_h);
@@ -1413,7 +1204,6 @@ mod tests {
             tile_w: 3,
             tile_h: 2,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         for (w, h) in [(1, 1), (2, 3), (7, 5), (16, 16), (17, 1)] {
             tiled_matches_reference(BorderMode::Clamp, w, h, &cfg);
@@ -1427,7 +1217,6 @@ mod tests {
             tile_w: 512,
             tile_h: 512,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         for mode in [BorderMode::Mirror, BorderMode::Constant(-1.5)] {
             tiled_matches_reference(mode, 5, 3, &cfg);
@@ -1440,7 +1229,6 @@ mod tests {
             tile_w: 8,
             tile_h: 4,
             threads: Some(4),
-            interior: Interior::Auto,
         };
         for mode in [BorderMode::Clamp, BorderMode::Repeat] {
             tiled_matches_reference(mode, 33, 29, &cfg);
@@ -1485,7 +1273,6 @@ mod tests {
             tile_w: 3,
             tile_h: 2,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         for (w, h) in [(1, 1), (2, 3), (7, 5), (16, 16), (17, 1)] {
             for mode in [
@@ -1505,7 +1292,6 @@ mod tests {
             tile_w: 8,
             tile_h: 4,
             threads: Some(4),
-            interior: Interior::Auto,
         };
         for mode in [BorderMode::Clamp, BorderMode::Repeat] {
             overlapped_matches_reference(mode, 33, 29, &cfg);
@@ -1523,7 +1309,6 @@ mod tests {
             tile_w: 3,
             tile_h: 3,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         let ex = modeled_traffic(&p, &k, &CompiledKernel::new(&k), &cfg);
         let ov = modeled_traffic(
@@ -1585,7 +1370,6 @@ mod tests {
             tile_w: 4,
             tile_h: 3,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         let got =
             execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut Scratch::default()).unwrap();
@@ -1647,13 +1431,11 @@ mod tests {
                 tile_w: 1,
                 tile_h: 1,
                 threads: Some(1),
-                interior: Interior::Auto,
             },
             TileConfig {
                 tile_w: 2,
                 tile_h: 2,
                 threads: Some(2),
-                interior: Interior::Auto,
             },
             TileConfig::default(),
         ] {
@@ -1713,7 +1495,6 @@ mod tests {
             tile_w: 1,
             tile_h: 1,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         let t = modeled_traffic(&p, &k, &ck, &cfg);
         // 6 one-pixel tiles, each materializing the full 3×2 plane.
@@ -1785,7 +1566,6 @@ mod tests {
             tile_w: 5,
             tile_h: 5,
             threads: Some(2),
-            interior: Interior::Auto,
         };
         let tiled = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
         assert!(tiled.bit_equal(reference.expect_image(out)));
@@ -1802,7 +1582,6 @@ mod tests {
             tile_w: 16,
             tile_h: 16,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         let t = modeled_traffic(&p, &k, &ck, &cfg);
         // One plane: 16×16 clipped (halo clips at the image edge).
@@ -1824,7 +1603,6 @@ mod tests {
             tile_w: 4,
             tile_h: 4,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         let ts = modeled_traffic(&p, &k, &ck, &small);
         assert!(
@@ -1848,7 +1626,6 @@ mod tests {
             tile_w: 8,
             tile_h: 4,
             threads: Some(3),
-            interior: Interior::Auto,
         };
         let plain =
             execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut Scratch::default()).unwrap();
@@ -1894,7 +1671,6 @@ mod tests {
             tile_w: 64,
             tile_h: 64,
             threads: Some(1),
-            interior: Interior::Auto,
         };
         for mode in [
             BorderMode::Clamp,

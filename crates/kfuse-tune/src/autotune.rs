@@ -2,8 +2,8 @@
 //!
 //! The planner's analytic model picks one configuration; the autotuner
 //! *measures* the alternatives. Per `(pipeline fingerprint, size-class)`
-//! key it sweeps schedule × tile shape × interior tier (× optionally the
-//! separable rewrite), timing each candidate with the noise-aware rule of
+//! key it sweeps schedule × tile shape (× optionally the separable
+//! rewrite), timing each candidate with the noise-aware rule of
 //! [`crate::measure`] and keeping the fastest.
 //!
 //! Correctness is non-negotiable: every candidate's output is compared
@@ -18,7 +18,7 @@ use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_sim::{
     execute_fast_with, execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig,
-    Interior, Tiling,
+    Tiling,
 };
 
 /// What the autotuner tunes *for*: one pipeline structure at one
@@ -76,13 +76,11 @@ pub struct Choice {
     pub tile_w: usize,
     /// Executor tile height.
     pub tile_h: usize,
-    /// Interior-evaluation tier.
-    pub interior: Interior,
 }
 
 impl Choice {
-    /// The static planner's pick: optimized schedule, default tile,
-    /// auto interior, no separable rewrite.
+    /// The static planner's pick: optimized schedule, default tile, no
+    /// separable rewrite.
     pub fn static_default() -> Self {
         let d = FastConfig::default();
         Self {
@@ -90,7 +88,6 @@ impl Choice {
             separable: false,
             tile_w: d.tile_w,
             tile_h: d.tile_h,
-            interior: Interior::Auto,
         }
     }
 
@@ -101,7 +98,6 @@ impl Choice {
         FastConfig {
             tile_w: self.tile_w,
             tile_h: self.tile_h,
-            interior: self.interior,
             ..FastConfig::default()
         }
     }
@@ -116,15 +112,14 @@ impl Choice {
         kfuse_dsl::compile(p, self.schedule, &cfg)
     }
 
-    /// Compact human/persistence label, e.g. `optimized+sep 128x64 auto`.
+    /// Compact human label, e.g. `optimized+sep 128x64`.
     pub fn label(&self) -> String {
         format!(
-            "{}{} {}x{} {}",
+            "{}{} {}x{}",
             schedule_tag(self.schedule),
             if self.separable { "+sep" } else { "" },
             self.tile_w,
             self.tile_h,
-            interior_tag(self.interior),
         )
     }
 }
@@ -150,27 +145,6 @@ pub fn schedule_from_tag(tag: &str) -> Option<Schedule> {
     }
 }
 
-/// Stable one-word tag per interior tier (persistence + labels).
-pub fn interior_tag(i: Interior) -> &'static str {
-    match i {
-        Interior::Auto => "auto",
-        Interior::Scalar => "scalar",
-        Interior::Sse2 => "sse2",
-        Interior::Avx2 => "avx2",
-    }
-}
-
-/// Parses an [`interior_tag`] back.
-pub fn interior_from_tag(tag: &str) -> Option<Interior> {
-    match tag {
-        "auto" => Some(Interior::Auto),
-        "scalar" => Some(Interior::Scalar),
-        "sse2" => Some(Interior::Sse2),
-        "avx2" => Some(Interior::Avx2),
-        _ => None,
-    }
-}
-
 /// Search-space and measurement knobs.
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
@@ -188,8 +162,6 @@ pub struct TuneOptions {
     pub include_separable: bool,
     /// Tile shapes to sweep.
     pub tiles: Vec<(usize, usize)>,
-    /// Interior tiers to sweep.
-    pub interiors: Vec<Interior>,
 }
 
 impl Default for TuneOptions {
@@ -201,14 +173,12 @@ impl Default for TuneOptions {
             target_spread: 0.10,
             include_separable: false,
             tiles: vec![(d.tile_w, d.tile_h), (64, 64), (256, 32), (32, 128)],
-            interiors: vec![Interior::Auto, Interior::Scalar],
         }
     }
 }
 
 impl TuneOptions {
-    /// A cheap variant for smoke tests and CI: one tile, one interior,
-    /// minimal repeats.
+    /// A cheap variant for smoke tests and CI: one tile, minimal repeats.
     pub fn smoke() -> Self {
         let d = FastConfig::default();
         Self {
@@ -217,7 +187,6 @@ impl TuneOptions {
             target_spread: 1.0,
             include_separable: false,
             tiles: vec![(d.tile_w, d.tile_h)],
-            interiors: vec![Interior::Auto],
         }
     }
 
@@ -234,15 +203,12 @@ impl TuneOptions {
             };
             for &separable in seps {
                 for &(tile_w, tile_h) in &self.tiles {
-                    for &interior in &self.interiors {
-                        out.push(Choice {
-                            schedule,
-                            separable,
-                            tile_w,
-                            tile_h,
-                            interior,
-                        });
-                    }
+                    out.push(Choice {
+                        schedule,
+                        separable,
+                        tile_w,
+                        tile_h,
+                    });
                 }
             }
         }
@@ -451,12 +417,12 @@ mod tests {
     fn candidate_space_shape() {
         let opts = TuneOptions::default();
         let n = opts.candidates().len();
-        // 4 schedules × 4 tiles × 2 interiors, no separable by default.
-        assert_eq!(n, 32);
+        // 4 schedules × 4 tiles, no separable by default.
+        assert_eq!(n, 16);
         let mut with_sep = opts.clone();
         with_sep.include_separable = true;
-        // + (basic, optimized, overlapped) × 4 tiles × 2 interiors.
-        assert_eq!(with_sep.candidates().len(), 56);
+        // + (basic, optimized, overlapped) × 4 tiles.
+        assert_eq!(with_sep.candidates().len(), 28);
     }
 
     #[test]
@@ -464,16 +430,7 @@ mod tests {
         for s in Schedule::ALL {
             assert_eq!(schedule_from_tag(schedule_tag(s)), Some(s));
         }
-        for i in [
-            Interior::Auto,
-            Interior::Scalar,
-            Interior::Sse2,
-            Interior::Avx2,
-        ] {
-            assert_eq!(interior_from_tag(interior_tag(i)), Some(i));
-        }
         assert_eq!(schedule_from_tag("bogus"), None);
-        assert_eq!(interior_from_tag("bogus"), None);
     }
 
     #[test]

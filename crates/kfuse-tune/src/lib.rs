@@ -18,8 +18,8 @@
 //!   least squares; the result plugs into
 //!   [`kfuse_core::MeasuredPolicy`] and is differential-tested against
 //!   [`kfuse_core::StaticModelPolicy`].
-//! * [`mod@autotune`] — empirical search over schedule × tile shape ×
-//!   interior tier (× optionally the separable rewrite) per
+//! * [`mod@autotune`] — empirical search over schedule × tile shape
+//!   (× optionally the separable rewrite) per
 //!   `(fingerprint, size-class)` [`TuneKey`], with **bit identity versus
 //!   the reference interpreter as a hard oracle**: tuning may change
 //!   which plan runs, never its output. [`persist`] round-trips winners
@@ -34,8 +34,8 @@ pub mod measure;
 pub mod persist;
 
 pub use autotune::{
-    autotune, interior_from_tag, interior_tag, output_pixels, probe_inputs, schedule_from_tag,
-    schedule_tag, size_class_of, Choice, Measured, TuneError, TuneKey, TuneOptions, TuneResult,
+    autotune, output_pixels, probe_inputs, schedule_from_tag, schedule_tag, size_class_of, Choice,
+    Measured, TuneError, TuneKey, TuneOptions, TuneResult,
 };
 pub use calibrate::{CalibrationFit, Calibrator, MIN_OBSERVATIONS};
 pub use measure::{measure_median, measure_until, summarize, Sample};

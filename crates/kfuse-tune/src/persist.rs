@@ -4,30 +4,29 @@
 //! Format (one entry per line, space-separated, `#` comments allowed):
 //!
 //! ```text
-//! kfuse-tune v1
-//! entry <fingerprint:hex> <size_class> <schedule> <tile_w> <tile_h> <interior> <separable:0|1> <median_us>
+//! kfuse-tune v2
+//! entry <fingerprint:hex> <size_class> <schedule> <tile_w> <tile_h> <separable:0|1> <median_us>
 //! ```
 //!
 //! Example:
 //!
 //! ```text
-//! kfuse-tune v1
-//! entry 9e3779b97f4a7c15 20 optimized 128 64 auto 0 1234.5
+//! kfuse-tune v2
+//! entry 9e3779b97f4a7c15 20 optimized 128 64 0 1234.5
 //! ```
 //!
-//! Loading is best-effort by design: a missing file, an unknown version,
-//! or a malformed line yields no entries (or skips the line) rather than
-//! failing startup — persisted tunings are a warm-start hint, and every
-//! loaded choice is still re-validated against the bit-identity oracle
-//! before it is trusted (see the runtime's retuner).
+//! Loading is best-effort by design: a missing file, another version
+//! (`v1` files carried one more column), or a malformed line yields no
+//! entries (or skips the line) rather than failing startup — persisted
+//! tunings are a warm-start hint, and every loaded choice is still
+//! re-validated against the bit-identity oracle before it is trusted (see
+//! the runtime's retuner).
 
-use crate::autotune::{
-    interior_from_tag, interior_tag, schedule_from_tag, schedule_tag, Choice, TuneKey,
-};
+use crate::autotune::{schedule_from_tag, schedule_tag, Choice, TuneKey};
 use std::path::Path;
 
 /// Version line that must open a valid persistence file.
-pub const HEADER: &str = "kfuse-tune v1";
+pub const HEADER: &str = "kfuse-tune v2";
 
 /// One persisted tuning decision.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,13 +46,12 @@ pub fn to_text(entries: &[TunedEntry]) -> String {
     out.push('\n');
     for e in entries {
         out.push_str(&format!(
-            "entry {:016x} {} {} {} {} {} {} {:.1}\n",
+            "entry {:016x} {} {} {} {} {} {:.1}\n",
             e.key.fingerprint,
             e.key.size_class,
             schedule_tag(e.choice.schedule),
             e.choice.tile_w,
             e.choice.tile_h,
-            interior_tag(e.choice.interior),
             u8::from(e.choice.separable),
             e.median_us,
         ));
@@ -71,7 +69,6 @@ fn parse_line(line: &str) -> Option<TunedEntry> {
     let schedule = schedule_from_tag(it.next()?)?;
     let tile_w: usize = it.next()?.parse().ok()?;
     let tile_h: usize = it.next()?.parse().ok()?;
-    let interior = interior_from_tag(it.next()?)?;
     let separable = match it.next()? {
         "0" => false,
         "1" => true,
@@ -91,7 +88,6 @@ fn parse_line(line: &str) -> Option<TunedEntry> {
             separable,
             tile_w,
             tile_h,
-            interior,
         },
         median_us,
     })
@@ -132,7 +128,6 @@ pub fn load(path: &Path) -> Vec<TunedEntry> {
 mod tests {
     use super::*;
     use kfuse_dsl::Schedule;
-    use kfuse_sim::Interior;
 
     fn entry(fp: u64, sc: u8) -> TunedEntry {
         TunedEntry {
@@ -145,7 +140,6 @@ mod tests {
                 separable: true,
                 tile_w: 64,
                 tile_h: 32,
-                interior: Interior::Sse2,
             },
             median_us: 321.5,
         }
@@ -155,7 +149,7 @@ mod tests {
     fn round_trips_through_text() {
         let entries = vec![entry(0xdead_beef, 12), entry(u64::MAX, 63)];
         let text = to_text(&entries);
-        assert!(text.starts_with(HEADER));
+        assert!(text.starts_with("kfuse-tune v2\nentry 00000000deadbeef 12 basic 64 32 1 321.5\n"));
         assert_eq!(from_text(&text), entries);
     }
 
@@ -163,13 +157,17 @@ mod tests {
     fn wrong_header_yields_nothing() {
         let text = to_text(&[entry(1, 1)]).replace(HEADER, "kfuse-tune v999");
         assert!(from_text(&text).is_empty());
+        // A file the previous format wrote: a warm-start miss, not an error.
+        let v1 = "kfuse-tune v1\nentry 000000000000002a 7 basic 64 32 sse2 1 321.5\n";
+        assert!(from_text(v1).is_empty());
     }
 
     #[test]
     fn malformed_lines_are_skipped_not_fatal() {
         let good = entry(42, 7);
         let text = format!(
-            "{HEADER}\n# a comment\n\nentry zzzz 1 optimized 1 1 auto 0 1\nentry 2a 7 basic 64 32 sse2 1 321.5\nentry 2a 7 warp 64 32 sse2 1 1\n"
+            "{HEADER}\n# a comment\n\nentry zzzz 1 optimized 1 1 0 1\nentry 2a 7 basic 64 32 1 321.5\nentry 2a 7 warp 64 32 1 1\n\
+             entry 2a 7 basic 64 32 sse2 1 321.5\n"
         );
         let parsed = from_text(&text);
         assert_eq!(parsed.len(), 1);

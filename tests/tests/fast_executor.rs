@@ -54,7 +54,6 @@ fn all_apps_all_schedules_bit_identical() {
         tile_w: 24,
         tile_h: 11,
         threads: Some(2),
-        ..FastConfig::default()
     };
     for app in paper_apps() {
         let p = (app.build_sized)(97, 61);
@@ -92,7 +91,6 @@ fn fused_chain_all_border_modes() {
             tile_w: 9,
             tile_h: 7,
             threads: Some(2),
-            ..FastConfig::default()
         };
         assert_fast_matches_reference(&fused, &fast_cfg, &format!("chain/{mode:?}"));
         assert_fast_matches_reference(&p, &fast_cfg, &format!("chain-unfused/{mode:?}"));
@@ -106,7 +104,6 @@ fn image_smaller_than_tile() {
         tile_w: 256,
         tile_h: 256,
         threads: Some(1),
-        ..FastConfig::default()
     };
     for app in paper_apps() {
         let p = (app.build_sized)(9, 7);
@@ -131,7 +128,6 @@ fn halo_wider_than_image() {
             tile_w: 3,
             tile_h: 3,
             threads: Some(2),
-            ..FastConfig::default()
         };
         assert_fast_matches_reference(&fused, &fast_cfg, &format!("wide-halo/{mode:?}"));
     }
@@ -147,13 +143,11 @@ fn multi_channel_rgb_tiled() {
             tile_w: 8,
             tile_h: 8,
             threads: Some(1),
-            ..FastConfig::default()
         },
         FastConfig {
             tile_w: 5,
             tile_h: 3,
             threads: Some(3),
-            ..FastConfig::default()
         },
     ] {
         assert_fast_matches_reference(&fused, &fast_cfg, "night-rgb");
@@ -175,7 +169,6 @@ fn constant_border_in_halo() {
         tile_w: 4,
         tile_h: 4,
         threads: Some(2),
-        ..FastConfig::default()
     };
     assert_fast_matches_reference(&fused, &fast_cfg, "constant-halo");
 }
@@ -187,7 +180,6 @@ fn degenerate_shapes() {
         tile_w: 16,
         tile_h: 16,
         threads: Some(2),
-        ..FastConfig::default()
     };
     for (w, h) in [(64, 1), (1, 64), (1, 1), (2, 2)] {
         let p = kfuse_apps::sobel(w, h);
@@ -205,7 +197,6 @@ fn oversubscribed_threads() {
         tile_w: 16,
         tile_h: 4,
         threads: Some(64),
-        ..FastConfig::default()
     };
     assert_fast_matches_reference(&fused, &fast_cfg, "harris-oversubscribed");
 }

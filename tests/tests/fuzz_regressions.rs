@@ -42,7 +42,7 @@ fn sweep_scattered_seeds() {
 /// generated pipelines contain exactly-separable convolution stages, so
 /// `cargo test` always exercises the factor-then-cross-check path (the
 /// factored pipeline must be bit-identical across the interpreter and
-/// both tape interiors). The generator is biased to emit such stages;
+/// the fast executor). The generator is biased to emit such stages;
 /// this fails loudly if that bias ever rots away.
 #[test]
 fn sweep_separable_seeds() {

@@ -3,9 +3,9 @@
 //! calibrator, and the runtime's online retuning loop.
 //!
 //! The invariant under test everywhere: a policy or a tuned choice may
-//! change **which plan runs** — partition, schedule, tile, interior —
-//! but never the pixels. Bit identity against the reference interpreter
-//! is the oracle, as it is for every other execution path in the repo.
+//! change **which plan runs** — partition, schedule, tile — but never
+//! the pixels. Bit identity against the reference interpreter is the
+//! oracle, as it is for every other execution path in the repo.
 
 use kfuse_core::{MeasuredPolicy, PlanPolicy, StaticModelPolicy};
 use kfuse_model::CostConstants;

@@ -5,10 +5,9 @@
 //! into 1-D row/column passes. Its contract has two halves:
 //!
 //! * a factored pipeline is **bit-identical across executors** — the
-//!   reference interpreter and the compiled tape engine (scalar and SIMD
-//!   interiors) agree on every pixel, borders included, because the
-//!   factored stages are ordinary kernel IR that every engine runs the
-//!   same way;
+//!   reference interpreter and the compiled tape engine agree on every
+//!   pixel, borders included, because the factored stages are ordinary
+//!   kernel IR that every engine runs the same way;
 //! * a factored pipeline matches the *unfactored* original only to
 //!   **rounding** — the factored weights reproduce the 2-D mask bit for
 //!   bit, but the summation order changes, so the comparison uses a
@@ -20,7 +19,7 @@ use kfuse_dsl::{compile, Mask, PipelineBuilder, Schedule};
 use kfuse_integration_tests::SplitMix64;
 use kfuse_ir::{BorderMode, Image, Pipeline};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, FastConfig, Interior};
+use kfuse_sim::{execute_fast, execute_reference, synthetic_image};
 
 fn cfg() -> FusionConfig {
     FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()))
@@ -33,38 +32,25 @@ fn inputs_for(p: &Pipeline, seed: u64) -> Vec<(kfuse_ir::ImageId, Image)> {
         .collect()
 }
 
-fn outputs_with(p: &Pipeline, seed: u64, interior: Option<Interior>) -> Vec<Image> {
-    let inputs = inputs_for(p, seed);
-    let exec = match interior {
-        None => execute_reference(p, &inputs).expect("reference executes"),
-        Some(interior) => {
-            let cfg = FastConfig {
-                interior,
-                ..FastConfig::default()
-            };
-            execute_fast_with(p, &inputs, &cfg).expect("fast executes")
-        }
-    };
+fn outputs_of(p: &Pipeline, exec: &kfuse_sim::Execution) -> Vec<Image> {
     p.outputs()
         .iter()
         .map(|&id| exec.expect_image(id).clone())
         .collect()
 }
 
-/// Asserts reference, scalar-interior and SIMD-interior runs of `p` are
-/// bit-identical, and returns the outputs.
+/// Asserts the reference and fast runs of `p` are bit-identical, and
+/// returns the outputs.
 fn assert_executors_agree(p: &Pipeline, seed: u64, what: &str) -> Vec<Image> {
-    let reference = outputs_with(p, seed, None);
-    for interior in [Interior::Scalar, Interior::Auto] {
-        let fast = outputs_with(p, seed, Some(interior));
-        assert_eq!(reference.len(), fast.len());
-        for (r, f) in reference.iter().zip(&fast) {
-            assert!(
-                r.bit_equal(f),
-                "{what} ({interior:?} interior): max abs diff {}",
-                r.max_abs_diff(f)
-            );
-        }
+    let inputs = inputs_for(p, seed);
+    let reference = outputs_of(
+        p,
+        &execute_reference(p, &inputs).expect("reference executes"),
+    );
+    let fast = outputs_of(p, &execute_fast(p, &inputs).expect("fast executes"));
+    assert_eq!(reference.len(), fast.len());
+    for (r, f) in reference.iter().zip(&fast) {
+        assert!(r.bit_equal(f), "{what}: max abs diff {}", r.max_abs_diff(f));
     }
     reference
 }
