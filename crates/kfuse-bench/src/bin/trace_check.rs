@@ -23,9 +23,10 @@
 //! a real [`kfuse_net::Server`] with the always-on flight recorder, sends
 //! a traced request through a [`kfuse_net::Client`], and asserts that one
 //! propagated trace id links the full causal chain — `client_send` →
-//! `submit` (ingress decode) → `queue_wait` → `plan` → `execute` (plus
-//! per-kernel spans) → `encode_write` → `client_recv` — across at least
-//! three threads. It also drives a deliberately deadline-missed request,
+//! `decode` → `submit` (ingress) → `queue_wait` → `plan` → `execute`
+//! (plus per-kernel spans) → `encode_write` → `client_recv` — across at
+//! least three threads, with a `bytes` arg on both wire spans. It also
+//! drives a deliberately deadline-missed request,
 //! churns the recorder's recent ring past capacity, and checks the missed
 //! request's span tree still comes back (tail-based retention) from the
 //! sidecar's `/debug/requests` endpoint as a validated Chrome trace. The
@@ -218,21 +219,36 @@ fn net_phase() {
         fail("out-of-order reply to the traced submit");
     }
 
-    // --- A deliberately deadline-missed request. Saturate both workers
-    // first so the 1 µs budget cannot possibly be met at dequeue. ---
+    // --- A deliberately deadline-missed request. It must expire *in the
+    // queue*: a budget the server has already spent when it reaches
+    // admission is shed there and leaves no flight record. So both
+    // workers are first pinned on 1024² jobs (tens of ms each) and the
+    // budget is 2 ms: ample for admission, gone long before a dequeue. ---
     let mut churn =
         Client::connect(server.local_addr()).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let big = (app.build_sized)(1024, 1024);
+    let big_inputs = inputs_for(&big, 12);
+    churn
+        .register("blocker", &big)
+        .unwrap_or_else(|e| fail(&format!("register blocker: {e}")));
     for _ in 0..4 {
         churn
-            .submit("traced", inputs.clone(), Schedule::Optimized, None)
+            .submit("blocker", big_inputs.clone(), Schedule::Optimized, None)
             .unwrap_or_else(|e| fail(&format!("churn submit: {e}")));
+    }
+    let blockers_admitted = || {
+        let metrics = server.runtime_metrics();
+        metrics.pipeline("blocker").is_some_and(|m| m.requests >= 4)
+    };
+    while !blockers_admitted() {
+        std::thread::sleep(Duration::from_micros(200));
     }
     client
         .submit(
             "traced",
             inputs.clone(),
             Schedule::Optimized,
-            Some(Duration::from_micros(1)),
+            Some(Duration::from_millis(2)),
         )
         .unwrap_or_else(|e| fail(&format!("missed submit: {e}")));
     let missed = client
@@ -308,6 +324,7 @@ fn net_phase() {
         .collect();
     for name in [
         "client_send",
+        "decode",
         "submit",
         "queue_wait",
         "plan",
@@ -320,6 +337,15 @@ fn net_phase() {
                 "traced request is missing its '{name}' span (got: {:?})",
                 request.iter().map(|e| e.name.as_str()).collect::<Vec<_>>()
             ));
+        }
+    }
+    // Both wire spans say how many bytes they moved.
+    for name in ["decode", "encode_write"] {
+        let sized = request
+            .iter()
+            .any(|e| e.name == name && e.args.iter().any(|(k, _)| *k == "bytes"));
+        if !sized {
+            fail(&format!("'{name}' span carries no 'bytes' arg"));
         }
     }
     if !request.iter().any(|e| e.name.starts_with("kernel:")) {

@@ -193,6 +193,20 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "coverage: {seen:?}");
     }
 
+    /// The header `encode_frame` patches in place describes the payload
+    /// behind it, for every frame kind the generator produces (coverage
+    /// and the decode → re-encode identity are the neighbouring tests').
+    #[test]
+    fn header_length_and_checksum_describe_the_payload() {
+        use kfuse_net::wire::{checksum, HEADER_LEN};
+        for seed in 0..512 {
+            let bytes = encode_frame(&generate_frame(seed));
+            let payload = &bytes[HEADER_LEN..];
+            assert_eq!(bytes[8..12], (payload.len() as u32).to_le_bytes(), "{seed}");
+            assert_eq!(bytes[12..16], checksum(payload).to_le_bytes(), "{seed}");
+        }
+    }
+
     /// The generator must exercise *both* canonical encodings of every
     /// traced frame type: with a trace context (version 2) and without
     /// (version 1 — the pre-revision wire bytes old clients send).

@@ -523,9 +523,11 @@ fn encode_image(out: &mut Vec<u8>, img: &Image) {
     put_u32(out, desc.width as u32);
     put_u32(out, desc.height as u32);
     put_u32(out, desc.channels as u32);
-    out.reserve(img.data().len() * 4);
-    for v in img.data() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    // Size once, then fill in bulk: a block copy on little-endian hosts.
+    let start = out.len();
+    out.resize(start + img.data().len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(img.data()) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -539,13 +541,14 @@ fn decode_image(r: &mut ByteReader<'_>, limits: &Limits) -> Result<Image, WireEr
     let byte_len = samples
         .checked_mul(4)
         .ok_or_else(|| WireError::Malformed("image byte size overflows".into()))?;
-    let bytes = r.take(byte_len)?;
-    let mut data = Vec::with_capacity(samples);
-    for chunk in bytes.chunks_exact(4) {
-        data.push(f32::from_bits(u32::from_le_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3],
-        ])));
-    }
+    // `take` bounds the announced size by the bytes actually present
+    // before anything is allocated; the exact-size iterator then fills a
+    // pre-sized vector in bulk.
+    let data = r
+        .take(byte_len)?
+        .chunks_exact(4)
+        .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+        .collect();
     Ok(Image::from_data(desc, data))
 }
 
@@ -671,6 +674,79 @@ mod tests {
                 assert!(img_a.bit_equal(img_b), "{}", app.name);
             }
         }
+    }
+
+    /// Bit patterns a block copy must not touch: signed zeros,
+    /// infinities, quiet and signalling NaNs with payloads, subnormals.
+    const SPECIALS: [u32; 12] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0xffc0_1234,
+        0x7f80_1234,
+        0xff80_0001,
+        0x0000_0001,
+        0x8000_0001,
+        0x007f_ffff,
+        0x3f80_0000,
+    ];
+
+    /// A `ResultOk` payload (request id + one bound image), by hand.
+    fn result_payload(desc: &ImageDesc, sample_bytes: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        crate::wire::put_u64(&mut payload, 1);
+        put_u32(&mut payload, 1); // one bound image
+        put_u32(&mut payload, 0); // id
+        put_str(&mut payload, &desc.name);
+        put_u32(&mut payload, desc.width as u32);
+        put_u32(&mut payload, desc.height as u32);
+        put_u32(&mut payload, desc.channels as u32);
+        payload.extend_from_slice(sample_bytes);
+        payload
+    }
+
+    #[test]
+    fn odd_shapes_of_special_values_cross_bit_identically() {
+        for (w, h, c) in [(1, 1, 1), (1, 7, 3), (5, 3, 2), (33, 1, 1)] {
+            let desc = ImageDesc::new("odd", w, h, c);
+            let bits: Vec<u32> = (0..w * h * c)
+                .map(|i| SPECIALS[(i * 5 + w) % SPECIALS.len()])
+                .collect();
+            let data = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let mut buf = Vec::new();
+            encode_image(&mut buf, &Image::from_data(desc.clone(), data));
+            // The samples are the tail of the encoding, little-endian.
+            let wire_bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+            assert!(buf.ends_with(&wire_bytes), "{w}x{h}x{c}");
+            let mut r = ByteReader::new(&buf);
+            let back = decode_image(&mut r, &limits()).expect("decodes");
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(back.desc(), &desc);
+            let back_bits: Vec<u32> = back.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(back_bits, bits, "{w}x{h}x{c}");
+        }
+    }
+
+    #[test]
+    fn sample_bytes_must_match_the_announced_shape_exactly() {
+        let desc = ImageDesc::new("img", 5, 3, 2);
+        let exact = result_payload(&desc, &[0x5a; 5 * 3 * 2 * 4]);
+        let decode = |payload: &[u8]| crate::wire::decode_payload(1, 4, payload, &limits());
+        assert!(decode(&exact).is_ok());
+        let short = &exact[..exact.len() - 1];
+        assert!(matches!(decode(short), Err(WireError::Truncated)));
+        let mut long = exact.clone();
+        long.push(0);
+        assert!(matches!(decode(&long), Err(WireError::TrailingBytes(1))));
+        // The largest shape the limits allow announces 64 GiB of samples;
+        // with three bytes behind it the decoder must refuse before it
+        // sizes anything by that number.
+        let l = limits();
+        let huge = ImageDesc::new("huge", l.max_dim, l.max_dim, l.max_channels);
+        let lying = result_payload(&huge, &[1, 2, 3]);
+        assert!(matches!(decode(&lying), Err(WireError::Truncated)));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! fingerprint-keyed plan cache). Everything is built on `std` alone,
 //! matching the workspace's zero-external-crate rule.
 //!
-//! * [`wire`] — the versioned, length-prefixed, FNV-1a-checksummed frame
-//!   protocol: `RegisterPipeline` (serialized kfuse-ir + fingerprint),
+//! * [`wire`] — the versioned, length-prefixed, checksummed frame
+//!   protocol (an eight-lane word-wise FNV-1a, [`wire::checksum`], that
+//!   costs about one `memcpy` of the payload): `RegisterPipeline`
+//!   (serialized kfuse-ir + fingerprint),
 //!   `Submit` (tenant, deadline budget, image payload), `ResultOk` /
 //!   `Error` replies, and `Ping`/`Drain` control frames. Decoding is
 //!   bounded by [`wire::Limits`] before any allocation.

@@ -394,7 +394,7 @@ impl Outbox {
                         "net",
                         encode_start,
                         span_tracer.now_us(),
-                        vec![("frame", frame.type_name().into())],
+                        vec![("frame", frame.type_name().into()), ("bytes", bytes.into())],
                     );
                     if was_job {
                         self.gate.release();
@@ -430,25 +430,21 @@ fn build_reply_frame(reply: Reply) -> Frame {
             outputs,
             trace,
         } => match handle.wait() {
-            Ok(exec) => {
-                let mut imgs = Vec::with_capacity(outputs.len());
-                let mut missing = None;
-                for id in outputs {
-                    match exec.image(id) {
-                        Some(img) => imgs.push((id, img.clone())),
-                        None => {
-                            missing = Some(id);
-                            break;
-                        }
-                    }
-                }
-                match missing {
-                    None => Frame::ResultOk {
+            // The execution is owned here, so the output planes move into
+            // the reply instead of being copied (declared outputs are
+            // distinct ids, so no plane is taken twice).
+            Ok(mut exec) => {
+                let imgs: Result<Vec<_>, ImageId> = outputs
+                    .into_iter()
+                    .map(|id| exec.take_image(id).map(|img| (id, img)).ok_or(id))
+                    .collect();
+                match imgs {
+                    Ok(outputs) => Frame::ResultOk {
                         request_id,
-                        outputs: imgs,
+                        outputs,
                         trace,
                     },
-                    Some(id) => Frame::Error {
+                    Err(id) => Frame::Error {
                         request_id,
                         code: ErrorCode::ExecFailed,
                         message: format!("execution produced no image {}", id.0),
@@ -710,16 +706,27 @@ fn reader_loop(
             return;
         }
         match read_frame_counted(stream, &inner.cfg.limits) {
-            Ok((frame, bytes)) => {
+            Ok((frame, bytes, header_at)) => {
                 inner.net.frame_received(bytes);
                 inner.net.frame_type_received(frame.type_byte());
-                // The ingress span lands on the reader thread; scoping it
-                // to the frame's trace context anchors the server side of
-                // the request's causal chain at decode time.
+                // The ingress spans land on the reader thread; scoping
+                // them to the frame's trace context anchors the server
+                // side of the request's causal chain at decode time.
                 let span_tracer = match frame.trace() {
                     Some(t) => inner.cfg.tracer.scoped(t.trace_id),
                     None => inner.cfg.tracer.clone(),
                 };
+                // Header received → frame decoded: payload read, checksum
+                // and decode, without the idle wait for the request.
+                if span_tracer.is_enabled() {
+                    span_tracer.complete(
+                        "decode",
+                        "net",
+                        span_tracer.ts_of(header_at),
+                        span_tracer.now_us(),
+                        vec![("frame", frame.type_name().into()), ("bytes", bytes.into())],
+                    );
+                }
                 let _span = span_tracer.span(frame.type_name(), "net");
                 if !handle_frame(inner, frame, outbox, conn) {
                     return;

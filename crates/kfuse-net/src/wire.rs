@@ -4,14 +4,19 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic           "KFN1"
-//!      4     1  version         0x01 or 0x02 (traced)
+//!      0     4  magic           "KFN2"
+//!      4     1  version         0x01–0x04, fixed by the frame (below)
 //!      5     1  frame type      see [`Frame`]
 //!      6     2  reserved        must be zero (LE)
 //!      8     4  payload length  bytes after the header (LE)
-//!     12     4  checksum        FNV-1a-32 of the payload (LE)
+//!     12     4  checksum        [`checksum`] of the payload (LE)
 //!     16     …  payload         frame-type specific
 //! ```
+//!
+//! The magic is `KFN2` since the checksum became the eight-lane word-wise
+//! FNV-1a defined at [`checksum`]: a `KFN1` peer (byte-serial FNV-1a)
+//! fails its first frame with [`WireError::BadMagic`] rather than every
+//! frame with a checksum mismatch. Nothing else about the frame changed.
 //!
 //! **Version 2 (traced)** is the additive trace-context revision: the
 //! `Submit`, `ResultOk`, and `Error` payloads carry a trailing 16-byte
@@ -50,7 +55,9 @@
 //! same discipline `kfuse-fuzz` enforces between executors). The checksum
 //! covers only the payload: the header fields are each individually
 //! validated, and a corrupted length would surface as a checksum mismatch
-//! or truncation anyway.
+//! or truncation anyway. It is verified on every received frame before
+//! the payload decoder sees a byte, and any single-byte change of a
+//! payload is guaranteed to change it.
 //!
 //! Decoding is defensive by construction: every count, name, dimension,
 //! and expression is bounded by [`Limits`] *before* any allocation, and
@@ -60,6 +67,7 @@
 //! must drop).
 
 use std::io::{self, ErrorKind, Read, Write};
+use std::time::Instant;
 
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
@@ -69,7 +77,7 @@ use kfuse_stream::StreamPipeline;
 use crate::codec;
 
 /// First four bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"KFN1";
+pub const MAGIC: [u8; 4] = *b"KFN2";
 /// Base protocol version (no trace context).
 pub const VERSION: u8 = 1;
 /// Trace-context protocol revision: `Submit`/`ResultOk`/`Error` payloads
@@ -100,15 +108,47 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-/// FNV-1a 32-bit checksum (the 32-bit sibling of the fingerprint hash
-/// used by `kfuse-ir`).
+/// Payload checksum: eight-lane word-wise FNV-1a-32.
+///
+/// Write `step(h, x) = (h ^ x) * 0x0100_0193 mod 2^32`. Split `data` into
+/// its full 32-byte blocks and a tail of fewer than 32 bytes, and read
+/// each block as eight little-endian `u32` words. Then:
+///
+/// 1. eight lanes start at `0x811c_9dc5`, and for every block in order
+///    `lane[k] = step(lane[k], word[k])` for `k` in `0..8`;
+/// 2. `h` starts at `0x811c_9dc5` and folds the lanes in order,
+///    `h = step(h, lane[k])`;
+/// 3. every tail byte `b` in order is folded the same way,
+///    `h = step(h, b)`; the result is `h`.
+///
+/// The lanes are independent multiply chains, so the loop runs at a few
+/// bytes per cycle where the byte-serial FNV-1a it replaces ran at one
+/// byte per four.
+///
+/// **Any single-byte change changes the checksum.** The multiplier is
+/// odd, so `step` is a bijection of `h` for a fixed `x` and of `x` for a
+/// fixed `h`. A changed byte inside a block changes exactly one word and
+/// through it one lane: that lane differs after the step that reads the
+/// word, stays different through its remaining steps (bijections of the
+/// lane), and the other seven lanes are untouched. The fold then reads
+/// one different `x`, so `h` differs after that step and stays different
+/// through every later step (bijections of `h`). A changed tail byte is
+/// the same argument started at step 3.
 pub fn checksum(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+    const BASIS: u32 = 0x811c_9dc5;
+    let step = |h: u32, x: u32| (h ^ x).wrapping_mul(0x0100_0193);
+    let mut lanes = [BASIS; 8];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane = step(*lane, u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        }
     }
-    h
+    let h = lanes.into_iter().fold(BASIS, step);
+    blocks
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| step(h, u32::from(b)))
 }
 
 /// Decode-side resource bounds, enforced before any allocation.
@@ -587,21 +627,20 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
     pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_le_bytes)
     }
 
     pub(crate) fn i32(&mut self) -> Result<i32, WireError> {
@@ -773,6 +812,18 @@ fn read_trace(r: &mut ByteReader<'_>, version: u8) -> Result<Option<TraceContext
     }))
 }
 
+/// Reads the presence byte of a version-3/4 trace field, then the
+/// context iff it says one follows.
+fn read_flagged_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceContext>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => read_trace(r, VERSION_TRACED),
+        other => Err(WireError::Malformed(format!(
+            "bad trace-presence byte {other}"
+        ))),
+    }
+}
+
 /// Wire byte for a non-normal priority (`Normal` never encodes one —
 /// its submits stay at version ≤ 2).
 fn priority_byte(p: Priority) -> u8 {
@@ -823,31 +874,26 @@ fn schedule_from_byte(b: u8) -> Result<Schedule, WireError> {
     })
 }
 
-/// Serializes a frame as header + payload, ready to write to a stream.
-/// The header's version byte is [`Frame::wire_version`] — version 2 iff
-/// the frame carries a trace context.
+/// Serializes a frame as header + payload, ready to write to a stream,
+/// in one buffer: the payload is encoded straight after a reserved header
+/// whose length and checksum fields are then patched in. The version
+/// byte is [`Frame::wire_version`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_payload(frame, &mut payload);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(frame.wire_version());
-    out.push(frame.type_byte());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = vec![0u8; HEADER_LEN];
+    out[..4].copy_from_slice(&MAGIC);
+    out[4] = frame.wire_version();
+    out[5] = frame.type_byte();
+    encode_payload(frame, &mut out);
+    let len = u32::try_from(out.len() - HEADER_LEN).expect("payload fits u32");
+    out[8..12].copy_from_slice(&len.to_le_bytes());
+    let cksum = checksum(&out[HEADER_LEN..]);
+    out[12..16].copy_from_slice(&cksum.to_le_bytes());
     out
 }
 
 /// Validated frame header:
 /// `(version, type byte, payload length, payload checksum)`.
-/// Both [`VERSION`] and [`VERSION_TRACED`] are accepted — a server built
-/// at this revision still decodes every pre-revision frame.
+/// Versions [`VERSION`] through [`VERSION_STREAM`] are accepted.
 pub fn parse_header(
     header: &[u8; HEADER_LEN],
     limits: &Limits,
@@ -891,24 +937,15 @@ pub fn decode_payload(
     payload: &[u8],
     limits: &Limits,
 ) -> Result<Frame, WireError> {
-    if version == VERSION_TRACED && !matches!(ftype, 3..=5) {
+    let versions = match ftype {
+        3 => VERSION..=VERSION_QOS,
+        4 | 5 => VERSION..=VERSION_TRACED,
+        10..=14 => VERSION_STREAM..=VERSION_STREAM,
+        _ => VERSION..=VERSION,
+    };
+    if !versions.contains(&version) {
         return Err(WireError::Malformed(format!(
-            "frame type {ftype} carries no trace context; version 2 is invalid for it"
-        )));
-    }
-    if version == VERSION_QOS && ftype != 3 {
-        return Err(WireError::Malformed(format!(
-            "frame type {ftype} carries no priority; version 3 is invalid for it"
-        )));
-    }
-    if version == VERSION_STREAM && !matches!(ftype, 10..=14) {
-        return Err(WireError::Malformed(format!(
-            "frame type {ftype} is not a session frame; version 4 is invalid for it"
-        )));
-    }
-    if matches!(ftype, 10..=14) && version != VERSION_STREAM {
-        return Err(WireError::Malformed(format!(
-            "session frame type {ftype} requires version 4, got {version}"
+            "version {version} is invalid for frame type {ftype}"
         )));
     }
     let mut r = ByteReader::new(payload);
@@ -933,20 +970,7 @@ pub fn decode_payload(
             let schedule = schedule_from_byte(r.u8()?)?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
             let (priority, trace) = if version == VERSION_QOS {
-                let priority = priority_from_byte(r.u8()?)?;
-                let trace = match r.u8()? {
-                    0 => None,
-                    1 => Some(TraceContext {
-                        trace_id: r.u64()?,
-                        span_id: r.u64()?,
-                    }),
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "bad trace-presence byte {other}"
-                        )))
-                    }
-                };
-                (priority, trace)
+                (priority_from_byte(r.u8()?)?, read_flagged_trace(&mut r)?)
             } else {
                 (Priority::Normal, read_trace(&mut r, version)?)
             };
@@ -1008,18 +1032,7 @@ pub fn decode_payload(
             let request_id = r.u64()?;
             let session_id = r.u64()?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
-            let trace = match r.u8()? {
-                0 => None,
-                1 => Some(TraceContext {
-                    trace_id: r.u64()?,
-                    span_id: r.u64()?,
-                }),
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "bad trace-presence byte {other}"
-                    )))
-                }
-            };
+            let trace = read_flagged_trace(&mut r)?;
             Frame::SubmitFrame {
                 request_id,
                 session_id,
@@ -1114,14 +1127,20 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], started: bool) -> Result<(), Wir
 /// [`WireError::IdleTimeout`] (recoverable — retry) while a peer that
 /// stops mid-frame surfaces as [`WireError::Stalled`] (drop it).
 pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, WireError> {
-    read_frame_counted(r, limits).map(|(frame, _)| frame)
+    read_frame_counted(r, limits).map(|(frame, _, _)| frame)
 }
 
 /// Like [`read_frame`], additionally returning the on-wire frame size in
-/// bytes (header + payload) so callers can meter traffic.
-pub fn read_frame_counted(r: &mut impl Read, limits: &Limits) -> Result<(Frame, usize), WireError> {
+/// bytes (header + payload) so callers can meter traffic, and the instant
+/// the header had arrived so they can time the frame apart from the idle
+/// wait before it.
+pub fn read_frame_counted(
+    r: &mut impl Read,
+    limits: &Limits,
+) -> Result<(Frame, usize, Instant), WireError> {
     let mut header = [0u8; HEADER_LEN];
     read_full(r, &mut header, false)?;
+    let header_at = Instant::now();
     let (version, ftype, len, expected) = parse_header(&header, limits)?;
     let mut payload = vec![0u8; len as usize];
     read_full(r, &mut payload, true)?;
@@ -1130,7 +1149,7 @@ pub fn read_frame_counted(r: &mut impl Read, limits: &Limits) -> Result<(Frame, 
         return Err(WireError::ChecksumMismatch { expected, found });
     }
     let frame = decode_payload(version, ftype, &payload, limits)?;
-    Ok((frame, HEADER_LEN + payload.len()))
+    Ok((frame, HEADER_LEN + payload.len(), header_at))
 }
 
 /// Encodes and writes one frame, returning the bytes written.
@@ -1152,6 +1171,10 @@ mod tests {
 
     fn roundtrip(frame: &Frame) -> Frame {
         let bytes = encode_frame(frame);
+        // The patched-in-place header fields describe the payload.
+        let payload = &bytes[HEADER_LEN..];
+        assert_eq!(bytes[8..12], (payload.len() as u32).to_le_bytes());
+        assert_eq!(bytes[12..16], checksum(payload).to_le_bytes());
         let decoded = decode_frame(&bytes, &limits()).expect("frame round-trips");
         // Bit-identity: re-encoding the decoded frame reproduces the bytes.
         assert_eq!(encode_frame(&decoded), bytes, "re-encode is bit-identical");
@@ -1614,12 +1637,152 @@ mod tests {
         ));
     }
 
+    /// Bytes `7i + 3 (mod 256)`: no two neighbours equal, no period of 32.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
     #[test]
     fn checksum_matches_reference_vectors() {
-        // FNV-1a 32-bit published test vectors.
-        assert_eq!(checksum(b""), 0x811c_9dc5);
-        assert_eq!(checksum(b"a"), 0xe40c_292c);
-        assert_eq!(checksum(b"foobar"), 0xbf9c_f968);
+        // Computed by an independent implementation of the doc-comment
+        // definition. The first three take only the fold and the tail;
+        // the pattern lengths straddle one block and fill two.
+        assert_eq!(checksum(b""), 0x84fe_beed);
+        assert_eq!(checksum(b"a"), 0xe905_f664);
+        assert_eq!(checksum(b"foobar"), 0x266b_de30);
+        assert_eq!(checksum(&pattern(31)), 0xefed_5d23);
+        assert_eq!(checksum(&pattern(32)), 0xd7bf_5785);
+        assert_eq!(checksum(&pattern(33)), 0x0836_9592);
+        assert_eq!(checksum(&pattern(64)), 0xcb5e_a76d);
+    }
+
+    /// The doc-comment definition transcribed with index arithmetic and
+    /// none of the implementation's iterator structure.
+    #[allow(clippy::needless_range_loop)] // the indices are the point
+    fn naive_checksum(data: &[u8]) -> u32 {
+        let step = |h: u32, x: u32| (h ^ x).wrapping_mul(0x0100_0193);
+        let full = data.len() / 32;
+        let mut lanes = [0x811c_9dc5u32; 8];
+        for block in 0..full {
+            for k in 0..8 {
+                let at = block * 32 + k * 4;
+                let word = u32::from(data[at])
+                    | u32::from(data[at + 1]) << 8
+                    | u32::from(data[at + 2]) << 16
+                    | u32::from(data[at + 3]) << 24;
+                lanes[k] = step(lanes[k], word);
+            }
+        }
+        let mut h = 0x811c_9dc5u32;
+        for k in 0..8 {
+            h = step(h, lanes[k]);
+        }
+        for i in full * 32..data.len() {
+            h = step(h, u32::from(data[i]));
+        }
+        h
+    }
+
+    /// SplitMix64, for test inputs that do not repeat with any period.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_bytes(n: usize, rng: &mut u64) -> Vec<u8> {
+        (0..n).map(|_| splitmix(rng) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_agrees_with_naive_reference() {
+        let mut rng = 0x5eed_0013;
+        let longest = (1 << 20) + 3;
+        let data = random_bytes(longest, &mut rng);
+        for len in 0..=130 {
+            assert_eq!(
+                checksum(&data[..len]),
+                naive_checksum(&data[..len]),
+                "{len}"
+            );
+        }
+        for _ in 0..16 {
+            let len = splitmix(&mut rng) as usize % (longest + 1);
+            assert_eq!(
+                checksum(&data[..len]),
+                naive_checksum(&data[..len]),
+                "{len}"
+            );
+        }
+        assert_eq!(checksum(&data), naive_checksum(&data));
+    }
+
+    /// The property `malformed.rs`, the codec tests and the fuzz wire lane
+    /// lean on, exhaustively where that is affordable: every position and
+    /// every non-zero xor mask of every length up to 100 (so each lane,
+    /// the fold and the tail are all hit), then sampled on a 1 MiB payload.
+    #[test]
+    fn checksum_detects_every_single_byte_change() {
+        let mut rng = 0x5eed_0113;
+        for len in 1..=100 {
+            let mut data = random_bytes(len, &mut rng);
+            let good = checksum(&data);
+            for at in 0..len {
+                for mask in 1..=255u8 {
+                    data[at] ^= mask;
+                    assert_ne!(checksum(&data), good, "len {len} byte {at} mask {mask:#x}");
+                    data[at] ^= mask;
+                }
+            }
+        }
+        let mut data = random_bytes(1 << 20, &mut rng);
+        let good = checksum(&data);
+        // An unoptimized build takes ~10 ms per MiB; CI runs the full
+        // sample in release.
+        let samples = if cfg!(debug_assertions) { 64 } else { 4096 };
+        for _ in 0..samples {
+            let at = splitmix(&mut rng) as usize % data.len();
+            let mask = 1 + (splitmix(&mut rng) % 255) as u8;
+            data[at] ^= mask;
+            assert_ne!(checksum(&data), good, "byte {at} mask {mask:#x}");
+            data[at] ^= mask;
+        }
+    }
+
+    /// The lanes must buy what they are there for. Both loops run in this
+    /// process over the same buffer, so the host's speed cancels; the
+    /// ratio is ≈ 10 on the development host.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "throughput is only meaningful optimized")]
+    fn checksum_outruns_byte_serial_fnv() {
+        fn byte_serial(data: &[u8]) -> u32 {
+            let mut h = 0x811c_9dc5u32;
+            for &b in data {
+                h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+            }
+            h
+        }
+        fn median_of_9(f: fn(&[u8]) -> u32, data: &[u8]) -> std::time::Duration {
+            let mut times: Vec<_> = (0..9)
+                .map(|_| {
+                    let start = Instant::now();
+                    std::hint::black_box(f(std::hint::black_box(data)));
+                    start.elapsed()
+                })
+                .collect();
+            times.sort();
+            times[4]
+        }
+        let data = random_bytes(4 << 20, &mut 0x5eed_0213);
+        let serial = median_of_9(byte_serial, &data);
+        let lanes = median_of_9(checksum, &data);
+        let ratio = serial.as_secs_f64() / lanes.as_secs_f64();
+        assert!(
+            ratio >= 3.0,
+            "checksum {lanes:?} vs byte-serial {serial:?}: only {ratio:.1}x"
+        );
     }
 
     /// Minimal temporal pipeline for the session-frame tests: blend the
