@@ -173,9 +173,9 @@ mod tests {
         assert!(matches!(f.states()[0].source, StateSource::Input(_)));
     }
 
-    /// The temporal oracle: every app, under every schedule (including
-    /// overlapped tiling), matches the naive per-frame reference bit for
-    /// bit across a whole sequence — warmup frames included.
+    /// The temporal oracle: every app, under every schedule, matches the
+    /// naive per-frame reference bit for bit across a whole sequence —
+    /// warmup frames included.
     #[test]
     fn sessions_match_naive_reference_under_all_schedules() {
         for app in temporal_apps() {

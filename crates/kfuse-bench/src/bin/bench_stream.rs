@@ -1,6 +1,6 @@
 //! Streaming-session throughput benchmark: frame-to-frame state reuse
 //! versus cold per-frame resubmission, per temporal app, under the
-//! optimized (index-exchange) and overlapped-tiling schedules.
+//! optimized schedule.
 //!
 //! Two execution modes are timed over the same frame sequence:
 //!
@@ -14,7 +14,7 @@
 //!
 //! Before any timing, every steady frame is checked **bit for bit**
 //! against [`kfuse_stream::run_reference`] — the naive tree-walking
-//! interpreter stepped with cloned state history — under both schedules.
+//! interpreter stepped with cloned state history.
 //! A mismatch aborts the benchmark; the verdict is recorded as
 //! `bit_identical` in the output.
 //!
@@ -30,14 +30,14 @@
 //! `KFUSE_BENCH_SCALE=<div>` to divide the workload edge lengths for a
 //! quick smoke run. With `--gate` the process exits non-zero unless
 //! steady-state throughput is at least cold throughput for every app and
-//! schedule — the CI smoke gate for the session machinery.
+//! size — the CI smoke gate for the session machinery.
 
 use kfuse_apps::temporal_apps;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageId};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{synthetic_image, CompiledPlan, FastConfig, Scratch, Tiling};
+use kfuse_sim::{synthetic_image, CompiledPlan, FastConfig, Scratch};
 use kfuse_stream::{run_reference, StreamPipeline, StreamSession};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -45,6 +45,9 @@ use std::fmt::Write as _;
 /// Frames per timed sequence: enough to amortize warmup (max temporal
 /// depth is 2) and let the steady path's moved-plane reuse show.
 const FRAMES: usize = 12;
+
+/// The one fused schedule the sessions run under.
+const SCHEDULE: Schedule = Schedule::Optimized;
 
 /// The two operating points, scaled down by `KFUSE_BENCH_SCALE` if set:
 /// the paper's 2,048² single-frame evaluation size (where per-frame
@@ -94,20 +97,14 @@ fn run_steady(session: &mut StreamSession, frames: Vec<Vec<(ImageId, Image)>>) {
 /// resubmission against a server that keeps nothing warm.
 fn run_cold(
     stream: &StreamPipeline,
-    schedule: Schedule,
     fusion: &FusionConfig,
     cfg: &FastConfig,
     frames: Vec<Vec<(ImageId, Image)>>,
 ) {
-    let tiling = if schedule == Schedule::Overlapped {
-        Tiling::Overlapped
-    } else {
-        Tiling::Exchange
-    };
     let mut rings: Vec<VecDeque<Image>> = stream.states().iter().map(|_| VecDeque::new()).collect();
     for fresh in frames {
-        let fused = compile(stream.frame(), schedule, fusion);
-        let plan = CompiledPlan::compile_with(&fused, tiling).expect("cold plan compiles");
+        let fused = compile(stream.frame(), SCHEDULE, fusion);
+        let plan = CompiledPlan::compile(&fused).expect("cold plan compiles");
         let mut scratch = Scratch::default();
         let mut inputs = fresh;
         for (ring, s) in rings.iter_mut().zip(stream.states()) {
@@ -133,7 +130,6 @@ fn run_cold(
 }
 
 struct Measurement {
-    schedule: &'static str,
     steady_mpix_s: f64,
     steady_spread: f64,
     steady_repeats: usize,
@@ -162,22 +158,20 @@ fn rel_spread(sorted: &[f64]) -> f64 {
 /// Rounds continue (7–17) until the paired ratio stabilizes under 5%.
 fn measure(
     stream: &StreamPipeline,
-    schedule: Schedule,
-    label: &'static str,
     fusion: &FusionConfig,
     frames: &[Vec<(ImageId, Image)>],
     mpix: f64,
 ) -> Measurement {
     let cfg = FastConfig::default();
     let mut session =
-        StreamSession::new(stream.clone(), schedule, fusion, cfg).expect("session opens");
+        StreamSession::new(stream.clone(), SCHEDULE, fusion, cfg).expect("session opens");
     // Two untimed passes each: the first takes first-touch page faults
     // off the clock, the second settles allocator arenas and CPU clocks
     // before the first recorded round (the process's first measured row
     // is otherwise visibly noisier than every later one).
     for _ in 0..2 {
         run_steady(&mut session, frames.to_vec());
-        run_cold(stream, schedule, fusion, &cfg, frames.to_vec());
+        run_cold(stream, fusion, &cfg, frames.to_vec());
     }
 
     let mut steady_s = Vec::new();
@@ -195,12 +189,12 @@ fn measure(
             let s = t.elapsed().as_secs_f64();
             let fc = frames.to_vec();
             let t = std::time::Instant::now();
-            run_cold(stream, schedule, fusion, &cfg, fc);
+            run_cold(stream, fusion, &cfg, fc);
             (s, t.elapsed().as_secs_f64())
         } else {
             let fc = frames.to_vec();
             let t = std::time::Instant::now();
-            run_cold(stream, schedule, fusion, &cfg, fc);
+            run_cold(stream, fusion, &cfg, fc);
             let c = t.elapsed().as_secs_f64();
             let fs = frames.to_vec();
             let t = std::time::Instant::now();
@@ -221,7 +215,6 @@ fn measure(
     let repeats = ratios.len();
     let steady_med = median(&mut steady_s);
     Measurement {
-        schedule: label,
         steady_mpix_s: mpix / steady_med,
         steady_spread: rel_spread(&steady_s),
         steady_repeats: repeats,
@@ -234,12 +227,11 @@ fn measure(
 /// every output bit for bit against the streaming oracle.
 fn verify(
     stream: &StreamPipeline,
-    schedule: Schedule,
     fusion: &FusionConfig,
     frames: &[Vec<(ImageId, Image)>],
     oracle: &[Vec<(ImageId, Image)>],
 ) -> bool {
-    let mut session = StreamSession::new(stream.clone(), schedule, fusion, FastConfig::default())
+    let mut session = StreamSession::new(stream.clone(), SCHEDULE, fusion, FastConfig::default())
         .expect("session opens");
     for (f, fresh) in frames.iter().enumerate() {
         let out = session.step(fresh.clone()).expect("frame executes");
@@ -277,27 +269,12 @@ fn main() {
         let (w, h) = workload(edge, scale);
         let stream = (apps[0].build_sized)(w, h);
         let frames: Vec<_> = (0..FRAMES).map(|f| frame_inputs(&stream, f)).collect();
-        let _ = measure(
-            &stream,
-            Schedule::Optimized,
-            "settle",
-            &fusion,
-            &frames,
-            1.0,
-        );
+        let _ = measure(&stream, &fusion, &frames, 1.0);
     }
 
     println!(
-        "{:<18} {:>9} {:<12} {:<10} {:>14} {:>7} {:>13} {:>12} {:>10}",
-        "app",
-        "size",
-        "point",
-        "schedule",
-        "steady Mpix/s",
-        "spread",
-        "cold Mpix/s",
-        "steady/cold",
-        "bits"
+        "{:<18} {:>9} {:<12} {:>14} {:>7} {:>13} {:>12} {:>10}",
+        "app", "size", "point", "steady Mpix/s", "spread", "cold Mpix/s", "steady/cold", "bits"
     );
     let mut json_apps = String::new();
     let mut gate_failures: Vec<String> = Vec::new();
@@ -308,77 +285,46 @@ fn main() {
             let mpix = (w * h * FRAMES) as f64 / 1e6;
             let stream = (app.build_sized)(w, h);
             let frames: Vec<_> = (0..FRAMES).map(|f| frame_inputs(&stream, f)).collect();
-            let schedules = [
-                (Schedule::Optimized, "optimized"),
-                (Schedule::Overlapped, "overlapped"),
-            ];
 
             // Verify first, then drop the oracle: its dozen retained output
             // frames are serious memory pressure that would skew the timings.
             let oracle = run_reference(&stream, &frames).expect("reference executes");
-            let verdicts: Vec<bool> = schedules
-                .iter()
-                .map(|&(schedule, _)| verify(&stream, schedule, &fusion, &frames, &oracle))
-                .collect();
+            let bit_identical = verify(&stream, &fusion, &frames, &oracle);
             drop(oracle);
-
-            let mut json_schedules = String::new();
-            let mut exchange_steady = 0.0f64;
-            let mut overlapped_steady = 0.0f64;
-            let mut bit_identical = true;
-            for (&(schedule, label), &ok) in schedules.iter().zip(&verdicts) {
-                bit_identical &= ok;
-                let m = measure(&stream, schedule, label, &fusion, &frames, mpix);
-                println!(
-                    "{:<18} {:>9} {:<12} {:<10} {:>14.2} {:>6.1}% {:>13.2} {:>11.2}x {:>10}",
-                    app.name,
-                    format!("{w}x{h}"),
-                    point,
-                    m.schedule,
-                    m.steady_mpix_s,
-                    m.steady_spread * 100.0,
-                    m.cold_mpix_s,
-                    m.steady_over_cold,
-                    if ok { "exact" } else { "DIVERGED" }
-                );
-                match schedule {
-                    Schedule::Overlapped => overlapped_steady = m.steady_mpix_s,
-                    _ => exchange_steady = m.steady_mpix_s,
-                }
-                if m.steady_over_cold < 1.0 {
-                    gate_failures.push(format!(
-                        "{} {point} {}: steady/cold {:.3} < 1",
-                        app.name, m.schedule, m.steady_over_cold
-                    ));
-                }
-                if !json_schedules.is_empty() {
-                    json_schedules.push(',');
-                }
-                write!(
-                    json_schedules,
-                    "\n        \"{}\": {{\"steady_mpix_s\": {:.3}, \"steady_spread\": {:.4}, \"steady_repeats\": {}, \"cold_mpix_s\": {:.3}, \"steady_over_cold\": {:.3}}}",
-                    m.schedule,
-                    m.steady_mpix_s,
-                    m.steady_spread,
-                    m.steady_repeats,
-                    m.cold_mpix_s,
-                    m.steady_over_cold,
-                )
-                .unwrap();
-            }
             assert!(
                 bit_identical,
                 "{} ({point}): a steady frame diverged from the streaming oracle",
                 app.name
             );
+
+            let m = measure(&stream, &fusion, &frames, mpix);
+            println!(
+                "{:<18} {:>9} {:<12} {:>14.2} {:>6.1}% {:>13.2} {:>11.2}x      exact",
+                app.name,
+                format!("{w}x{h}"),
+                point,
+                m.steady_mpix_s,
+                m.steady_spread * 100.0,
+                m.cold_mpix_s,
+                m.steady_over_cold,
+            );
+            if m.steady_over_cold < 1.0 {
+                gate_failures.push(format!(
+                    "{} {point}: steady/cold {:.3} < 1",
+                    app.name, m.steady_over_cold
+                ));
+            }
             if !json_points.is_empty() {
                 json_points.push(',');
             }
             write!(
                 json_points,
-                "\n      {{\"point\": \"{point}\", \"width\": {w}, \"height\": {h}, \"bit_identical\": {bit_identical}, \"overlapped_vs_exchange\": {:.3}, \"schedules\": {{{}\n      }}}}",
-                overlapped_steady / exchange_steady,
-                json_schedules
+                "\n      {{\"point\": \"{point}\", \"width\": {w}, \"height\": {h}, \"bit_identical\": {bit_identical}, \"steady_mpix_s\": {:.3}, \"steady_spread\": {:.4}, \"steady_repeats\": {}, \"cold_mpix_s\": {:.3}, \"steady_over_cold\": {:.3}}}",
+                m.steady_mpix_s,
+                m.steady_spread,
+                m.steady_repeats,
+                m.cold_mpix_s,
+                m.steady_over_cold,
             )
             .unwrap();
         }
@@ -401,7 +347,7 @@ fn main() {
     println!("\nwrote {path}");
     if gate {
         if gate_failures.is_empty() {
-            println!("gate: steady-state >= cold for every app and schedule");
+            println!("gate: steady-state >= cold for every app and size");
         } else {
             for f in &gate_failures {
                 println!("gate FAILED: {f}");

@@ -19,8 +19,8 @@
 //! bit-identity, plus byte-flip corruption probes). `--stream N` sweeps N
 //! seeds through the temporal harness: random streaming pipelines with
 //! bounded `prev_frame(k)` depth, stepped through a session under every
-//! fusion schedule (overlapped tiling included) and checked frame for
-//! frame against the streaming oracle.
+//! fusion schedule and checked frame for frame against the streaming
+//! oracle.
 //!
 //! Run with `cargo run --release -p kfuse-bench --bin fuzz -- --seeds 1024`.
 

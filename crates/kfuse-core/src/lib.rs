@@ -69,9 +69,9 @@ pub use explain::{EdgeExplain, PlanTrace};
 pub use greedy::{fuse_greedy, plan_greedy};
 pub use legality::{check_block, edge_is_legal, BlockInfo, Illegal};
 pub use planner::{
-    apply_partition, apply_plan, block_legality, compute_edge_weights, fuse_optimized,
-    fuse_overlapped, objective, pair_is_legal, pair_verdict, plan_optimized, EdgeInfo,
-    FusionConfig, FusionPlan, FusionResult, Trace, TraceEvent,
+    apply_partition, apply_plan, block_legality, compute_edge_weights, fuse_optimized, objective,
+    pair_is_legal, pair_verdict, plan_optimized, EdgeInfo, FusionConfig, FusionPlan, FusionResult,
+    Trace, TraceEvent,
 };
 pub use policy::{MeasuredPolicy, PlanPolicy, StaticModelPolicy};
 pub use resources::{fits_device, resource_check, shared_usage_bytes};

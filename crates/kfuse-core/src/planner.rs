@@ -455,19 +455,6 @@ pub fn fuse_optimized(p: &Pipeline, cfg: &FusionConfig) -> FusionResult {
     FusionResult { pipeline, plan }
 }
 
-/// [`fuse_optimized`] priced for the **overlapped-tiling** execution
-/// discipline: each apron cell of an inlined local producer is filled by
-/// whichever of halo recompute and index exchange is modeled cheaper
-/// ([`kfuse_model::BenefitModel::tiling_choice`]), so local-to-local edges
-/// that the exchange discipline rejects can become profitable. The caller
-/// is expected to execute the result with the overlapped tiled engine
-/// (`kfuse-sim`'s `Tiling::Overlapped`).
-pub fn fuse_overlapped(p: &Pipeline, cfg: &FusionConfig) -> FusionResult {
-    let mut cfg = cfg.clone();
-    cfg.model.overlapped_tiling = true;
-    fuse_optimized(p, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

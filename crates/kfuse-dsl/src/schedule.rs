@@ -4,7 +4,7 @@
 //! previous work \[12\], and the **optimized** min-cut fusion of this paper.
 //! [`compile`] produces any of the three from one DSL pipeline.
 
-use kfuse_core::{fuse_basic, fuse_optimized, fuse_overlapped, FusionConfig, FusionResult};
+use kfuse_core::{fuse_basic, fuse_optimized, FusionConfig, FusionResult};
 use kfuse_ir::Pipeline;
 use kfuse_model::{BenefitModel, GpuSpec};
 
@@ -17,22 +17,11 @@ pub enum Schedule {
     Basic,
     /// Min-cut driven fusion of this paper (Algorithm 1).
     Optimized,
-    /// Min-cut fusion priced for overlapped tiling: apron cells are filled
-    /// by halo recompute instead of index exchange where modeled cheaper,
-    /// and the executor runs the fused kernels with unclipped stage planes
-    /// (`kfuse-sim`'s `Tiling::Overlapped`).
-    Overlapped,
 }
 
 impl Schedule {
-    /// All schedules: the paper's three plus overlapped tiling, in
-    /// presentation order.
-    pub const ALL: [Schedule; 4] = [
-        Schedule::Baseline,
-        Schedule::Basic,
-        Schedule::Optimized,
-        Schedule::Overlapped,
-    ];
+    /// All schedules — the paper's three — in presentation order.
+    pub const ALL: [Schedule; 3] = [Schedule::Baseline, Schedule::Basic, Schedule::Optimized];
 
     /// Display label matching the paper's figures.
     pub fn label(self) -> &'static str {
@@ -40,7 +29,6 @@ impl Schedule {
             Schedule::Baseline => "Baseline",
             Schedule::Basic => "Basic Fusion",
             Schedule::Optimized => "Optimized Fusion",
-            Schedule::Overlapped => "Overlapped Tiling",
         }
     }
 }
@@ -51,7 +39,6 @@ pub fn compile(p: &Pipeline, schedule: Schedule, cfg: &FusionConfig) -> Pipeline
         Schedule::Baseline => p.clone(),
         Schedule::Basic => fuse_basic(p, cfg).pipeline,
         Schedule::Optimized => fuse_optimized(p, cfg).pipeline,
-        Schedule::Overlapped => fuse_overlapped(p, cfg).pipeline,
     }
 }
 
@@ -69,10 +56,6 @@ pub fn compile_with_plan(
         }
         Schedule::Optimized => {
             let r = fuse_optimized(p, cfg);
-            (r.pipeline.clone(), Some(r))
-        }
-        Schedule::Overlapped => {
-            let r = fuse_overlapped(p, cfg);
             (r.pipeline.clone(), Some(r))
         }
     }
@@ -113,17 +96,7 @@ mod tests {
         assert_eq!(Schedule::Baseline.label(), "Baseline");
         assert_eq!(Schedule::Basic.label(), "Basic Fusion");
         assert_eq!(Schedule::Optimized.label(), "Optimized Fusion");
-        assert_eq!(Schedule::Overlapped.label(), "Overlapped Tiling");
-        assert_eq!(Schedule::ALL.len(), 4);
-    }
-
-    #[test]
-    fn overlapped_fuses_at_least_as_much_as_optimized() {
-        let p = chain();
-        let cfg = default_config(GpuSpec::gtx680());
-        let opt = compile(&p, Schedule::Optimized, &cfg).kernels().len();
-        let over = compile(&p, Schedule::Overlapped, &cfg).kernels().len();
-        assert!(over <= opt, "overlapped pricing never rejects more edges");
+        assert_eq!(Schedule::ALL.len(), 3);
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //!   Chrome trace validated by the strict checker);
 //! * every fusion [`kfuse_dsl::Schedule`], each run through both the
 //!   interpreter and the fast executor — this is where planner + synthesis
-//!   bugs surface as wrong pixels; the overlapped schedule additionally
-//!   runs through the halo-recompute tile executor
-//!   ([`kfuse_sim::Tiling::Overlapped`]);
+//!   bugs surface as wrong pixels;
 //! * both planning policies ([`kfuse_core::StaticModelPolicy`] and
 //!   [`kfuse_core::MeasuredPolicy`] under seed-skewed synthetic
 //!   calibration constants): policies may pick *different partitions*,
@@ -34,7 +32,7 @@ use kfuse_obs::{validate_chrome_trace, Tracer};
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{
     execute_fast_with, execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig,
-    Scratch, Tiling,
+    Scratch,
 };
 use std::fmt;
 
@@ -271,25 +269,6 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
         let path = format!("sched:{label}:fast");
         let got = run_fast(&fused, &inputs, &FastConfig::default(), &path)?;
         compare(p, &reference, &got, &path)?;
-        // The overlapped schedule is additionally lowered through the
-        // halo-recompute tile executor — the lane where redundant border
-        // recomputation must reproduce the exchanged bits exactly.
-        if schedule == kfuse_dsl::Schedule::Overlapped {
-            let path = "sched:overlapped:tiling";
-            let plan = CompiledPlan::compile_with(&fused, Tiling::Overlapped).map_err(|e| {
-                Failure::ExecFailed {
-                    path: path.into(),
-                    error: e.to_string(),
-                }
-            })?;
-            let got = plan
-                .execute_with_scratch(&inputs, &FastConfig::default(), &mut Scratch::default())
-                .map_err(|e| Failure::ExecFailed {
-                    path: path.into(),
-                    error: e.to_string(),
-                })?;
-            compare(p, &reference, &got, path)?;
-        }
     }
 
     // Policy lane: planning policies own the fusion decision, not the

@@ -18,8 +18,8 @@
 //!   weight conservation, Eq. 1 objective consistency;
 //! * [`stream`] — the temporal harness: random streaming pipelines with
 //!   bounded `prev_frame(k)` depth, stepped through a session under every
-//!   fusion schedule (overlapped tiling included) and checked frame for
-//!   frame against the streaming oracle;
+//!   fusion schedule and checked frame for frame against the streaming
+//!   oracle;
 //! * [`wire`] — the `kfuse-net` frame-codec harness: random frames
 //!   through encode → decode → re-encode for bit-identity, plus
 //!   single-byte corruption probes that must never panic.

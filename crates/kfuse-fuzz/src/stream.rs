@@ -13,10 +13,9 @@
 //! deepest legal ring are both swept.
 //!
 //! [`check_stream_seed`] steps the generated stream through a
-//! [`StreamSession`] under **every** fusion schedule — including
-//! overlapped tiling, where halo recompute must not perturb a single
-//! bit — and requires each frame to match [`run_reference`] exactly: the
-//! single-frame bit-identity oracle lifted over time.
+//! [`StreamSession`] under **every** fusion schedule and requires each
+//! frame to match [`run_reference`] exactly: the single-frame
+//! bit-identity oracle lifted over time.
 
 use crate::diff::Failure;
 use crate::gen::{generate_with, GenConfig};

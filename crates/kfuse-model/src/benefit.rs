@@ -241,13 +241,6 @@ pub struct BenefitModel {
     /// cheaper factored recompute. Off by default: the paper's walkthrough
     /// numbers charge the full 2-D mask.
     pub separable_phi: bool,
-    /// Price local-to-local fusion for the **overlapped-tiling** execution
-    /// discipline: each apron (halo) cell of an inlined producer is either
-    /// redundantly recomputed into the tile (`cost_op + t_s`) or fetched by
-    /// index exchange (`t_g`), whichever is cheaper — the per-edge choice
-    /// of warp-overlapped tiling. Off by default: the paper's exchange
-    /// discipline charges the full tile-amortized recompute.
-    pub overlapped_tiling: bool,
 }
 
 impl BenefitModel {
@@ -261,14 +254,7 @@ impl BenefitModel {
             l2l_recompute: L2LRecompute::TileAmortized,
             block: BlockShape::DEFAULT,
             separable_phi: false,
-            overlapped_tiling: false,
         }
-    }
-
-    /// A copy of the model that prices fusion for overlapped tiling.
-    pub fn with_overlapped_tiling(mut self) -> Self {
-        self.overlapped_tiling = true;
-        self
     }
 
     /// Replaces the calibratable constants with `c`, leaving every other
@@ -383,22 +369,11 @@ impl BenefitModel {
             }
             FusionScenario::LocalToLocal => {
                 let g = eq9_fused_window(ks.window_size(), self.consumption_window(kd, ie));
-                let phi = if self.overlapped_tiling {
-                    // Overlapped discipline: interior cells cost one
-                    // producer evaluation per thread; each apron cell costs
-                    // whichever of halo recompute (`cost_op + t_s`) and
-                    // index exchange (`t_g`) is cheaper on this machine.
-                    let (rx, ry) = self.consumption_extent(kd, ie);
-                    let factor = self.block.tile_factor(rx as usize, ry as usize);
-                    let apron_cell = (producer_cost + self.gpu.t_shared).min(self.gpu.t_global);
-                    is_ks * (producer_cost + (factor - 1.0).max(0.0) * apron_cell)
-                } else {
-                    match self.l2l_recompute {
-                        L2LRecompute::Eq10Window => phi_local_to_local(producer_cost, is_ks, g),
-                        L2LRecompute::TileAmortized => {
-                            let (rx, ry) = self.consumption_extent(kd, ie);
-                            producer_cost * is_ks * self.block.tile_factor(rx as usize, ry as usize)
-                        }
+                let phi = match self.l2l_recompute {
+                    L2LRecompute::Eq10Window => phi_local_to_local(producer_cost, is_ks, g),
+                    L2LRecompute::TileAmortized => {
+                        let (rx, ry) = self.consumption_extent(kd, ie);
+                        producer_cost * is_ks * self.block.tile_factor(rx as usize, ry as usize)
                     }
                 };
                 (
@@ -431,56 +406,6 @@ impl BenefitModel {
             weight,
             clamp,
         }
-    }
-
-    /// Prices the two ways of filling a fused stage's halo cells along the
-    /// edge `ks → kd` communicating `ie`: **index exchange** fetches each
-    /// apron cell (`t_g` per cell, paper Figure 5), **overlapped tiling**
-    /// recomputes it into the tile (`cost_op + t_s` per cell). The planner
-    /// and the streaming bench use this to pick a tiling per kernel.
-    pub fn tiling_choice(
-        &self,
-        p: &Pipeline,
-        ks_id: KernelId,
-        kd_id: KernelId,
-        ie: ImageId,
-    ) -> TilingChoice {
-        let ks = p.kernel(ks_id);
-        let kd = p.kernel(kd_id);
-        let counts = if self.separable_phi {
-            kfuse_ir::separable_op_counts(ks)
-        } else {
-            ks.op_counts()
-        };
-        let producer_cost = cost_op(self.gpu.c_alu, counts.alu, self.gpu.c_sfu, counts.sfu);
-        let (rx, ry) = self.consumption_extent(kd, ie);
-        let factor = self.block.tile_factor(rx as usize, ry as usize);
-        let apron_cells = self.iteration_space(p, ie) * (factor - 1.0).max(0.0);
-        TilingChoice {
-            apron_cells,
-            exchange_cycles: apron_cells * self.gpu.t_global,
-            overlapped_cycles: apron_cells * (producer_cost + self.gpu.t_shared),
-        }
-    }
-}
-
-/// Modeled cost of the two halo disciplines for one dependence edge — the
-/// output of [`BenefitModel::tiling_choice`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TilingChoice {
-    /// Modeled apron (halo) cells per frame: `IS(ie) · (tile_factor − 1)`.
-    pub apron_cells: f64,
-    /// Cycles to fill the apron by index exchange: `apron_cells · t_g`.
-    pub exchange_cycles: f64,
-    /// Cycles to fill the apron by redundant recompute:
-    /// `apron_cells · (cost_op + t_s)`.
-    pub overlapped_cycles: f64,
-}
-
-impl TilingChoice {
-    /// Whether halo recompute is modeled cheaper than index exchange.
-    pub fn prefer_overlapped(&self) -> bool {
-        self.overlapped_cycles < self.exchange_cycles
     }
 }
 
@@ -768,79 +693,6 @@ mod tests {
             ..fitted
         }
         .is_sane());
-    }
-
-    #[test]
-    fn tiling_choice_prices_apron_cells() {
-        let (p, gauss, cons, mid) = local_to_local_pipeline();
-        let model = BenefitModel::new(GpuSpec::gtx680());
-        let tc = model.tiling_choice(&p, gauss, cons, mid);
-        // 5×5 consumer → extent (2,2): apron = IS · (tile_factor − 1).
-        let factor = model.block.tile_factor(2, 2);
-        assert!((tc.apron_cells - 256.0 * (factor - 1.0)).abs() < 1e-9);
-        assert_eq!(tc.exchange_cycles, tc.apron_cells * model.gpu.t_global);
-        // gauss: 3×3 convolution is cheap next to t_g = 400 — recompute
-        // beats exchange, the warp-overlapped-tiling claim.
-        assert!(tc.prefer_overlapped());
-        assert!(tc.overlapped_cycles < tc.exchange_cycles);
-    }
-
-    #[test]
-    fn expensive_producer_prefers_exchange() {
-        // Producer with a large SFU body: recomputing an apron cell costs
-        // more than one global fetch, so exchange wins.
-        let mut p = Pipeline::new("t");
-        let input = p.add_input(ImageDesc::new("in", 16, 16, 1));
-        let mid = p.add_image(ImageDesc::new("mid", 16, 16, 1));
-        let out = p.add_image(ImageDesc::new("out", 16, 16, 1));
-        let mut body = Expr::load(0);
-        for _ in 0..60 {
-            body = Expr::Un(kfuse_ir::UnOp::Exp, Box::new(body));
-        }
-        let heavy = p.add_kernel(Kernel::simple(
-            "heavy",
-            vec![input],
-            mid,
-            vec![BorderMode::Clamp],
-            vec![body],
-            vec![],
-        ));
-        let mask: Vec<&[f32]> = vec![&[1.0, 2.0, 1.0], &[2.0, 4.0, 2.0], &[1.0, 2.0, 1.0]];
-        let cons = p.add_kernel(Kernel::simple(
-            "cons",
-            vec![mid],
-            out,
-            vec![BorderMode::Clamp],
-            vec![Expr::convolve(0, 0, &mask)],
-            vec![],
-        ));
-        p.mark_output(out);
-        let model = BenefitModel::new(GpuSpec::gtx680());
-        let tc = model.tiling_choice(&p, heavy, cons, mid);
-        assert!(!tc.prefer_overlapped());
-    }
-
-    #[test]
-    fn overlapped_pricing_caps_l2l_phi_at_exchange_cost() {
-        let (p, gauss, cons, mid) = local_to_local_pipeline();
-        let base = BenefitModel::new(GpuSpec::gtx680());
-        let over = base.clone().with_overlapped_tiling();
-        let w_base = base.edge_weight(&p, gauss, cons, mid, true);
-        let w_over = over.edge_weight(&p, gauss, cons, mid, true);
-        assert_eq!(w_base.scenario, FusionScenario::LocalToLocal);
-        assert_eq!(w_over.scenario, FusionScenario::LocalToLocal);
-        // A cheap convolution producer: apron recompute (cost_op + t_s)
-        // undercuts the plain tile-amortized recompute only if cheaper
-        // than exchange-free recompute; either way φ stays finite and the
-        // deltas agree.
-        assert_eq!(w_over.delta, w_base.delta);
-        assert!(w_over.phi.is_finite() && w_over.phi > 0.0);
-        // Point-based and point-to-local edges are unaffected.
-        let (p2, sq, g2, mid2) = tiny_pipeline();
-        assert_eq!(
-            base.edge_weight(&p2, sq, g2, mid2, true).weight,
-            over.edge_weight(&p2, sq, g2, mid2, true).weight
-        );
     }
 
     #[test]

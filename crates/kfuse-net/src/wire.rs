@@ -851,12 +851,13 @@ fn priority_from_byte(b: u8) -> Result<Priority, WireError> {
     })
 }
 
+/// The schedule byte of `Submit` and `OpenSession`: `0`–`2`, the paper's
+/// three schedules. Every other value decodes as [`WireError::Malformed`].
 fn schedule_byte(s: Schedule) -> u8 {
     match s {
         Schedule::Baseline => 0,
         Schedule::Basic => 1,
         Schedule::Optimized => 2,
-        Schedule::Overlapped => 3,
     }
 }
 
@@ -865,7 +866,6 @@ fn schedule_from_byte(b: u8) -> Result<Schedule, WireError> {
         0 => Schedule::Baseline,
         1 => Schedule::Basic,
         2 => Schedule::Optimized,
-        3 => Schedule::Overlapped,
         other => {
             return Err(WireError::Malformed(format!(
                 "unknown schedule byte {other}"
@@ -1546,8 +1546,9 @@ mod tests {
     }
 
     /// Hostile-peer rules for version 3: normal priority announced at
-    /// v3, unknown priority bytes, bad trace-presence bytes, v3 on a
-    /// non-submit frame, and a truncated tail are all rejected.
+    /// v3, unknown priority bytes, bad trace-presence bytes, a retired
+    /// schedule byte, v3 on a non-submit frame, and a truncated tail are
+    /// all rejected.
     #[test]
     fn hostile_qos_frames_rejected() {
         // Re-frame a valid v3 payload with a mutated tail byte.
@@ -1595,6 +1596,15 @@ mod tests {
         assert!(matches!(
             decode_frame(&bad, &limits()),
             Err(WireError::Truncated)
+        ));
+
+        // A retired schedule byte (3): request id 8 | tenant 4 + 1 |
+        // deadline 8, then the schedule.
+        assert_eq!(good[HEADER_LEN + 21], 2, "schedule byte located");
+        let bad = reseal(&good, &|p| p[21] = 3);
+        assert!(matches!(
+            decode_frame(&bad, &limits()),
+            Err(WireError::Malformed(m)) if m == "unknown schedule byte 3"
         ));
 
         // Version 3 on a frame type that carries no priority.
@@ -1828,7 +1838,7 @@ mod tests {
         let open = roundtrip(&Frame::OpenSession {
             request_id: 3,
             tenant: "flow".into(),
-            schedule: Schedule::Overlapped,
+            schedule: Schedule::Basic,
             stream: stream.clone(),
         });
         assert_eq!(encode_frame(&open)[4], VERSION_STREAM);
@@ -1841,7 +1851,7 @@ mod tests {
             } => {
                 assert_eq!(request_id, 3);
                 assert_eq!(tenant, "flow");
-                assert_eq!(schedule, Schedule::Overlapped);
+                assert_eq!(schedule, Schedule::Basic);
                 // Fingerprint identity ⇒ the temporal structure survived.
                 assert_eq!(s.fingerprint(), stream.fingerprint());
                 assert_eq!(s.states(), stream.states());
@@ -1942,6 +1952,24 @@ mod tests {
         assert!(matches!(
             decode_frame(&bytes, &limits()),
             Err(WireError::Malformed(_))
+        ));
+
+        // A retired schedule byte (3) on OpenSession is rejected before
+        // the stream is decoded: request id 8 | tenant 4 + 1 | schedule.
+        let mut bytes = encode_frame(&Frame::OpenSession {
+            request_id: 1,
+            tenant: "t".into(),
+            schedule: Schedule::Optimized,
+            stream: test_stream(),
+        });
+        let sched_pos = HEADER_LEN + 13;
+        assert_eq!(bytes[sched_pos], 2, "schedule byte located");
+        bytes[sched_pos] = 3;
+        let cksum = checksum(&bytes[HEADER_LEN..]);
+        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&bytes, &limits()),
+            Err(WireError::Malformed(m)) if m == "unknown schedule byte 3"
         ));
 
         // A bad trace-presence byte on SubmitFrame is rejected.

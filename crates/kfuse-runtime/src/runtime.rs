@@ -1277,7 +1277,7 @@ fn fail_point_after_dequeue(tenant: &str) {
 /// scale is the model GPU's, not this host's — what the metrics track is
 /// the per-fingerprint observed/modeled *ratio*, whose drift flags
 /// pipelines where the planner's cost model stopped tracking reality.
-pub(crate) fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
+fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
     let model = &cfg.model;
     let c = model.constants();
     let mut cycles = 0.0;
@@ -1290,6 +1290,38 @@ pub(crate) fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
         cycles += lc.threads as f64 * per_thread + model.gpu.launch_overhead_cycles();
     }
     cycles / (model.gpu.core_clock_hz() / 1e6)
+}
+
+impl Shared {
+    /// The cache entry for `key` and whether the cache already had it: on
+    /// a miss `p` is fused, lowered, priced and inserted. `p` is validated
+    /// on a miss only (planning assumes a well-formed DAG); `invalid` turns
+    /// the validation message into the caller's error.
+    pub(crate) fn plan_for(
+        &self,
+        key: PlanKey,
+        p: &Pipeline,
+        invalid: impl FnOnce(String) -> RuntimeError,
+    ) -> Result<(CachedPlan, bool), RuntimeError> {
+        let layout = p.binding_fingerprint();
+        if let Some(entry) = self.cache.lock().unwrap().lookup(&key, layout) {
+            return Ok((entry, true));
+        }
+        p.validate().map_err(|e| invalid(e.to_string()))?;
+        let policy = Arc::clone(&*self.policy.lock().unwrap());
+        let fused = kfuse_dsl::compile(p, key.schedule, policy.fusion_config());
+        let plan = Arc::new(CompiledPlan::compile(&fused)?);
+        // Price the fused plan once at compile time; every execution
+        // divides its observed time by this for the fidelity ratio.
+        let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
+        let entry = CachedPlan {
+            layout,
+            plan,
+            modeled_us,
+        };
+        self.cache.lock().unwrap().insert(key, entry.clone());
+        Ok((entry, false))
+    }
 }
 
 /// Plan (with cache) and execute one job. Spans go to `tracer`: the
@@ -1341,52 +1373,21 @@ fn run_job(
         schedule,
         exec,
     };
-    let layout = pj.pipeline.binding_fingerprint();
-    let cached = shared.cache.lock().unwrap().lookup(&key, layout);
-    let hit = cached.is_some();
-    let (plan, modeled_us) = match cached {
-        Some(entry) => {
-            job.metrics.record_cache_hit();
-            (entry.plan, entry.modeled_us)
+    let planned = shared.plan_for(key, &pj.pipeline, |m| ExecError::Invalid(m).into());
+    let hit = matches!(planned, Ok((_, true)));
+    if hit {
+        job.metrics.record_cache_hit();
+    } else {
+        job.metrics.record_cache_miss();
+        if let Some(t) = &shared.tuner {
+            // Keep a sample of the submitted pipeline so the retuner
+            // can probe this fingerprint off the request path.
+            t.record_sample(&pj.pipeline);
         }
-        None => {
-            job.metrics.record_cache_miss();
-            if let Some(t) = &shared.tuner {
-                // Keep a sample of the submitted pipeline so the retuner
-                // can probe this fingerprint off the request path.
-                t.record_sample(&pj.pipeline);
-            }
-            // Validate before handing the pipeline to the fusion planner;
-            // planning assumes a well-formed DAG.
-            pj.pipeline
-                .validate()
-                .map_err(|e| ExecError::Invalid(e.to_string()))?;
-            let policy = Arc::clone(&*shared.policy.lock().unwrap());
-            let fused = kfuse_dsl::compile(&pj.pipeline, schedule, policy.fusion_config());
-            // The overlapped schedule changes the executor's halo
-            // discipline, not just the fusion pricing: stage planes keep
-            // their full halo rect and apron cells are border-resolved
-            // once instead of index-exchanged per load.
-            let tiling = if schedule == Schedule::Overlapped {
-                kfuse_sim::Tiling::Overlapped
-            } else {
-                kfuse_sim::Tiling::Exchange
-            };
-            let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
-            // Price the fused plan once at compile time; every execution
-            // divides its observed time by this for the fidelity ratio.
-            let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedPlan {
-                    layout,
-                    plan: Arc::clone(&plan),
-                    modeled_us,
-                },
-            );
-            (plan, modeled_us)
-        }
-    };
+    }
+    let CachedPlan {
+        plan, modeled_us, ..
+    } = planned?.0;
     if tracer.is_enabled() {
         tracer.complete(
             "plan",

@@ -33,15 +33,12 @@
 //! never `session` (the rings), so admission stays fast while a frame
 //! executes.
 
-use crate::cache::{CachedPlan, PlanKey};
+use crate::cache::PlanKey;
 use crate::metrics::PipelineMetrics;
-use crate::runtime::{
-    enqueue_session_runner, modeled_execute_us, Priority, Runtime, RuntimeError, Shared, Slot,
-};
+use crate::runtime::{enqueue_session_runner, Priority, Runtime, RuntimeError, Shared, Slot};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
 use kfuse_obs::{ActiveRequest, ArgValue, RequestOutcome};
-use kfuse_sim::{CompiledPlan, Tiling};
 use kfuse_stream::{FrameOutput, StreamPipeline, StreamSession};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -206,8 +203,7 @@ impl Runtime {
     /// stateless path uses, so a session and ordinary submissions of the
     /// same pipeline share one compiled plan. (Tuned overrides are *not*
     /// consulted: a session pins its plan for its lifetime, and retuning
-    /// mid-stream would silently change the halo discipline under live
-    /// state.)
+    /// mid-stream would silently change the plan under live state.)
     pub fn open_session_with(
         &self,
         tenant: &str,
@@ -223,35 +219,8 @@ impl Runtime {
             schedule,
             exec: shared.cfg.exec,
         };
-        let layout = frame.binding_fingerprint();
-        let cached = shared.cache.lock().unwrap().lookup(&key, layout);
-        let plan = match cached {
-            Some(entry) => entry.plan,
-            None => {
-                frame
-                    .validate()
-                    .map_err(|e| RuntimeError::Stream(e.to_string()))?;
-                let policy = Arc::clone(&*shared.policy.lock().unwrap());
-                let fused = kfuse_dsl::compile(frame, schedule, policy.fusion_config());
-                let tiling = if schedule == Schedule::Overlapped {
-                    Tiling::Overlapped
-                } else {
-                    Tiling::Exchange
-                };
-                let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
-                let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
-                shared.cache.lock().unwrap().insert(
-                    key,
-                    CachedPlan {
-                        layout,
-                        plan: Arc::clone(&plan),
-                        modeled_us,
-                    },
-                );
-                plan
-            }
-        };
-        let session = StreamSession::with_plan(stream.clone(), plan, shared.cfg.exec)
+        let (entry, _) = shared.plan_for(key, frame, RuntimeError::Stream)?;
+        let session = StreamSession::with_plan(stream.clone(), entry.plan, shared.cfg.exec)
             .map_err(|e| RuntimeError::Stream(e.to_string()))?;
         let metrics = self.registry().handle(tenant);
         let id = self.sessions.next_id.fetch_add(1, Ordering::Relaxed) + 1;

@@ -50,6 +50,6 @@ pub use plan::CompiledPlan;
 pub use tape::{compile_stage, Tape};
 pub use tile::{
     execute_kernel_compiled, execute_kernel_compiled_traced, execute_kernel_tiled, modeled_traffic,
-    CompiledKernel, KernelTraffic, Scratch, TileConfig, Tiling, BAND_TID_BASE,
+    CompiledKernel, KernelTraffic, Scratch, TileConfig, BAND_TID_BASE,
 };
 pub use timing::{noisy_runs, KernelTiming, PipelineTiming, RunStats, TimingModel};

@@ -19,7 +19,7 @@
 //! recompilation.
 
 use crate::exec::{bind_inputs, bind_inputs_owned, ExecError, Execution};
-use crate::tile::{execute_kernel_compiled_traced, CompiledKernel, Scratch, TileConfig, Tiling};
+use crate::tile::{execute_kernel_compiled_traced, CompiledKernel, Scratch, TileConfig};
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_obs::Tracer;
 
@@ -34,7 +34,6 @@ pub struct CompiledPlan {
     kernels: Vec<CompiledKernel>,
     /// Kernel indices in execution (topological) order.
     order: Vec<usize>,
-    tiling: Tiling,
 }
 
 impl CompiledPlan {
@@ -42,13 +41,6 @@ impl CompiledPlan {
     /// pipeline can carry surface here, so [`CompiledPlan::execute`] on a
     /// cached plan can only fail on bad *inputs*, never on a bad pipeline.
     pub fn compile(p: &Pipeline) -> Result<Self, ExecError> {
-        Self::compile_with(p, Tiling::Exchange)
-    }
-
-    /// [`CompiledPlan::compile`] with an explicit intra-kernel tiling
-    /// discipline — [`Tiling::Overlapped`] trades halo recompute for
-    /// border-free interior loads on every eligible stage.
-    pub fn compile_with(p: &Pipeline, tiling: Tiling) -> Result<Self, ExecError> {
         p.validate()
             .map_err(|e| ExecError::Invalid(e.to_string()))?;
         let order: Vec<usize> = p
@@ -58,27 +50,17 @@ impl CompiledPlan {
             .into_iter()
             .map(|n| n.0)
             .collect();
-        let kernels = p
-            .kernels()
-            .iter()
-            .map(|k| CompiledKernel::new_with(k, tiling))
-            .collect();
+        let kernels = p.kernels().iter().map(CompiledKernel::new).collect();
         Ok(Self {
             pipeline: p.clone(),
             kernels,
             order,
-            tiling,
         })
     }
 
     /// The pipeline this plan was compiled from.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
-    }
-
-    /// The tiling discipline the plan's kernels were lowered with.
-    pub fn tiling(&self) -> Tiling {
-        self.tiling
     }
 
     /// Executes the plan with fresh scratch buffers.

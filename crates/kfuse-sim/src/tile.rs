@@ -16,6 +16,9 @@
 //!   shared memory. Interior pixels are computed exactly once; pixels in
 //!   the halo re-run the producer at their own coordinates, reproducing
 //!   the recompute-in-the-overlap scheme of warp-overlapped tiling.
+//! * There is one plane geometry: the tile grown by the stage's cumulative
+//!   halo and **clipped to the image**, so every plane cell is one
+//!   evaluation of the producer at an in-image coordinate.
 //! * Halo accesses that leave the iteration space are resolved with the
 //!   consumer's border mode against the iteration space — the paper's
 //!   index exchange (Figures 4–5) — and then read from the plane at the
@@ -78,28 +81,6 @@ impl TileConfig {
     }
 }
 
-/// How halo accesses that leave the iteration space are served.
-///
-/// Not part of [`TileConfig`] (which is `Copy + Eq + Hash` and participates
-/// in plan-cache keys at many construction sites): the tiling mode is a
-/// property of the *compiled kernel*, chosen at plan-compile time from the
-/// schedule.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Tiling {
-    /// Index exchange (paper Figures 4–5): planes are clipped to the
-    /// image and off-image halo loads resolve the consumer's border mode
-    /// against the iteration space at evaluation time.
-    #[default]
-    Exchange,
-    /// Overlapped tiling (halo recompute): stage planes extend past the
-    /// image edge, and the out-of-image *apron* is pre-filled at
-    /// materialization time with exactly the values index exchange would
-    /// produce. Interior loads then never leave the plane, so whole plane
-    /// rows run on the statically-safe vector path — the classic
-    /// recompute-vs-exchange trade of warp-overlapped tiling.
-    Overlapped,
-}
-
 /// A kernel compiled for tiled execution: one tape per stage plus the
 /// cumulative halo each materialized stage must cover.
 #[derive(Clone, Debug)]
@@ -112,26 +93,13 @@ pub struct CompiledKernel {
     /// Stages that must be materialized (reachable from the root),
     /// excluding the root itself, in dependence order.
     plane_order: Vec<usize>,
-    /// The single border mode every load site targeting stage `j` agrees
-    /// on, or `None` when sites disagree (or nothing loads the stage).
-    /// Under [`Tiling::Overlapped`] only `Some` stages get an unclipped
-    /// plane with a pre-filled apron; disagreeing stages keep exchange
-    /// semantics, because one apron cell cannot hold two borders' values.
-    apron_border: Vec<Option<kfuse_ir::BorderMode>>,
-    tiling: Tiling,
     root: usize,
     max_regs: usize,
 }
 
 impl CompiledKernel {
-    /// Compiles every stage of `k` and derives halo requirements, with
-    /// index-exchange halo semantics.
+    /// Compiles every stage of `k` and derives halo requirements.
     pub fn new(k: &Kernel) -> Self {
-        Self::new_with(k, Tiling::Exchange)
-    }
-
-    /// [`CompiledKernel::new`] with an explicit halo [`Tiling`] mode.
-    pub fn new_with(k: &Kernel, tiling: Tiling) -> Self {
         let tapes: Vec<Tape> = k.stages.iter().map(compile_stage).collect();
         let n = k.stages.len();
         let mut needed = vec![false; n];
@@ -151,36 +119,12 @@ impl CompiledKernel {
                 }
             }
         }
-        // Apron eligibility: one agreed border per materialized stage,
-        // collected from every load instruction of every needed consumer.
-        let mut apron_border: Vec<Option<kfuse_ir::BorderMode>> = vec![None; n];
-        let mut conflicted = vec![false; n];
-        for i in (0..n).rev() {
-            if !needed[i] {
-                continue;
-            }
-            for instr in &tapes[i].instrs {
-                if let Instr::LoadStage { stage, border, .. } = *instr {
-                    let j = stage as usize;
-                    match apron_border[j] {
-                        None if !conflicted[j] => apron_border[j] = Some(border),
-                        Some(b) if b == border => {}
-                        _ => {
-                            apron_border[j] = None;
-                            conflicted[j] = true;
-                        }
-                    }
-                }
-            }
-        }
         let plane_order: Vec<usize> = (0..n).filter(|&j| needed[j] && j != k.root).collect();
         let max_regs = tapes.iter().map(Tape::reg_count).max().unwrap_or(0);
         Self {
             tapes,
             halos,
             plane_order,
-            apron_border,
-            tiling,
             root: k.root,
             max_regs,
         }
@@ -194,27 +138,6 @@ impl CompiledKernel {
     /// Stages that get a scratch plane, in dependence order.
     pub fn plane_stages(&self) -> &[usize] {
         &self.plane_order
-    }
-
-    /// The halo mechanism this kernel was compiled for.
-    pub fn tiling(&self) -> Tiling {
-        self.tiling
-    }
-
-    /// Whether stage `j`'s plane is materialized unclipped with a
-    /// border-resolved apron (overlapped mode and a single agreed border).
-    fn overlapped(&self, j: usize) -> bool {
-        self.tiling == Tiling::Overlapped && self.apron_border[j].is_some()
-    }
-
-    /// Stages that would get an overlapped apron under
-    /// [`Tiling::Overlapped`] (introspection for the planner/tests).
-    pub fn apron_eligible(&self) -> Vec<usize> {
-        self.plane_order
-            .iter()
-            .copied()
-            .filter(|&j| self.apron_border[j].is_some())
-            .collect()
     }
 }
 
@@ -239,7 +162,7 @@ pub struct KernelTraffic {
     pub plane_read_bytes: u64,
     /// Plane bytes attributable to halo overlap: the part of the plane
     /// rectangles outside the tile interior, i.e. the redundant-computation
-    /// footprint of overlapped tiling (paper Figure 4).
+    /// footprint of the halo (paper Figure 4).
     pub halo_extra_bytes: u64,
 }
 
@@ -288,24 +211,17 @@ pub fn modeled_traffic(
             let tile_area = ((x1 - x0) * (y1 - y0)) as u64;
             for &j in &ck.plane_order {
                 let (hx, hy) = ck.halos[j];
-                // In-image sub-rect: the evaluations the tapes perform. In
-                // exchange mode this is also the whole plane; overlapped
-                // planes keep the full halo rect (apron cells are written
-                // by border resolution, priced as plane writes only).
+                // The plane rect clipped to the image: every cell is one
+                // evaluation of the stage's tape and one plane write.
                 let rx0 = x0.saturating_sub(hx as usize);
                 let ry0 = y0.saturating_sub(hy as usize);
                 let rx1 = (x1 + hx as usize).min(iw);
                 let ry1 = (y1 + hy as usize).min(ih);
-                let evals = ((rx1 - rx0) * (ry1 - ry0)) as u64;
-                let area = if ck.overlapped(j) {
-                    (((x1 - x0) + 2 * hx as usize) * ((y1 - y0) + 2 * hy as usize)) as u64
-                } else {
-                    evals
-                };
+                let area = ((rx1 - rx0) * (ry1 - ry0)) as u64;
                 let nc = chans[j] as u64;
                 t.plane_write_bytes += area * nc * BYTES;
                 t.halo_extra_bytes += area.saturating_sub(tile_area) * nc * BYTES;
-                tape_loads(j, evals, &mut t);
+                tape_loads(j, area, &mut t);
             }
             tape_loads(ck.root, tile_area, &mut t);
             t.global_store_bytes += tile_area * chans[ck.root] as u64 * BYTES;
@@ -316,9 +232,11 @@ pub fn modeled_traffic(
     t
 }
 
-/// Rectangle a stage plane covers for the current tile. Coordinates are
-/// signed: under [`Tiling::Overlapped`] a plane extends past the image
-/// edges, so its origin can be negative.
+/// Rectangle a stage plane covers for the current tile, clipped to the
+/// image. The origin is never negative; it stays `i64` because the load
+/// coordinates `x + dx` / `y + dy` that [`Rect::contains`] and
+/// [`fast_span`] compare against it can be (a load left of or above the
+/// image), and the compare must be signed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Rect {
     x0: i64,
@@ -476,9 +394,7 @@ enum Src {
         base: usize,
     },
     /// View into the halo plane of stage `stage`, plane-relative row
-    /// `row`, starting at in-row offset `base`. Plane-relative (not image)
-    /// coordinates: an overlapped plane can start above or left of the
-    /// image, where image-row arithmetic would go negative.
+    /// `row`, starting at in-row offset `base`.
     Stage {
         stage: usize,
         row: usize,
@@ -622,8 +538,7 @@ fn eval_rows_vector(
                 let r = ctx.rects[j];
                 let nc = ctx.chans[j];
                 // Plane-relative coordinates: the fast span guarantees
-                // the whole span is in-plane, and overlapped planes can
-                // start at negative image rows/columns.
+                // the whole span is in-plane.
                 let pr = ((y as i64 + i64::from(dy)) - r.y0) as usize;
                 let base = ((x0 as i64 + i64::from(dx)) - r.x0) as usize * nc + ch as usize;
                 if nc == 1 {
@@ -835,29 +750,18 @@ impl Run<'_> {
             let mut x0 = 0;
             while x0 < self.iw {
                 let x1 = (x0 + self.tile_w).min(self.iw);
-                // Halo-extended plane rectangles. Exchange-mode stages clip
-                // to the image; overlapped stages keep the full halo rect so
-                // consumers never need index exchange.
+                // Halo-extended plane rectangles, clipped to the image.
                 for &j in &ck.plane_order {
                     let (hx, hy) = ck.halos[j];
-                    rects[j] = if ck.overlapped(j) {
-                        Rect {
-                            x0: x0 as i64 - i64::from(hx),
-                            y0: y0 as i64 - i64::from(hy),
-                            w: x1 - x0 + 2 * hx as usize,
-                            h: y1 - y0 + 2 * hy as usize,
-                        }
-                    } else {
-                        let rx0 = x0.saturating_sub(hx as usize);
-                        let ry0 = y0.saturating_sub(hy as usize);
-                        let rx1 = (x1 + hx as usize).min(self.iw);
-                        let ry1 = (y1 + hy as usize).min(self.ih);
-                        Rect {
-                            x0: rx0 as i64,
-                            y0: ry0 as i64,
-                            w: rx1 - rx0,
-                            h: ry1 - ry0,
-                        }
+                    let rx0 = x0.saturating_sub(hx as usize);
+                    let ry0 = y0.saturating_sub(hy as usize);
+                    let rx1 = (x1 + hx as usize).min(self.iw);
+                    let ry1 = (y1 + hy as usize).min(self.ih);
+                    rects[j] = Rect {
+                        x0: rx0 as i64,
+                        y0: ry0 as i64,
+                        w: rx1 - rx0,
+                        h: ry1 - ry0,
                     };
                 }
                 // Materialize each inlined stage once, dependencies first.
@@ -881,63 +785,21 @@ impl Run<'_> {
                         ih: self.ih,
                         fallback: self.fallback,
                     };
-                    // The tapes evaluate the in-image part of the rect; in
-                    // exchange mode that is the whole rect.
-                    let ix0 = r.x0.max(0);
-                    let iy0 = r.y0.max(0);
-                    let ix1 = (r.x0 + r.w as i64).min(self.iw as i64);
-                    let iy1 = (r.y0 + r.h as i64).min(self.ih as i64);
-                    for py in iy0..iy1 {
-                        let base = ((py - r.y0) as usize * r.w + (ix0 - r.x0) as usize) * nc;
-                        let row = &mut plane[base..][..(ix1 - ix0) as usize * nc];
+                    let (rx0, ry0) = (r.x0 as usize, r.y0 as usize);
+                    for py in 0..r.h {
+                        let row = &mut plane[py * r.w * nc..][..r.w * nc];
                         eval_row(
                             tape,
                             regs,
                             rr,
                             done,
                             &ctx,
-                            py as usize,
-                            ix0 as usize,
-                            ix1 as usize,
+                            ry0 + py,
+                            rx0,
+                            rx0 + r.w,
                             row,
                             nc,
                         );
-                    }
-                    // Pre-fill the apron (out-of-image) cells of overlapped
-                    // planes by border resolution. The in-image part of an
-                    // overlapped rect is exactly the exchange-mode clipped
-                    // rect, so each apron cell receives precisely the value
-                    // index exchange would have produced at its load sites —
-                    // bit-identity holds by construction.
-                    if ck.overlapped(j) {
-                        let border = ck.apron_border[j].expect("overlapped stage agreed border");
-                        for py in r.y0..r.y0 + r.h as i64 {
-                            for px in r.x0..r.x0 + r.w as i64 {
-                                if px >= ix0 && px < ix1 && py >= iy0 && py < iy1 {
-                                    continue;
-                                }
-                                let base = r.index(px, py, nc, 0);
-                                match border.resolve(px, py, self.iw, self.ih) {
-                                    Resolved::Value(v) => {
-                                        for c in 0..nc {
-                                            plane[base + c] = v;
-                                        }
-                                    }
-                                    Resolved::At(rx, ry) => {
-                                        if r.contains(rx as i64, ry as i64) {
-                                            let src = r.index(rx as i64, ry as i64, nc, 0);
-                                            for c in 0..nc {
-                                                plane[base + c] = plane[src + c];
-                                            }
-                                        } else {
-                                            for c in 0..nc {
-                                                plane[base + c] = self.fallback.eval(j, c, rx, ry);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
                     }
                 }
                 // Root stage writes straight into the output rows.
@@ -1235,102 +1097,11 @@ mod tests {
         }
     }
 
-    /// Runs the fused kernel under [`Tiling::Overlapped`] and asserts
-    /// bit-identity against the interpreter.
-    fn overlapped_matches_reference(mode: BorderMode, w: usize, h: usize, cfg: &TileConfig) {
-        let mut p = Pipeline::new("t");
-        let k = fused_kernel(&mut p, mode, w, h);
-        let input_id = p.inputs()[0];
-        let img = synthetic_image(p.image(input_id).clone(), 7);
-        let images = prepare_images(&p, &[(input_id, img)]).unwrap();
-        let reference = execute_kernel(&p, &k, &images).unwrap();
-        let ck = CompiledKernel::new_with(&k, Tiling::Overlapped);
-        assert_eq!(ck.apron_eligible(), vec![0], "producer stage is eligible");
-        let got =
-            execute_kernel_compiled(&p, &k, &ck, &images, cfg, &mut Scratch::default()).unwrap();
-        assert!(
-            got.bit_equal(&reference),
-            "overlapped mode {mode:?} size {w}x{h} cfg {cfg:?}: max diff {}",
-            got.max_abs_diff(&reference)
-        );
-    }
-
-    #[test]
-    fn overlapped_all_border_modes_bit_identical() {
-        for mode in [
-            BorderMode::Clamp,
-            BorderMode::Mirror,
-            BorderMode::Repeat,
-            BorderMode::Constant(4.25),
-        ] {
-            overlapped_matches_reference(mode, 21, 13, &TileConfig::default());
-        }
-    }
-
-    #[test]
-    fn overlapped_degenerate_sizes() {
-        let cfg = TileConfig {
-            tile_w: 3,
-            tile_h: 2,
-            threads: Some(1),
-        };
-        for (w, h) in [(1, 1), (2, 3), (7, 5), (16, 16), (17, 1)] {
-            for mode in [
-                BorderMode::Clamp,
-                BorderMode::Mirror,
-                BorderMode::Repeat,
-                BorderMode::Constant(-1.5),
-            ] {
-                overlapped_matches_reference(mode, w, h, &cfg);
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_multi_threaded_bands_match() {
-        let cfg = TileConfig {
-            tile_w: 8,
-            tile_h: 4,
-            threads: Some(4),
-        };
-        for mode in [BorderMode::Clamp, BorderMode::Repeat] {
-            overlapped_matches_reference(mode, 33, 29, &cfg);
-        }
-    }
-
-    #[test]
-    fn overlapped_prices_full_halo_rect() {
-        // A 6x6 image under 3x3 tiles with a radius-1 producer: the
-        // overlapped plane is 5x5 per tile vs clipped 4x4/4x5/5x5 —
-        // plane writes strictly exceed the exchange model's.
-        let mut p = Pipeline::new("t");
-        let k = fused_kernel(&mut p, BorderMode::Clamp, 6, 6);
-        let cfg = TileConfig {
-            tile_w: 3,
-            tile_h: 3,
-            threads: Some(1),
-        };
-        let ex = modeled_traffic(&p, &k, &CompiledKernel::new(&k), &cfg);
-        let ov = modeled_traffic(
-            &p,
-            &k,
-            &CompiledKernel::new_with(&k, Tiling::Overlapped),
-            &cfg,
-        );
-        assert!(ov.plane_write_bytes > ex.plane_write_bytes);
-        assert!(ov.halo_extra_bytes > ex.halo_extra_bytes);
-        // The tapes evaluate the same in-image footprint either way.
-        assert_eq!(ov.global_load_bytes, ex.global_load_bytes);
-        assert_eq!(ov.global_store_bytes, ex.global_store_bytes);
-        // Four overlapped 5x5 planes: 4 * 25 * 4 bytes.
-        assert_eq!(ov.plane_write_bytes, 4 * 25 * 4);
-    }
-
     #[test]
     fn conflicting_borders_fall_back_to_exchange() {
         // Two load sites of the same stage with different border modes:
-        // the stage is apron-ineligible, so overlapped compilation must
-        // keep the clipped exchange path (and stay bit-identical).
+        // each off-image load is exchanged under its own site's mode, so
+        // one plane serves both and the result stays bit-identical.
         let mut p = Pipeline::new("t");
         let input = p.add_input(ImageDesc::new("in", 9, 7, 1));
         let out = p.add_image(ImageDesc::new("out", 9, 7, 1));
@@ -1360,8 +1131,7 @@ mod tests {
         };
         p.add_kernel(k.clone());
         p.mark_output(out);
-        let ck = CompiledKernel::new_with(&k, Tiling::Overlapped);
-        assert!(ck.apron_eligible().is_empty());
+        let ck = CompiledKernel::new(&k);
         let input_id = p.inputs()[0];
         let img = synthetic_image(p.image(input_id).clone(), 3);
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();

@@ -21,8 +21,7 @@
 //!   out of the finished execution and back in as owned inputs.
 //! * [`run_reference`] is the oracle: the same stream stepped through the
 //!   tree-walking reference interpreter with naive cloning. Every session
-//!   frame must match it bit for bit, under every schedule — including
-//!   overlapped tiling.
+//!   frame must match it bit for bit, under every schedule.
 //!
 //! Fingerprinting covers temporal structure: two streams with the same
 //! per-frame body but different tap depths or sources get different

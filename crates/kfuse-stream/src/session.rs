@@ -7,7 +7,7 @@ use std::sync::Arc;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
-use kfuse_sim::{execute_reference, CompiledPlan, FastConfig, Scratch, Tiling};
+use kfuse_sim::{execute_reference, CompiledPlan, FastConfig, Scratch};
 
 use crate::pipeline::{StreamError, StreamPipeline};
 
@@ -44,8 +44,7 @@ pub struct StreamSession {
 
 impl StreamSession {
     /// Compiles the stream's per-frame pipeline under `schedule` and opens
-    /// a cold session. [`Schedule::Overlapped`] lowers the plan with
-    /// [`Tiling::Overlapped`]; every other schedule uses index exchange.
+    /// a cold session.
     pub fn new(
         stream: StreamPipeline,
         schedule: Schedule,
@@ -53,12 +52,7 @@ impl StreamSession {
         cfg: FastConfig,
     ) -> Result<Self, StreamError> {
         let fused = kfuse_dsl::compile(stream.frame(), schedule, fusion);
-        let tiling = if schedule == Schedule::Overlapped {
-            Tiling::Overlapped
-        } else {
-            Tiling::Exchange
-        };
-        let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
+        let plan = Arc::new(CompiledPlan::compile(&fused)?);
         Self::with_plan(stream, plan, cfg)
     }
 

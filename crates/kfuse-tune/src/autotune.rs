@@ -16,10 +16,7 @@ use crate::measure::{measure_until, Sample};
 use kfuse_core::FusionConfig;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_sim::{
-    execute_fast_with, execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig,
-    Tiling,
-};
+use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, Execution, FastConfig};
 
 /// What the autotuner tunes *for*: one pipeline structure at one
 /// workload-size bucket. Structures come from
@@ -130,7 +127,6 @@ pub fn schedule_tag(s: Schedule) -> &'static str {
         Schedule::Baseline => "baseline",
         Schedule::Basic => "basic",
         Schedule::Optimized => "optimized",
-        Schedule::Overlapped => "overlapped",
     }
 }
 
@@ -140,7 +136,6 @@ pub fn schedule_from_tag(tag: &str) -> Option<Schedule> {
         "baseline" => Some(Schedule::Baseline),
         "basic" => Some(Schedule::Basic),
         "optimized" => Some(Schedule::Optimized),
-        "overlapped" => Some(Schedule::Overlapped),
         _ => None,
     }
 }
@@ -296,16 +291,6 @@ pub fn autotune(
     base: &FusionConfig,
     opts: &TuneOptions,
 ) -> Result<TuneResult, TuneError> {
-    // An overlapped-schedule candidate must be measured with the
-    // overlapped tiled engine — that is the executor the runtime will run
-    // it on; exchange timings would mis-rank it.
-    let exec_candidate = |choice: &Choice, compiled: &Pipeline, cfg: &FastConfig| {
-        if choice.schedule == Schedule::Overlapped {
-            CompiledPlan::compile_with(compiled, Tiling::Overlapped)?.execute(inputs, cfg)
-        } else {
-            execute_fast_with(compiled, inputs, cfg)
-        }
-    };
     let reference =
         execute_reference(p, inputs).map_err(|e| TuneError::ReferenceFailed(e.to_string()))?;
     let mut rejected = 0usize;
@@ -314,7 +299,7 @@ pub fn autotune(
     for choice in opts.candidates() {
         let compiled = choice.compile(p, base);
         let cfg = choice.fast_config();
-        match exec_candidate(&choice, &compiled, &cfg) {
+        match execute_fast_with(&compiled, inputs, &cfg) {
             Ok(exec) if outputs_bit_identical(p, &reference, &exec) => {
                 survivors.push((choice, compiled));
             }
@@ -329,7 +314,7 @@ pub fn autotune(
             opts.target_spread,
             || {
                 std::hint::black_box(
-                    exec_candidate(choice, compiled, &cfg).expect("oracle-checked candidate"),
+                    execute_fast_with(compiled, inputs, &cfg).expect("oracle-checked candidate"),
                 );
             },
         );
@@ -365,7 +350,8 @@ pub fn autotune(
                 let cfg = choice.fast_config();
                 measured[i].sample = measure_until(opts.max_repeats, opts.max_repeats, 0.0, || {
                     std::hint::black_box(
-                        exec_candidate(&choice, compiled, &cfg).expect("oracle-checked candidate"),
+                        execute_fast_with(compiled, inputs, &cfg)
+                            .expect("oracle-checked candidate"),
                     );
                 });
             }
@@ -417,12 +403,12 @@ mod tests {
     fn candidate_space_shape() {
         let opts = TuneOptions::default();
         let n = opts.candidates().len();
-        // 4 schedules × 4 tiles, no separable by default.
-        assert_eq!(n, 16);
+        // 3 schedules × 4 tiles, no separable by default.
+        assert_eq!(n, 12);
         let mut with_sep = opts.clone();
         with_sep.include_separable = true;
-        // + (basic, optimized, overlapped) × 4 tiles.
-        assert_eq!(with_sep.candidates().len(), 28);
+        // + (basic, optimized) × 4 tiles.
+        assert_eq!(with_sep.candidates().len(), 20);
     }
 
     #[test]

@@ -151,6 +151,13 @@ mod tests {
         let text = to_text(&entries);
         assert!(text.starts_with("kfuse-tune v2\nentry 00000000deadbeef 12 basic 64 32 1 321.5\n"));
         assert_eq!(from_text(&text), entries);
+        // A line naming a retired schedule tag is skipped; its neighbours
+        // on either side still load.
+        let first = "entry 00000000deadbeef 12 basic 64 32 1 321.5\n";
+        let retired = "entry 00000000deadbeef 13 overlapped 64 32 1 321.5\n";
+        let with_retired = text.replace(first, &format!("{first}{retired}"));
+        assert_ne!(with_retired, text);
+        assert_eq!(from_text(&with_retired), entries);
     }
 
     #[test]

@@ -106,8 +106,8 @@ fn sweep_policy_divergent_seeds() {
 /// streams jointly cover the temporal feature matrix — a feedback loop
 /// through a marked output, an `Input`-sourced delay tap, more than one
 /// state binding, and a ring at `MAX_PREV_DEPTH`. Each seed steps a
-/// session under **every** fusion schedule (overlapped tiling included)
-/// and requires every frame to match the streaming oracle bit for bit.
+/// session under **every** fusion schedule and requires every frame to
+/// match the streaming oracle bit for bit.
 #[test]
 fn sweep_temporal_stream_seeds() {
     use kfuse_stream::{StateSource, MAX_PREV_DEPTH};
@@ -148,30 +148,6 @@ fn sweep_temporal_stream_seeds() {
         !(need_input || need_output || need_multi || need_deep),
         "temporal generator lost coverage; pinned only {pinned:?}"
     );
-}
-
-/// Pins the overlapped-tiling execution lane of the spatial harness: the
-/// first sweep seeds whose overlapped-fused pipelines keep a multi-stage
-/// kernel (so halo recompute actually runs) replay the full harness,
-/// which now lowers `Schedule::Overlapped` through
-/// `Tiling::Overlapped` and demands reference-identical bits.
-#[test]
-fn sweep_overlapped_tiling_seeds() {
-    use kfuse_model::GpuSpec;
-    let cfg = kfuse_dsl::default_config(GpuSpec::gtx680());
-    let mut pinned = Vec::new();
-    for seed in 0..200u64 {
-        if pinned.len() == 3 {
-            break;
-        }
-        let p = kfuse_fuzz::generate(seed);
-        let fused = kfuse_dsl::compile(&p, kfuse_dsl::Schedule::Overlapped, &cfg);
-        if fused.kernels().iter().any(|k| k.stages.len() > 1) {
-            check_seed(seed).unwrap_or_else(|f| panic!("overlapped seed {seed:#x} regressed: {f}"));
-            pinned.push(seed);
-        }
-    }
-    assert_eq!(pinned.len(), 3, "overlapped fusion never fused: {pinned:?}");
 }
 
 /// Regression: `MinCutGraph::stoer_wagner` used to run maximum-adjacency

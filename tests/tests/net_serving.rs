@@ -408,8 +408,8 @@ fn stream_frame_inputs(stream: &StreamPipeline, f: u64) -> Vec<(ImageId, Image)>
 }
 
 /// Every temporal app served as a session over TCP produces frame
-/// sequences bit-identical to the naive local reference — under both the
-/// exchange and the overlapped tiling discipline.
+/// sequences bit-identical to the naive local reference — under both
+/// fusing schedules.
 #[test]
 fn streaming_sessions_serve_temporal_apps_bit_identically() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -423,7 +423,7 @@ fn streaming_sessions_serve_temporal_apps_bit_identically() {
             .collect();
         let want = run_reference(&stream, &seq).expect("reference");
 
-        for schedule in [Schedule::Optimized, Schedule::Overlapped] {
+        for schedule in [Schedule::Optimized, Schedule::Basic] {
             let sid = client
                 .open_session(app.name, &stream, schedule)
                 .expect("open session");
