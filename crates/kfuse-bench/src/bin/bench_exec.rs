@@ -22,6 +22,12 @@
 //! prior optimized-schedule throughput forward (`prev_fast_mpix_s` /
 //! `uplift_vs_prev`), so old and new fast-path numbers sit side by side.
 //!
+//! With `--sizes <edge>,<edge>,…` the run appends an image-size sweep: per
+//! app, one-thread baseline and optimized Mpix/s and their ratio on square
+//! images of each edge length (`size_sweep` in the JSON) — fusion's
+//! benefit on this host as a curve over the working set, not a point. The
+//! edges are absolute; `KFUSE_BENCH_SCALE` does not divide them.
+//!
 //! Run with `cargo run --release -p kfuse-bench --bin bench_exec`.
 //! Set `KFUSE_BENCH_SCALE=<div>` to divide the workload edge lengths
 //! (e.g. `KFUSE_BENCH_SCALE=8` for a quick smoke run).
@@ -31,7 +37,9 @@ use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, FastConfig};
+use kfuse_sim::{
+    execute_fast_with, execute_reference, synthetic_image, CompiledKernel, FastConfig,
+};
 use kfuse_tune::{measure_until, Sample};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -105,6 +113,45 @@ fn measure(p: &Pipeline, w: usize, h: usize, schedule: &'static str) -> Measurem
     }
 }
 
+/// Derived strip rows of every kernel of `p`, in declaration order.
+fn strip_rows(p: &Pipeline, w: usize, h: usize) -> Vec<usize> {
+    p.kernels()
+        .iter()
+        .map(|k| CompiledKernel::new(k).strip_rows(w, h, &FastConfig::default()))
+        .collect()
+}
+
+/// One row of the `--sizes` sweep: `app` on an `edge`² image, one thread.
+fn sweep_point(app: &kfuse_apps::App, edge: usize, fusion_cfg: &FusionConfig) -> String {
+    let baseline = (app.build_sized)(edge, edge);
+    let fused = compile(&baseline, Schedule::Optimized, fusion_cfg);
+    let cfg = FastConfig {
+        threads: Some(1),
+        ..FastConfig::default()
+    };
+    let mpix = (edge * edge) as f64 / 1e6;
+    let time = |p: &Pipeline| {
+        let inputs = inputs_for(p, 42);
+        time_median(|| {
+            std::hint::black_box(execute_fast_with(p, &inputs, &cfg).expect("fast executes"));
+        })
+    };
+    let (base, opt) = (time(&baseline), time(&fused));
+    let (base_mpix_s, opt_mpix_s) = (mpix / base.median_s, mpix / opt.median_s);
+    let ratio = base.median_s / opt.median_s;
+    println!(
+        "{:<10} {:>9} {base_mpix_s:>14.2} {:>6.1}% {opt_mpix_s:>14.2} {:>6.1}% {ratio:>7.2}x",
+        app.name,
+        format!("{edge}x{edge}"),
+        base.spread * 100.0,
+        opt.spread * 100.0,
+    );
+    format!(
+        "{{\"edge\": {edge}, \"baseline_mpix_s\": {base_mpix_s:.3}, \"baseline_spread\": {:.4}, \"optimized_mpix_s\": {opt_mpix_s:.3}, \"optimized_spread\": {:.4}, \"fusion_speedup\": {ratio:.3}}}",
+        base.spread, opt.spread,
+    )
+}
+
 /// `apps[name].schedules.optimized.fast_mpix_s` from the previous
 /// `BENCH_exec.json`, if the file exists, parses, and was recorded at the
 /// same scale divisor (comparing across workload sizes would be noise).
@@ -175,7 +222,24 @@ fn parse_previous(text: &str, scale: usize) -> (Vec<(String, f64)>, Vec<String>)
     (prev, notes)
 }
 
+/// The edges after `--sizes`, if the flag is present.
+fn sweep_sizes() -> Vec<usize> {
+    let mut args = std::env::args().skip(1);
+    match (args.next().as_deref(), args.next()) {
+        (None, _) => Vec::new(),
+        (Some("--sizes"), Some(list)) => list
+            .split(',')
+            .map(|e| {
+                e.parse()
+                    .expect("--sizes takes comma-separated edge lengths")
+            })
+            .collect(),
+        _ => panic!("usage: bench_exec [--sizes <edge>,<edge>,...]"),
+    }
+}
+
 fn main() {
+    let sizes = sweep_sizes();
     let scale: usize = std::env::var("KFUSE_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -202,11 +266,13 @@ fn main() {
         );
         let mut json_schedules = String::new();
         let mut best = 0.0f64;
-        for m in [
-            measure(&baseline, w, h, "baseline"),
-            measure(&fused, w, h, "optimized"),
-            measure(&separable, w, h, "optimized_separable"),
+        for (p, schedule) in [
+            (&baseline, "baseline"),
+            (&fused, "optimized"),
+            (&separable, "optimized_separable"),
         ] {
+            let m = measure(p, w, h, schedule);
+            let rows = strip_rows(p, w, h);
             println!(
                 "{:<10} {:>9} {:<20} {:>12.2} {:>6.1}% {:>12.2} {:>14.3} {:>8.1}x",
                 app.name,
@@ -218,6 +284,7 @@ fn main() {
                 m.interp_mpix_s,
                 m.speedup
             );
+            println!("{:<10} {:>9} strip rows per kernel {rows:?}", "", "");
             if m.schedule != "baseline" {
                 best = best.max(m.fast_mpix_s);
             }
@@ -226,7 +293,7 @@ fn main() {
             }
             write!(
                 json_schedules,
-                "\n      \"{}\": {{\"fast_mpix_s\": {:.3}, \"fast_spread\": {:.4}, \"fast_repeats\": {}, \"interp_mpix_s\": {:.3}, \"speedup\": {:.2}, \"fast_mt2_mpix_s\": {:.3}}}",
+                "\n      \"{}\": {{\"fast_mpix_s\": {:.3}, \"fast_spread\": {:.4}, \"fast_repeats\": {}, \"interp_mpix_s\": {:.3}, \"speedup\": {:.2}, \"fast_mt2_mpix_s\": {:.3}, \"strip_rows\": {rows:?}}}",
                 m.schedule,
                 m.fast_mpix_s,
                 m.fast_spread,
@@ -265,10 +332,34 @@ fn main() {
         .unwrap();
     }
 
+    let mut json_sweep = String::new();
+    if !sizes.is_empty() {
+        println!(
+            "\n{:<10} {:>9} {:>14} {:>7} {:>14} {:>7} {:>8}",
+            "app", "size", "baseline Mpix/s", "spread", "optimized Mpix/s", "spread", "ratio"
+        );
+        for app in paper_apps() {
+            let points: Vec<String> = sizes
+                .iter()
+                .map(|&edge| sweep_point(&app, edge, &fusion_cfg))
+                .collect();
+            if !json_sweep.is_empty() {
+                json_sweep.push(',');
+            }
+            write!(
+                json_sweep,
+                "\n    {{\"name\": \"{}\", \"points\": [\n      {}\n    ]}}",
+                app.name,
+                points.join(",\n      ")
+            )
+            .unwrap();
+        }
+        json_sweep =
+            format!(",\n  \"size_sweep_threads\": 1,\n  \"size_sweep\": [{json_sweep}\n  ]");
+    }
+
     let json = format!(
-        "{{\n  \"benchmark\": \"executor throughput (fast tiled engine vs reference interpreter)\",\n  \"scale_divisor\": {scale},\n  \"threads\": {threads},\n  \"tile\": [{}, {}],\n  \"apps\": [{json_apps}\n  ]\n}}\n",
-        FastConfig::default().tile_w,
-        FastConfig::default().tile_h,
+        "{{\n  \"benchmark\": \"executor throughput (fast strip engine vs reference interpreter)\",\n  \"scale_divisor\": {scale},\n  \"threads\": {threads},\n  \"apps\": [{json_apps}\n  ]{json_sweep}\n}}\n"
     );
     std::fs::write(path, json).expect("write BENCH_exec.json");
     println!("\nwrote {path}");

@@ -2,9 +2,9 @@
 //! versus the autotuned choice, per paper application.
 //!
 //! For every app the static planner's configuration
-//! ([`kfuse_tune::Choice::static_default`]: optimized schedule, default
-//! tile) and the full `kfuse_tune::autotune` search
-//! (schedule × tile shape × separable rewrite) are
+//! ([`kfuse_tune::Choice::static_default`]: optimized schedule, derived
+//! strip height) and the full `kfuse_tune::autotune` search
+//! (schedule × strip height × separable rewrite) are
 //! measured **in the same pass with the same noise-aware rule** —
 //! median-of-adaptive-repeats, the `measure_until` helper `bench_exec`
 //! also uses — so the static row is simply one candidate in the tuner's

@@ -4,7 +4,7 @@
 //! For every seed in `[start, start + seeds)` the harness generates a
 //! random valid pipeline and asserts (a) bit-identity across every
 //! execution path — reference interpreter, fast executor under several
-//! tile shapes, compiled plan (plain and traced), all three fusion
+//! strip heights, compiled plan (plain and traced), all three fusion
 //! schedules, and a warm-cache runtime round trip — and (b) every planner
 //! invariant (proper partition, block legality, Eq. 12 clamp exactness,
 //! Eq. 13 weight conservation, Eq. 1 objective consistency).

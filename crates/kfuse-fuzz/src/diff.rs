@@ -6,7 +6,7 @@
 //! **bit for bit** (the fusion paper's own correctness bar, Section IV).
 //! Per pipeline the harness cross-checks:
 //!
-//! * the fast executor under several tile shapes and thread counts,
+//! * the fast executor under several strip heights and thread counts,
 //!   including tiles smaller than the mask radius;
 //! * the separable rewrite ([`kfuse_core::factor_pipeline`]): when any
 //!   stage splits, the factored pipeline must itself be bit-identical
@@ -177,28 +177,26 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
         error: e.to_string(),
     })?;
 
-    // Fast executor under tile shapes that straddle the image sizes the
-    // generator picks — including tiles smaller than any mask radius.
-    let tile_configs = [
+    // Fast executor under strip heights that straddle the image sizes the
+    // generator picks — including strips shorter than any mask radius.
+    let strip_configs = [
         ("fast:default", FastConfig::default()),
         (
-            "fast:3x2-tiles-2-threads",
+            "fast:2-row-strips-2-threads",
             FastConfig {
-                tile_w: 3,
-                tile_h: 2,
+                strip_rows: Some(2),
                 threads: Some(2),
             },
         ),
         (
-            "fast:1x1-tiles",
+            "fast:1-row-strips",
             FastConfig {
-                tile_w: 1,
-                tile_h: 1,
+                strip_rows: Some(1),
                 threads: Some(1),
             },
         ),
     ];
-    for (path, cfg) in &tile_configs {
+    for (path, cfg) in &strip_configs {
         let got = run_fast(p, &inputs, cfg, path)?;
         compare(p, &reference, &got, path)?;
     }

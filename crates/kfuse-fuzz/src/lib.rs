@@ -10,7 +10,7 @@
 //!   border mode, multi-channel images, pre-fused multi-stage kernels, and
 //!   the Figure 2 topologies;
 //! * [`diff`] — the differential harness: reference interpreter vs fast
-//!   executor (several tile shapes) vs [`kfuse_sim::CompiledPlan`] (plain
+//!   executor (several strip heights) vs [`kfuse_sim::CompiledPlan`] (plain
 //!   and traced) vs every fusion schedule vs a warm-cache
 //!   [`kfuse_runtime::Runtime`] round trip, all bit-identical;
 //! * [`invariants`] — the planner audit: proper partition, block legality,

@@ -6,6 +6,7 @@
 //! major order.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an image within a [`crate::Pipeline`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,16 +68,21 @@ impl ImageDesc {
 }
 
 /// An image buffer with its descriptor.
+///
+/// The samples sit behind an [`Arc`], so `clone` is a reference count and
+/// the first write through a shared handle copies the plane
+/// ([`Arc::make_mut`]): an executor can bind a caller's inputs, and report
+/// them back as images it owns, without copying a pixel.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Image {
     desc: ImageDesc,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Image {
     /// Creates a zero-initialized image.
     pub fn zeros(desc: ImageDesc) -> Self {
-        let data = vec![0.0; desc.sample_count()];
+        let data = Arc::new(vec![0.0; desc.sample_count()]);
         Self { desc, data }
     }
 
@@ -92,7 +98,10 @@ impl Image {
             "data length mismatch for {}",
             desc.name
         );
-        Self { desc, data }
+        Self {
+            desc,
+            data: Arc::new(data),
+        }
     }
 
     /// Creates a single-channel image from a nested row slice (tests and
@@ -109,8 +118,7 @@ impl Image {
         let width = rows[0].len();
         assert!(rows.iter().all(|r| r.len() == width), "ragged rows");
         let desc = ImageDesc::new(name, width, rows.len(), 1);
-        let data = rows.concat();
-        Self { desc, data }
+        Self::from_data(desc, rows.concat())
     }
 
     /// The image descriptor.
@@ -138,9 +146,10 @@ impl Image {
         &self.data
     }
 
-    /// Mutable raw sample storage.
+    /// Mutable raw sample storage (copies the plane first if a clone
+    /// still shares it).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Sample at in-bounds pixel `(x, y)`, channel `c`.
@@ -158,7 +167,8 @@ impl Image {
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, c: usize, v: f32) {
         debug_assert!(x < self.desc.width && y < self.desc.height && c < self.desc.channels);
-        self.data[(y * self.desc.width + x) * self.desc.channels + c] = v;
+        let i = (y * self.desc.width + x) * self.desc.channels + c;
+        self.data_mut()[i] = v;
     }
 
     /// Row `y` as a contiguous slice of `width · channels` samples.
@@ -183,7 +193,7 @@ impl Image {
     #[inline]
     pub fn row_mut(&mut self, y: usize) -> &mut [f32] {
         let stride = self.desc.width * self.desc.channels;
-        &mut self.data[y * stride..(y + 1) * stride]
+        &mut self.data_mut()[y * stride..(y + 1) * stride]
     }
 
     /// Maximum absolute difference to another image of identical shape.
@@ -197,7 +207,7 @@ impl Image {
         assert_eq!(self.desc.channels, other.desc.channels);
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -214,7 +224,7 @@ impl Image {
             && self
                 .data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
@@ -287,6 +297,21 @@ mod tests {
         b.set(1, 0, 0, 2.5);
         assert!(!a.bit_equal(&b));
         assert_eq!(a.max_abs_diff(&b), 0.5);
+    }
+
+    #[test]
+    fn writing_through_a_clone_leaves_the_original_untouched() {
+        let a = Image::from_rows("a", &[&[1.0, 2.0], &[3.0, 4.0]]);
+        let bits: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
+        let mut b = a.clone();
+        // The clone shares the plane until its first write.
+        assert!(std::ptr::eq(a.data().as_ptr(), b.data().as_ptr()));
+        b.set(0, 0, 0, -1.0);
+        b.row_mut(1)[1] = -4.0;
+        b.data_mut()[1] = -2.0;
+        assert_eq!(b.data(), &[-1.0, -2.0, 3.0, -4.0]);
+        let after: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(after, bits);
     }
 
     #[test]

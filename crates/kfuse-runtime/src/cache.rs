@@ -25,7 +25,7 @@ pub struct PlanKey {
     pub fingerprint: u64,
     /// Fusion schedule the plan was compiled under.
     pub schedule: Schedule,
-    /// Executor configuration (tile shape, threads).
+    /// Executor configuration (strip height, threads).
     pub exec: FastConfig,
 }
 
@@ -411,7 +411,7 @@ mod tests {
         };
         let other_exec = PlanKey {
             exec: FastConfig {
-                tile_w: 32,
+                strip_rows: Some(32),
                 ..FastConfig::default()
             },
             ..base

@@ -150,12 +150,11 @@ pub struct RetuneReport {
 }
 
 /// The execution configuration the runtime uses for a tuned choice: the
-/// choice's tile shape, with the runtime's deployment-level settings
+/// choice's strip height, with the runtime's deployment-level settings
 /// (thread count) preserved.
 pub(crate) fn runtime_fast_config(choice: Choice, exec: &FastConfig) -> FastConfig {
     FastConfig {
-        tile_w: choice.tile_w,
-        tile_h: choice.tile_h,
+        strip_rows: choice.strip_rows,
         ..*exec
     }
 }

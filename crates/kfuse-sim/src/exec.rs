@@ -282,10 +282,10 @@ pub fn execute_kernel(
     let mut out = Image::zeros(out_desc);
     let (w, h, c) = (out.width(), out.height(), out.channels());
     for y in 0..h {
+        let row = out.row_mut(y);
         for x in 0..w {
             for ch in 0..c {
-                let v = ev.eval(k.root, ch, x, y);
-                out.set(x, y, ch, v);
+                row[x * c + ch] = ev.eval(k.root, ch, x, y);
             }
         }
     }
@@ -396,7 +396,7 @@ pub(crate) fn execute_with(
 /// intermediates. Inputs may be given in any order.
 ///
 /// Since the compiled tiled engine landed, this routes through the **fast
-/// executor** ([`crate::fast::execute_fast`]): instruction tapes, per-tile
+/// executor** ([`crate::fast::execute_fast`]): instruction tapes, per-strip
 /// halo-plane materialization, and multi-threaded row bands. Its output is
 /// bit-identical to the reference interpreter, which remains available as
 /// [`execute_reference`] — the oracle the differential tests compare

@@ -6,8 +6,9 @@
 //! * [`crate::tape`] — stages lowered to flat SSA instruction tapes with
 //!   common-subexpression elimination (no tree recursion, no per-node
 //!   dispatch, parameters folded to constants);
-//! * [`crate::tile`] — tile-by-tile evaluation with per-tile halo-plane
-//!   materialization of inlined stages and multi-threaded row bands.
+//! * [`crate::tile`] — evaluation in full-width row strips with
+//!   per-strip halo-plane materialization of inlined stages and
+//!   multi-threaded row bands.
 //!
 //! Output is **bit-identical** to [`crate::exec::execute_reference`] for
 //! every pipeline: both paths perform the same f32 operations on the same
@@ -26,7 +27,7 @@ use crate::plan::CompiledPlan;
 use kfuse_ir::{Image, ImageId, Pipeline};
 
 /// Configuration of the fast executor (re-exported tile configuration:
-/// tile shape and worker-thread count).
+/// strip height and worker-thread count, both derived when `None`).
 pub use crate::tile::TileConfig as FastConfig;
 
 /// Executes a pipeline with the compiled tiled engine and default
@@ -37,7 +38,7 @@ pub fn execute_fast(p: &Pipeline, inputs: &[(ImageId, Image)]) -> Result<Executi
 }
 
 /// Executes a pipeline with the compiled tiled engine and an explicit
-/// configuration (tile shape, thread count).
+/// configuration (strip height, thread count).
 ///
 /// Compiles a throwaway [`CompiledPlan`] and executes it once. Callers
 /// that run the same pipeline repeatedly should hold on to the plan (or go
@@ -116,8 +117,7 @@ mod tests {
         let (p, input, out) = two_kernel_pipeline(13, 9, 3);
         let img = synthetic_image(p.image(input).clone(), 11);
         let cfg = FastConfig {
-            tile_w: 4,
-            tile_h: 4,
+            strip_rows: Some(4),
             threads: Some(3),
         };
         let fast = execute_fast_with(&p, &[(input, img.clone())], &cfg).unwrap();

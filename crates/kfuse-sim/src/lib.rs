@@ -25,8 +25,9 @@
 //! * [`exec::execute_reference`] — the tree-walking interpreter (the
 //!   oracle, kept maximally simple);
 //! * [`fast`] — the compiled engine behind [`execute`]: stages lowered to
-//!   CSE'd instruction [`tape`]s, executed [`tile`]-by-tile with halo-plane
-//!   materialization of inlined stages and multi-threaded row bands.
+//!   CSE'd instruction [`tape`]s, executed in full-width row strips
+//!   ([`tile`]) with halo-plane materialization of inlined stages and
+//!   multi-threaded row bands.
 //!
 //! For repeated execution of the same pipeline, [`plan::CompiledPlan`]
 //! captures the validated/ordered/lowered form once; `kfuse-runtime` caches

@@ -11,11 +11,12 @@
 //! [`CompiledPlan`] is the cacheable artifact: the validated pipeline, its
 //! kernel execution order, and one [`CompiledKernel`] (tapes + halo
 //! metadata) per kernel. [`CompiledPlan::execute`] then only binds inputs
-//! and runs the tapes; with [`CompiledPlan::execute_with_scratch`] a
+//! — by reference count, an [`Image`] clone copies no pixels — and runs the
+//! tapes; with [`CompiledPlan::execute_with_scratch`] a
 //! long-lived worker additionally reuses its scratch buffers, making the
 //! steady-state allocation cost per request zero on the executor side.
 //! Outputs are bit-identical to [`crate::exec::execute_reference`] — the
-//! plan runs the same tiled engine as `execute_fast`, merely skipping the
+//! plan runs the same strip engine as `execute_fast`, merely skipping the
 //! recompilation.
 
 use crate::exec::{bind_inputs, bind_inputs_owned, ExecError, Execution};
@@ -100,7 +101,8 @@ impl CompiledPlan {
     }
 
     /// [`CompiledPlan::execute_with_scratch`] taking inputs by value: every
-    /// image is *moved* into the execution instead of cloned. This is the
+    /// image is *moved* into the execution, leaving its plane uniquely
+    /// owned so a later write to it does not copy. This is the
     /// streaming hot path — a session feeds frame N−1's output planes back
     /// in as frame N's state inputs without copying a pixel.
     pub fn execute_owned(
@@ -184,6 +186,25 @@ mod tests {
                 .unwrap();
             assert!(got.expect_image(out).bit_equal(reference.expect_image(out)));
         }
+    }
+
+    #[test]
+    fn execute_binds_inputs_without_copying_or_touching_them() {
+        let (p, input, out) = blur_chain(23, 17);
+        let plan = CompiledPlan::compile(&p).unwrap();
+        let img = synthetic_image(p.image(input).clone(), 3);
+        let before = Image::from_data(img.desc().clone(), img.data().to_vec());
+        let inputs = [(input, img)];
+        let mut got = plan.execute(&inputs, &TileConfig::default()).unwrap();
+        // The execution reports the caller's plane itself, not a copy …
+        let bound = got.expect_image(input).data().as_ptr();
+        assert!(std::ptr::eq(bound, inputs[0].1.data().as_ptr()));
+        // … and owns it all the same: writing through the execution's
+        // handle leaves the caller's image as it was.
+        let mut taken = got.take_image(input).unwrap();
+        taken.data_mut().fill(-1.0);
+        assert!(inputs[0].1.bit_equal(&before));
+        assert!(got.image(out).is_some());
     }
 
     #[test]

@@ -340,7 +340,7 @@ fn fuse_muladd(instrs: &mut Vec<Instr>, roots: &mut [u32]) {
 
 /// Assigns a physical row-buffer slot to every register via a last-use
 /// liveness scan with a free list. Constants are pinned to slots
-/// `0..const_len` (pre-filled once per tile) and roots stay live to the
+/// `0..const_len` (pre-filled once per strip) and roots stay live to the
 /// end (read after the scan). An instruction's own slot is allocated
 /// *before* its dead operands are released, so an output row never aliases
 /// one of its operand rows — the disjointness the vector interior relies

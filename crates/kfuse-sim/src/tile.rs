@@ -1,4 +1,4 @@
-//! Tile-by-tile execution of compiled kernels with halo-plane
+//! Strip-by-strip execution of compiled kernels with halo-plane
 //! materialization.
 //!
 //! The reference interpreter resolves a load of an inlined stage by
@@ -10,24 +10,28 @@
 //!
 //! This engine is the CPU analogue of the paper's optimized fused kernels:
 //!
-//! * The iteration space is cut into tiles (the "blocks" of Section II-C3).
-//! * Each inlined stage is materialized **once per tile** into a small
-//!   halo-extended scratch plane — the analogue of staging a producer into
-//!   shared memory. Interior pixels are computed exactly once; pixels in
-//!   the halo re-run the producer at their own coordinates, reproducing
-//!   the recompute-in-the-overlap scheme of warp-overlapped tiling.
-//! * There is one plane geometry: the tile grown by the stage's cumulative
-//!   halo and **clipped to the image**, so every plane cell is one
-//!   evaluation of the producer at an in-image coordinate.
+//! * The iteration space is cut into **full-width row strips** (the
+//!   "blocks" of Section II-C3). On a CPU a row is contiguous, so the
+//!   widest block is the cheapest one: one instruction dispatch covers a
+//!   whole row, and there is no left/right halo to recompute.
+//! * Each inlined stage is materialized **once per strip** into a scratch
+//!   plane — the analogue of staging a producer into shared memory. The
+//!   plane is the strip's rows grown by the stage's cumulative vertical
+//!   halo and **clipped to the image**, always image-wide, so every plane
+//!   cell is one evaluation of the producer at an in-image coordinate.
+//! * The strip height is derived per kernel from a cache budget
+//!   ([`CompiledKernel::strip_rows`]): as many rows as keep the kernel's
+//!   planes inside `STRIP_BYTES`. A kernel without planes runs its band as
+//!   one strip.
 //! * Halo accesses that leave the iteration space are resolved with the
 //!   consumer's border mode against the iteration space — the paper's
 //!   index exchange (Figures 4–5) — and then read from the plane at the
 //!   exchanged position. The rare exchange that lands outside the plane
 //!   (e.g. `Repeat` wrapping to the far side of the image) falls back to
 //!   the reference evaluator for that single value.
-//! * Tiles are processed in parallel across **row bands** with
+//! * Strips are processed in parallel across **row bands** with
 //!   `std::thread::scope`; each worker owns a reusable scratch-buffer pool,
-//!   so steady-state execution does not allocate per tile.
+//!   so steady-state execution does not allocate per strip.
 //!
 //! Every arithmetic operation is performed on the same values as in the
 //! reference interpreter, so outputs are **bit-identical** — materializing
@@ -45,31 +49,21 @@ use kfuse_obs::Tracer;
 /// from the request threads' sequential tids.
 pub const BAND_TID_BASE: u64 = 1000;
 
-/// Tuning knobs for the tiled executor.
+/// Plane bytes one strip of a kernel may occupy when the strip height is
+/// derived (EXPERIMENTS.md "Strips, not tiles" has the sweep).
+const STRIP_BYTES: usize = 512 << 10;
+
+/// Tuning knobs for the strip executor.
 ///
 /// `Eq`/`Hash` let the config participate in plan-cache keys: two requests
-/// with different tile shapes or thread counts compile to distinct plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// with different strip heights or thread counts compile to distinct plans.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TileConfig {
-    /// Tile width in pixels.
-    pub tile_w: usize,
-    /// Tile height in pixels (also the row-band granularity).
-    pub tile_h: usize,
+    /// Rows per strip; `None` derives them per kernel from the planes'
+    /// footprint ([`CompiledKernel::strip_rows`]).
+    pub strip_rows: Option<usize>,
     /// Worker threads; `None` uses [`std::thread::available_parallelism`].
     pub threads: Option<usize>,
-}
-
-impl Default for TileConfig {
-    fn default() -> Self {
-        // 128×64 keeps a 5-stage gray-scale scratch set comfortably inside
-        // L2 while amortizing the halo overhead (halo area grows linearly
-        // with the perimeter, interior with the area).
-        Self {
-            tile_w: 128,
-            tile_h: 64,
-            threads: None,
-        }
-    }
 }
 
 impl TileConfig {
@@ -81,14 +75,17 @@ impl TileConfig {
     }
 }
 
-/// A kernel compiled for tiled execution: one tape per stage plus the
+/// A kernel compiled for strip execution: one tape per stage plus the
 /// cumulative halo each materialized stage must cover.
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
     tapes: Vec<Tape>,
-    /// Cumulative halo `(hx, hy)` per stage: how far beyond the tile the
-    /// stage must be materialized so that every transitive consumer window
-    /// is served. Mirrors the quadratic halo growth of paper Figure 4.
+    /// Channels per stage.
+    chans: Vec<usize>,
+    /// Cumulative halo `(hx, hy)` per stage: how far beyond a pixel the
+    /// stage is read by its transitive consumers. Mirrors the quadratic
+    /// halo growth of paper Figure 4; only `hy` sizes planes, a strip
+    /// being image-wide.
     halos: Vec<(i32, i32)>,
     /// Stages that must be materialized (reachable from the root),
     /// excluding the root itself, in dependence order.
@@ -123,6 +120,7 @@ impl CompiledKernel {
         let max_regs = tapes.iter().map(Tape::reg_count).max().unwrap_or(0);
         Self {
             tapes,
+            chans: k.stages.iter().map(kfuse_ir::Stage::channels).collect(),
             halos,
             plane_order,
             root: k.root,
@@ -139,15 +137,28 @@ impl CompiledKernel {
     pub fn plane_stages(&self) -> &[usize] {
         &self.plane_order
     }
+
+    /// Rows per strip on an `iw × ih` image: `cfg.strip_rows` if set,
+    /// otherwise the most rows whose planes together fit `STRIP_BYTES`, at
+    /// least 8 — and the whole image for a kernel that materializes
+    /// nothing.
+    pub fn strip_rows(&self, iw: usize, ih: usize, cfg: &TileConfig) -> usize {
+        let plane_chans: usize = self.plane_order.iter().map(|&j| self.chans[j]).sum();
+        let derived = match plane_chans {
+            0 => ih,
+            c => (STRIP_BYTES / (iw * c * 4)).max(8),
+        };
+        cfg.strip_rows.unwrap_or(derived).clamp(1, ih)
+    }
 }
 
 /// Modeled memory traffic of one kernel execution (f32 = 4 bytes per
 /// element), derived statically from the instruction tapes' load sites and
-/// the clipped tile/halo geometry — the CPU analogue of the global-vs-shared
+/// the clipped strip/halo geometry — the CPU analogue of the global-vs-shared
 /// traffic split the paper's benefit model prices (Eqs. 3–4).
 ///
 /// "Global" is the backing image storage (kernel inputs and the output);
-/// "plane" is the per-tile halo-extended scratch a materialized stage is
+/// "plane" is the per-strip halo-extended scratch a materialized stage is
 /// staged into — the shared-memory stand-in. Every plane read is a global
 /// load avoided relative to an unfused schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,9 +171,9 @@ pub struct KernelTraffic {
     pub plane_write_bytes: u64,
     /// Bytes read back from stage planes by consuming tapes.
     pub plane_read_bytes: u64,
-    /// Plane bytes attributable to halo overlap: the part of the plane
-    /// rectangles outside the tile interior, i.e. the redundant-computation
-    /// footprint of the halo (paper Figure 4).
+    /// Plane bytes attributable to halo overlap: the plane rows outside
+    /// their strip, i.e. the redundant-computation footprint of the halo
+    /// (paper Figure 4).
     pub halo_extra_bytes: u64,
 }
 
@@ -176,9 +187,25 @@ impl KernelTraffic {
     }
 }
 
+/// Row bands `[ys, ye)` of an `ih`-row image for `threads` workers: rows
+/// split as evenly as they go, no band empty.
+fn bands(ih: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
+    let n = threads.clamp(1, ih);
+    (0..n).map(move |t| (t * ih / n, (t + 1) * ih / n))
+}
+
+/// Rows `[y0, y1)` of an `ih`-row image grown by `hy` and clipped to it.
+fn grow(y0: usize, y1: usize, hy: i32, ih: usize) -> RowRange {
+    let top = y0.saturating_sub(hy as usize);
+    RowRange {
+        y0: top,
+        h: (y1 + hy as usize).min(ih) - top,
+    }
+}
+
 /// Computes the modeled traffic of executing `ck` for kernel `k` of `p`
-/// under `cfg`. Purely static: walks the tile grid and counts load-site ×
-/// clipped-rectangle products; no pixels are touched.
+/// under `cfg`. Purely static: walks the bands and strips execution walks
+/// and counts load-site × plane-cell products; no pixels are touched.
 pub fn modeled_traffic(
     p: &Pipeline,
     k: &Kernel,
@@ -188,9 +215,7 @@ pub fn modeled_traffic(
     const BYTES: u64 = 4;
     let out_desc = p.image(k.output);
     let (iw, ih) = (out_desc.width, out_desc.height);
-    let chans: Vec<usize> = k.stages.iter().map(kfuse_ir::Stage::channels).collect();
-    let tile_w = cfg.tile_w.max(1);
-    let tile_h = cfg.tile_h.max(1);
+    let rows = ck.strip_rows(iw, ih, cfg);
     let mut t = KernelTraffic::default();
 
     let tape_loads = |j: usize, evals: u64, t: &mut KernelTraffic| {
@@ -202,75 +227,67 @@ pub fn modeled_traffic(
         }
     };
 
-    let mut y0 = 0;
-    while y0 < ih {
-        let y1 = (y0 + tile_h).min(ih);
-        let mut x0 = 0;
-        while x0 < iw {
-            let x1 = (x0 + tile_w).min(iw);
-            let tile_area = ((x1 - x0) * (y1 - y0)) as u64;
+    for (ys, ye) in bands(ih, cfg.resolved_threads()) {
+        let mut y0 = ys;
+        while y0 < ye {
+            let y1 = (y0 + rows).min(ye);
+            let strip_area = (iw * (y1 - y0)) as u64;
             for &j in &ck.plane_order {
-                let (hx, hy) = ck.halos[j];
-                // The plane rect clipped to the image: every cell is one
-                // evaluation of the stage's tape and one plane write.
-                let rx0 = x0.saturating_sub(hx as usize);
-                let ry0 = y0.saturating_sub(hy as usize);
-                let rx1 = (x1 + hx as usize).min(iw);
-                let ry1 = (y1 + hy as usize).min(ih);
-                let area = ((rx1 - rx0) * (ry1 - ry0)) as u64;
-                let nc = chans[j] as u64;
+                // Every cell of the clipped plane is one evaluation of the
+                // stage's tape and one plane write.
+                let area = (iw * grow(y0, y1, ck.halos[j].1, ih).h) as u64;
+                let nc = ck.chans[j] as u64;
                 t.plane_write_bytes += area * nc * BYTES;
-                t.halo_extra_bytes += area.saturating_sub(tile_area) * nc * BYTES;
+                t.halo_extra_bytes += (area - strip_area) * nc * BYTES;
                 tape_loads(j, area, &mut t);
             }
-            tape_loads(ck.root, tile_area, &mut t);
-            t.global_store_bytes += tile_area * chans[ck.root] as u64 * BYTES;
-            x0 = x1;
+            tape_loads(ck.root, strip_area, &mut t);
+            t.global_store_bytes += strip_area * ck.chans[ck.root] as u64 * BYTES;
+            y0 = y1;
         }
-        y0 = y1;
     }
     t
 }
 
-/// Rectangle a stage plane covers for the current tile, clipped to the
-/// image. The origin is never negative; it stays `i64` because the load
-/// coordinates `x + dx` / `y + dy` that [`Rect::contains`] and
-/// [`fast_span`] compare against it can be (a load left of or above the
-/// image), and the compare must be signed.
+/// Image rows `[y0, y0 + h)` a stage plane covers for the current strip;
+/// a plane is always image-wide.
 #[derive(Clone, Copy, Debug, Default)]
-struct Rect {
-    x0: i64,
-    y0: i64,
-    w: usize,
+struct RowRange {
+    y0: usize,
     h: usize,
 }
 
-impl Rect {
+impl RowRange {
     #[inline]
-    fn contains(&self, tx: i64, ty: i64) -> bool {
-        tx >= self.x0
-            && tx < self.x0 + self.w as i64
-            && ty >= self.y0
-            && ty < self.y0 + self.h as i64
-    }
-
-    /// Flat index of in-rect position `(tx, ty)`, channel `ch`.
-    #[inline]
-    fn index(&self, tx: i64, ty: i64, channels: usize, ch: usize) -> usize {
-        ((ty - self.y0) as usize * self.w + (tx - self.x0) as usize) * channels + ch
+    fn contains(&self, ty: i64) -> bool {
+        ty >= self.y0 as i64 && ty < (self.y0 + self.h) as i64
     }
 }
 
 /// Shared read-only evaluation context for one kernel execution.
 struct Ctx<'a> {
     inputs: &'a [&'a Image],
-    rects: &'a [Rect],
+    ranges: &'a [RowRange],
     chans: &'a [usize],
     iw: usize,
     ih: usize,
     fallback: &'a Evaluator<'a>,
 }
 
+impl Ctx<'_> {
+    /// Whether `(tx, ty)` is a cell of stage `j`'s plane.
+    #[inline]
+    fn in_plane(&self, j: usize, tx: i64, ty: i64) -> bool {
+        tx >= 0 && tx < self.iw as i64 && self.ranges[j].contains(ty)
+    }
+
+    /// Flat plane index of in-plane position `(tx, ty)`, channel `ch`, of
+    /// stage `j`.
+    #[inline]
+    fn index(&self, j: usize, tx: i64, ty: i64, ch: usize) -> usize {
+        ((ty as usize - self.ranges[j].y0) * self.iw + tx as usize) * self.chans[j] + ch
+    }
+}
 /// Evaluates `tape` at `(x, y)` into `regs`.
 ///
 /// With `SAFE = false` every load is statically known to be in bounds
@@ -317,13 +334,11 @@ fn eval_pixel<const SAFE: bool>(
                 ch,
                 border,
             } => {
-                let j = stage as usize;
-                let r = ctx.rects[j];
-                let nc = ctx.chans[j];
+                let (j, ch) = (stage as usize, ch as usize);
                 let tx = x as i64 + i64::from(dx);
                 let ty = y as i64 + i64::from(dy);
-                if !SAFE || r.contains(tx, ty) {
-                    planes[j][r.index(tx, ty, nc, ch as usize)]
+                if !SAFE || ctx.in_plane(j, tx, ty) {
+                    planes[j][ctx.index(j, tx, ty, ch)]
                 } else {
                     // Index exchange against the iteration space (paper
                     // Figure 5), then read the exchanged position from the
@@ -332,10 +347,10 @@ fn eval_pixel<const SAFE: bool>(
                     match border.resolve(tx, ty, ctx.iw, ctx.ih) {
                         Resolved::Value(v) => v,
                         Resolved::At(rx, ry) => {
-                            if r.contains(rx as i64, ry as i64) {
-                                planes[j][r.index(rx as i64, ry as i64, nc, ch as usize)]
+                            if ctx.ranges[j].contains(ry as i64) {
+                                planes[j][ctx.index(j, rx as i64, ry as i64, ch)]
                             } else {
-                                ctx.fallback.eval(j, ch as usize, rx, ry)
+                                ctx.fallback.eval(j, ch, rx, ry)
                             }
                         }
                     }
@@ -393,8 +408,8 @@ enum Src {
         ty: usize,
         base: usize,
     },
-    /// View into the halo plane of stage `stage`, plane-relative row
-    /// `row`, starting at in-row offset `base`.
+    /// View into the plane of stage `stage`, plane-relative row `row`,
+    /// starting at in-row offset `base`.
     Stage {
         stage: usize,
         row: usize,
@@ -418,9 +433,7 @@ fn src_row<'s>(
         Src::Reg(slot) => reg(slot),
         Src::Input { input, ty, base } => &ctx.inputs[input].row(ty)[base..base + len],
         Src::Stage { stage, row, base } => {
-            let rct = ctx.rects[stage];
-            let nc = ctx.chans[stage];
-            &planes[stage][row * rct.w * nc + base..][..len]
+            &planes[stage][row * ctx.iw * ctx.chans[stage] + base..][..len]
         }
     }
 }
@@ -535,12 +548,11 @@ fn eval_rows_vector(
                 stage, dx, dy, ch, ..
             } => {
                 let j = stage as usize;
-                let r = ctx.rects[j];
                 let nc = ctx.chans[j];
-                // Plane-relative coordinates: the fast span guarantees
-                // the whole span is in-plane.
-                let pr = ((y as i64 + i64::from(dy)) - r.y0) as usize;
-                let base = ((x0 as i64 + i64::from(dx)) - r.x0) as usize * nc + ch as usize;
+                // Plane-relative row: the fast span guarantees the whole
+                // span is in-plane.
+                let pr = (y as i64 + i64::from(dy)) as usize - ctx.ranges[j].y0;
+                let base = (x0 as i64 + i64::from(dx)) as usize * nc + ch as usize;
                 if nc == 1 {
                     // Zero-copy: consumers read the plane row in place.
                     srcs[i] = Src::Stage {
@@ -549,7 +561,7 @@ fn eval_rows_vector(
                         base,
                     };
                 } else {
-                    let row = &planes[j][pr * r.w * nc..][..r.w * nc];
+                    let row = &planes[j][pr * ctx.iw * nc..][..ctx.iw * nc];
                     for (k, o) in out.iter_mut().enumerate() {
                         *o = row[base + k * nc];
                     }
@@ -580,43 +592,30 @@ fn eval_rows_vector(
     }
 }
 
-/// The sub-range of `[x_lo, x_hi)` at row `y` where every load of `tape`
-/// is statically in bounds, or `None` if the whole row needs the safe
-/// path (some `dy` leaves a backing rect for this row).
-fn fast_span(
-    tape: &Tape,
-    rects: &[Rect],
-    iw: usize,
-    ih: usize,
-    y: usize,
-    x_lo: usize,
-    x_hi: usize,
-) -> Option<(usize, usize)> {
-    let mut lo = x_lo as i64;
-    let mut hi = x_hi as i64;
-    let yi = y as i64;
+/// The sub-range of row `y` where every load of `tape` is statically in
+/// bounds, or `None` if the whole row needs the safe path (some `dy`
+/// leaves the image or a plane's rows). Planes are image-wide, so the
+/// x-range is the same on every row of a stage.
+fn fast_span(tape: &Tape, ctx: &Ctx<'_>, y: usize) -> Option<(usize, usize)> {
+    let (mut lo, mut hi) = (0, ctx.iw as i64);
     for site in &tape.loads {
-        let (bx0, bx1, by0, by1) = match site.target {
+        let ty = y as i64 + i64::from(site.dy);
+        let in_rows = match site.target {
             // Pipeline validation guarantees input images share the
             // kernel's iteration-space dimensions.
-            LoadTarget::Input(_) => (0, iw as i64, 0, ih as i64),
-            LoadTarget::Stage(j) => {
-                let r = rects[j];
-                (r.x0, r.x0 + r.w as i64, r.y0, r.y0 + r.h as i64)
-            }
+            LoadTarget::Input(_) => ty >= 0 && ty < ctx.ih as i64,
+            LoadTarget::Stage(j) => ctx.ranges[j].contains(ty),
         };
-        let ty = yi + i64::from(site.dy);
-        if ty < by0 || ty >= by1 {
+        if !in_rows {
             return None;
         }
-        lo = lo.max(bx0 - i64::from(site.dx));
-        hi = hi.min(bx1 - i64::from(site.dx));
+        lo = lo.max(-i64::from(site.dx));
+        hi = hi.min(ctx.iw as i64 - i64::from(site.dx));
     }
     (lo < hi).then_some((lo as usize, hi as usize))
 }
 
-/// Evaluates one row segment `[x_lo, x_hi)` of `tape` at row `y`, writing
-/// all channels into `out_row` (which starts at pixel `x_lo`).
+/// Evaluates row `y` of `tape`, writing all channels into `out_row`.
 ///
 /// Border pixels (loads that need index exchange) run through the scalar
 /// safe path; the statically-safe interior runs instruction-at-a-time via
@@ -629,23 +628,20 @@ fn eval_row(
     planes: &[Vec<f32>],
     ctx: &Ctx<'_>,
     y: usize,
-    x_lo: usize,
-    x_hi: usize,
     out_row: &mut [f32],
     nc: usize,
 ) {
-    let (flo, fhi) =
-        fast_span(tape, ctx.rects, ctx.iw, ctx.ih, y, x_lo, x_hi).unwrap_or((x_lo, x_lo));
-    let store = |regs: &[f32], x: usize, out_row: &mut [f32]| {
-        let base = (x - x_lo) * nc;
-        for (c, &r) in tape.roots.iter().enumerate() {
-            out_row[base + c] = regs[r as usize];
+    let (flo, fhi) = fast_span(tape, ctx, y).unwrap_or((0, 0));
+    let mut safe = |xs: std::ops::Range<usize>, out_row: &mut [f32]| {
+        for x in xs {
+            eval_pixel::<true>(tape, regs, planes, ctx, x, y);
+            for (c, &r) in tape.roots.iter().enumerate() {
+                out_row[x * nc + c] = regs[r as usize];
+            }
         }
     };
-    for x in x_lo..flo {
-        eval_pixel::<true>(tape, regs, planes, ctx, x, y);
-        store(regs, x, out_row);
-    }
+    safe(0..flo, out_row);
+    safe(fhi..ctx.iw, out_row);
     if flo < fhi {
         let len = fhi - flo;
         // Single-channel tapes rooted at their final operator write that
@@ -660,7 +656,7 @@ fn eval_row(
                 Instr::Bin(..) | Instr::Un(..) | Instr::Select(..) | Instr::MulAdd(..)
             );
         if direct {
-            let dst = &mut out_row[flo - x_lo..fhi - x_lo];
+            let dst = &mut out_row[flo..fhi];
             eval_rows_vector(tape, rr, planes, ctx, y, flo, len, Some(dst));
         } else {
             eval_rows_vector(tape, rr, planes, ctx, y, flo, len, None);
@@ -668,35 +664,31 @@ fn eval_row(
                 let reg = |slot: u32| &rr.buf[slot as usize * rr.cap..][..len];
                 let src = src_row(rr.srcs[r as usize], reg, len, planes, ctx);
                 if nc == 1 {
-                    out_row[flo - x_lo..fhi - x_lo].copy_from_slice(src);
+                    out_row[flo..fhi].copy_from_slice(src);
                 } else {
                     for (k, &v) in src.iter().enumerate() {
-                        out_row[(flo - x_lo + k) * nc + c] = v;
+                        out_row[(flo + k) * nc + c] = v;
                     }
                 }
             }
         }
     }
-    for x in fhi..x_hi {
-        eval_pixel::<true>(tape, regs, planes, ctx, x, y);
-        store(regs, x, out_row);
-    }
 }
 
-/// Reusable scratch buffers for tiled kernel execution: stage planes, the
+/// Reusable scratch buffers for strip execution: stage planes, the
 /// scalar register file, and the row-register matrix.
 ///
 /// All buffers grow monotonically and are re-sized (never shrunk) per
 /// kernel, so a long-lived worker thread that executes many kernels — the
 /// `kfuse-runtime` serving workers — reaches a steady state with **zero
 /// per-request allocation** in the executor. Stale contents are harmless:
-/// planes and rects are (re)written for every tile before being read, and
-/// the register file is SSA — every instruction writes its register before
-/// any consumer reads it.
+/// planes and row ranges are (re)written for every strip before being
+/// read, and the register file is SSA — every instruction writes its
+/// register before any consumer reads it.
 #[derive(Default)]
 pub struct Scratch {
     planes: Vec<Vec<f32>>,
-    rects: Vec<Rect>,
+    ranges: Vec<RowRange>,
     regs: Vec<f32>,
     rr: RowRegs,
 }
@@ -707,8 +699,8 @@ impl Scratch {
         if self.planes.len() < ck.tapes.len() {
             self.planes.resize_with(ck.tapes.len(), Vec::new);
         }
-        if self.rects.len() < ck.tapes.len() {
-            self.rects.resize(ck.tapes.len(), Rect::default());
+        if self.ranges.len() < ck.tapes.len() {
+            self.ranges.resize(ck.tapes.len(), RowRange::default());
         }
         if self.regs.len() < ck.max_regs {
             self.regs.resize(ck.max_regs, 0.0);
@@ -719,114 +711,90 @@ impl Scratch {
 /// Per-kernel execution state shared by all worker threads.
 struct Run<'a> {
     ck: &'a CompiledKernel,
+    name: &'a str,
     inputs: &'a [&'a Image],
-    chans: &'a [usize],
     fallback: &'a Evaluator<'a>,
+    tracer: &'a Tracer,
     iw: usize,
     ih: usize,
     out_nc: usize,
-    tile_w: usize,
-    tile_h: usize,
+    strip_rows: usize,
 }
 
 impl Run<'_> {
     /// Executes the pixel rows `[y_start, y_end)` into `out_band` (the
-    /// corresponding rows of the output image), using `scratch` as the
-    /// per-worker buffer pool: one plane per stage plus one register file
-    /// sized for the largest tape.
+    /// corresponding rows of the output image) strip by strip, using
+    /// `scratch` as the per-worker buffer pool: one plane per stage plus
+    /// one register file sized for the largest tape.
     fn run_rows(&self, scratch: &mut Scratch, y_start: usize, y_end: usize, out_band: &mut [f32]) {
         let ck = self.ck;
         let stride = self.iw * self.out_nc;
         scratch.ensure(ck);
         let Scratch {
             planes,
-            rects,
+            ranges,
             regs,
             rr,
         } = scratch;
         let mut y0 = y_start;
         while y0 < y_end {
-            let y1 = (y0 + self.tile_h).min(y_end);
-            let mut x0 = 0;
-            while x0 < self.iw {
-                let x1 = (x0 + self.tile_w).min(self.iw);
-                // Halo-extended plane rectangles, clipped to the image.
-                for &j in &ck.plane_order {
-                    let (hx, hy) = ck.halos[j];
-                    let rx0 = x0.saturating_sub(hx as usize);
-                    let ry0 = y0.saturating_sub(hy as usize);
-                    let rx1 = (x1 + hx as usize).min(self.iw);
-                    let ry1 = (y1 + hy as usize).min(self.ih);
-                    rects[j] = Rect {
-                        x0: rx0 as i64,
-                        y0: ry0 as i64,
-                        w: rx1 - rx0,
-                        h: ry1 - ry0,
-                    };
+            let y1 = (y0 + self.strip_rows).min(y_end);
+            for &j in &ck.plane_order {
+                ranges[j] = grow(y0, y1, ck.halos[j].1, self.ih);
+            }
+            let ctx = Ctx {
+                inputs: self.inputs,
+                ranges,
+                chans: &ck.chans,
+                iw: self.iw,
+                ih: self.ih,
+                fallback: self.fallback,
+            };
+            // Materialize each inlined stage once, dependencies first.
+            for &j in &ck.plane_order {
+                let r = ranges[j];
+                let nc = ck.chans[j];
+                let row_len = self.iw * nc;
+                let (done, rest) = planes.split_at_mut(j);
+                let plane = &mut rest[0];
+                if plane.len() < r.h * row_len {
+                    plane.resize(r.h * row_len, 0.0);
                 }
-                // Materialize each inlined stage once, dependencies first.
-                for &j in &ck.plane_order {
-                    let r = rects[j];
-                    let nc = self.chans[j];
-                    let len = r.w * r.h * nc;
-                    let (done, rest) = planes.split_at_mut(j);
-                    let plane = &mut rest[0];
-                    if plane.len() < len {
-                        plane.resize(len, 0.0);
-                    }
-                    let tape = &ck.tapes[j];
-                    tape.init_consts(regs);
-                    rr.prepare(tape, r.w);
-                    let ctx = Ctx {
-                        inputs: self.inputs,
-                        rects,
-                        chans: self.chans,
-                        iw: self.iw,
-                        ih: self.ih,
-                        fallback: self.fallback,
-                    };
-                    let (rx0, ry0) = (r.x0 as usize, r.y0 as usize);
-                    for py in 0..r.h {
-                        let row = &mut plane[py * r.w * nc..][..r.w * nc];
-                        eval_row(
-                            tape,
-                            regs,
-                            rr,
-                            done,
-                            &ctx,
-                            ry0 + py,
-                            rx0,
-                            rx0 + r.w,
-                            row,
-                            nc,
-                        );
-                    }
-                }
-                // Root stage writes straight into the output rows.
-                let tape = &ck.tapes[ck.root];
+                let tape = &ck.tapes[j];
                 tape.init_consts(regs);
-                rr.prepare(tape, x1 - x0);
-                let ctx = Ctx {
-                    inputs: self.inputs,
-                    rects,
-                    chans: self.chans,
-                    iw: self.iw,
-                    ih: self.ih,
-                    fallback: self.fallback,
-                };
-                for y in y0..y1 {
-                    let row = &mut out_band[(y - y_start) * stride..][..stride];
-                    let seg = &mut row[x0 * self.out_nc..x1 * self.out_nc];
-                    eval_row(tape, regs, rr, planes, &ctx, y, x0, x1, seg, self.out_nc);
+                rr.prepare(tape, self.iw);
+                for (py, row) in plane.chunks_exact_mut(row_len).take(r.h).enumerate() {
+                    eval_row(tape, regs, rr, done, &ctx, r.y0 + py, row, nc);
                 }
-                x0 = x1;
+            }
+            // Root stage writes straight into the output rows.
+            let tape = &ck.tapes[ck.root];
+            tape.init_consts(regs);
+            rr.prepare(tape, self.iw);
+            let out_rows = out_band[(y0 - y_start) * stride..].chunks_exact_mut(stride);
+            for (y, row) in (y0..y1).zip(out_rows) {
+                eval_row(tape, regs, rr, planes, &ctx, y, row, self.out_nc);
             }
             y0 = y1;
         }
     }
+
+    /// [`Run::run_rows`] under a `band:<name>` span on band `b`'s lane.
+    fn run_band(&self, b: usize, scratch: &mut Scratch, ys: usize, ye: usize, band: &mut [f32]) {
+        let band_start = self.tracer.now_us();
+        self.run_rows(scratch, ys, ye, band);
+        self.tracer.complete_on(
+            format!("band:{}", self.name),
+            "exec",
+            band_start,
+            self.tracer.now_us(),
+            BAND_TID_BASE + b as u64,
+            vec![("rows", (ye - ys).into())],
+        );
+    }
 }
 
-/// Executes one kernel against already-materialized images with the tiled
+/// Executes one kernel against already-materialized images with the strip
 /// engine. Drop-in replacement for [`crate::exec::execute_kernel`] with
 /// bit-identical output.
 ///
@@ -914,79 +882,37 @@ fn execute_kernel_compiled_inner(
     let inputs = resolve_kernel_inputs(p, k, images)?;
     let out_desc = p.image(k.output).clone();
     let (iw, ih) = (out_desc.width, out_desc.height);
-    let chans: Vec<usize> = k.stages.iter().map(kfuse_ir::Stage::channels).collect();
     let fallback = Evaluator::new(k, inputs.clone(), iw, ih);
     let mut out = Image::zeros(out_desc);
     let out_nc = out.channels();
-    let tile_w = cfg.tile_w.max(1);
-    let tile_h = cfg.tile_h.max(1);
     let run = Run {
         ck,
+        name: &k.name,
         inputs: &inputs,
-        chans: &chans,
         fallback: &fallback,
+        tracer,
         iw,
         ih,
         out_nc,
-        tile_w,
-        tile_h,
+        strip_rows: ck.strip_rows(iw, ih, cfg),
     };
 
-    let tile_rows = ih.div_ceil(tile_h);
-    let threads = cfg.resolved_threads().min(tile_rows);
+    let threads = cfg.resolved_threads().min(ih);
     if threads <= 1 {
-        let band_start = tracer.now_us();
-        run.run_rows(scratch, 0, ih, out.data_mut());
-        tracer.complete_on(
-            format!("band:{}", k.name),
-            "exec",
-            band_start,
-            tracer.now_us(),
-            BAND_TID_BASE,
-            vec![("rows", ih.into())],
-        );
+        run.run_band(0, scratch, 0, ih, out.data_mut());
         return Ok(out);
     }
-
-    // Split the output into contiguous row bands, one per worker, aligned
-    // to tile-row boundaries so workers never share a tile.
-    let stride = iw * out_nc;
-    let base = tile_rows / threads;
-    let extra = tile_rows % threads;
-    let mut bands: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(threads);
+    // One contiguous row band per worker. Band workers are short-lived;
+    // they bring their own scratch rather than contending for the
+    // caller's, and record on a stable per-band lane instead of a fresh
+    // thread tid.
     let mut rest = out.data_mut();
-    let mut ty = 0;
-    for t in 0..threads {
-        let rows = base + usize::from(t < extra);
-        if rows == 0 {
-            continue;
-        }
-        let ys = ty * tile_h;
-        let ye = ((ty + rows) * tile_h).min(ih);
-        let (mine, tail) = rest.split_at_mut((ye - ys) * stride);
-        bands.push((ys, ye, mine));
-        rest = tail;
-        ty += rows;
-    }
-    let name = k.name.as_str();
     std::thread::scope(|s| {
-        for (b, (ys, ye, band)) in bands.into_iter().enumerate() {
+        for (b, (ys, ye)) in bands(ih, threads).enumerate() {
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut((ye - ys) * iw * out_nc);
+            rest = tail;
             let run = &run;
-            // Band workers are short-lived; they bring their own scratch
-            // rather than contending for the caller's, and record on a
-            // stable per-band lane instead of a fresh thread tid.
-            s.spawn(move || {
-                let band_start = tracer.now_us();
-                run.run_rows(&mut Scratch::default(), ys, ye, band);
-                tracer.complete_on(
-                    format!("band:{name}"),
-                    "exec",
-                    band_start,
-                    tracer.now_us(),
-                    BAND_TID_BASE + b as u64,
-                    vec![("rows", (ye - ys).into())],
-                );
-            });
+            s.spawn(move || run.run_band(b, &mut Scratch::default(), ys, ye, band));
         }
     });
     Ok(out)
@@ -1062,9 +988,9 @@ mod tests {
 
     #[test]
     fn tiny_tiles_and_odd_sizes() {
+        // Two-row strips: every size here but 1×1 and 17×1 has seams.
         let cfg = TileConfig {
-            tile_w: 3,
-            tile_h: 2,
+            strip_rows: Some(2),
             threads: Some(1),
         };
         for (w, h) in [(1, 1), (2, 3), (7, 5), (16, 16), (17, 1)] {
@@ -1076,8 +1002,7 @@ mod tests {
     #[test]
     fn image_smaller_than_tile() {
         let cfg = TileConfig {
-            tile_w: 512,
-            tile_h: 512,
+            strip_rows: Some(512),
             threads: Some(1),
         };
         for mode in [BorderMode::Mirror, BorderMode::Constant(-1.5)] {
@@ -1085,11 +1010,12 @@ mod tests {
         }
     }
 
+    /// 29 rows over 4 workers: bands of 7, 7, 7 and 8 rows, none a
+    /// multiple of the 4-row strip, so every band ends on a short strip.
     #[test]
     fn multi_threaded_bands_match() {
         let cfg = TileConfig {
-            tile_w: 8,
-            tile_h: 4,
+            strip_rows: Some(4),
             threads: Some(4),
         };
         for mode in [BorderMode::Clamp, BorderMode::Repeat] {
@@ -1137,8 +1063,7 @@ mod tests {
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();
         let reference = execute_kernel(&p, &k, &images).unwrap();
         let cfg = TileConfig {
-            tile_w: 4,
-            tile_h: 3,
+            strip_rows: Some(3),
             threads: Some(1),
         };
         let got =
@@ -1198,13 +1123,11 @@ mod tests {
         let reference = execute_kernel(&p, &k, &images).unwrap();
         for cfg in [
             TileConfig {
-                tile_w: 1,
-                tile_h: 1,
+                strip_rows: Some(1),
                 threads: Some(1),
             },
             TileConfig {
-                tile_w: 2,
-                tile_h: 2,
+                strip_rows: Some(2),
                 threads: Some(2),
             },
             TileConfig::default(),
@@ -1238,9 +1161,9 @@ mod tests {
         }
     }
 
-    /// Mask radius ≥ tile dimension but < image dimension: interior tiles
-    /// materialize planes wider than themselves, and edge tiles mix
-    /// clipped planes with index exchange.
+    /// Mask radius ≥ strip rows but < image dimension: interior strips
+    /// materialize planes several times their own height, and edge strips
+    /// mix clipped planes with index exchange.
     #[test]
     fn radius_exceeds_tile_dimension() {
         for mode in [
@@ -1254,27 +1177,27 @@ mod tests {
     }
 
     /// The static traffic model must agree with execution geometry in the
-    /// degenerate regime: with radius ≥ both image dimensions every tile's
-    /// plane rectangle clips to exactly the full image.
+    /// degenerate regime: with radius ≥ the image height every strip's
+    /// plane clips to exactly the full image.
     #[test]
     fn traffic_model_degenerate_halo() {
         let mut p = Pipeline::new("t");
         let k = fused_kernel_r(&mut p, BorderMode::Repeat, 3, 2, 5);
         let ck = CompiledKernel::new(&k);
         let cfg = TileConfig {
-            tile_w: 1,
-            tile_h: 1,
+            strip_rows: Some(1),
             threads: Some(1),
         };
         let t = modeled_traffic(&p, &k, &ck, &cfg);
-        // 6 one-pixel tiles, each materializing the full 3×2 plane.
-        assert_eq!(t.plane_write_bytes, 6 * 3 * 2 * 4);
-        assert_eq!(t.halo_extra_bytes, 6 * (3 * 2 - 1) * 4);
+        // 2 one-row strips of 3 pixels, each materializing the full 3×2
+        // plane: 2 · 6 cells written, 2 · (6 − 3) of them outside the strip.
+        assert_eq!(t.plane_write_bytes, 2 * 3 * 2 * 4);
+        assert_eq!(t.halo_extra_bytes, 2 * (3 * 2 - 3) * 4);
         assert_eq!(t.global_store_bytes, 3 * 2 * 4);
         // The producer reads the input once per plane element; the root
         // reads the plane once per mask tap (zero taps are dropped at
         // expression build time) per output pixel.
-        assert_eq!(t.global_load_bytes, 6 * 3 * 2 * 4);
+        assert_eq!(t.global_load_bytes, 2 * 3 * 2 * 4);
         let taps = ck.tapes[ck.root].loads.len() as u64;
         assert!(taps > 11 * 11 / 2, "11x11 mask should keep most taps");
         assert_eq!(t.plane_read_bytes, 6 * taps * 4);
@@ -1333,8 +1256,7 @@ mod tests {
         let reference = execute_reference(&p, &[(input_id, img.clone())]).unwrap();
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();
         let cfg = TileConfig {
-            tile_w: 5,
-            tile_h: 5,
+            strip_rows: Some(5),
             threads: Some(2),
         };
         let tiled = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
@@ -1343,14 +1265,13 @@ mod tests {
 
     #[test]
     fn traffic_model_counts_bytes() {
-        // Fused sq→gauss3 over a 16×16 single-channel image, one 16×16
-        // tile with a 1-pixel halo.
+        // Fused sq→gauss3 over a 16×16 single-channel image, one 16-row
+        // strip with a 1-row halo.
         let mut p = Pipeline::new("t");
         let k = fused_kernel(&mut p, BorderMode::Clamp, 16, 16);
         let ck = CompiledKernel::new(&k);
         let cfg = TileConfig {
-            tile_w: 16,
-            tile_h: 16,
+            strip_rows: Some(16),
             threads: Some(1),
         };
         let t = modeled_traffic(&p, &k, &ck, &cfg);
@@ -1367,21 +1288,35 @@ mod tests {
             t.global_load_bytes + t.global_store_bytes + t.plane_write_bytes + t.plane_read_bytes
         );
 
-        // Smaller tiles pay halo overhead: interior tiles materialize an
-        // 18-wide plane for a 16-wide image? No — 4×4 tiles on 16×16.
-        let small = TileConfig {
-            tile_w: 4,
-            tile_h: 4,
-            threads: Some(1),
+        // Four 4-row strips pay halo overhead: the planes cover rows
+        // [0, 5), [3, 9), [7, 13) and [11, 16) — 5 + 6 + 6 + 5 = 22 rows
+        // of 16 cells for 16 rows of output, so 6 rows are halo. Two
+        // workers split the image at row 8, a strip seam, and change
+        // nothing.
+        for threads in [1, 2] {
+            let small = TileConfig {
+                strip_rows: Some(4),
+                threads: Some(threads),
+            };
+            let ts = modeled_traffic(&p, &k, &ck, &small);
+            assert_eq!(ts.plane_write_bytes, 22 * 16 * 4);
+            assert_eq!(ts.halo_extra_bytes, 6 * 16 * 4);
+            assert_eq!(ts.global_load_bytes, 22 * 16 * 4);
+            // Output traffic and the root's plane reads are strip-shape
+            // invariant.
+            assert_eq!(ts.plane_read_bytes, t.plane_read_bytes);
+            assert_eq!(ts.global_store_bytes, t.global_store_bytes);
+        }
+        // Three workers cut at rows 5 and 10, off the 4-row grid: bands
+        // [0, 5), [5, 10), [10, 16) run strips of 4+1, 4+1 and 4+2 rows
+        // whose planes cover 5+3, 6+3, 6+3 rows — 26 in all.
+        let uneven = TileConfig {
+            strip_rows: Some(4),
+            threads: Some(3),
         };
-        let ts = modeled_traffic(&p, &k, &ck, &small);
-        assert!(
-            ts.halo_extra_bytes > 0,
-            "small tiles must show halo overhead"
-        );
-        assert!(ts.plane_write_bytes > t.plane_write_bytes);
-        // Output traffic is tile-shape invariant.
-        assert_eq!(ts.global_store_bytes, t.global_store_bytes);
+        let tu = modeled_traffic(&p, &k, &ck, &uneven);
+        assert_eq!(tu.plane_write_bytes, 26 * 16 * 4);
+        assert_eq!(tu.halo_extra_bytes, 10 * 16 * 4);
     }
 
     #[test]
@@ -1393,8 +1328,7 @@ mod tests {
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();
         let ck = CompiledKernel::new(&k);
         let cfg = TileConfig {
-            tile_w: 8,
-            tile_h: 4,
+            strip_rows: Some(4),
             threads: Some(3),
         };
         let plain =
@@ -1438,8 +1372,7 @@ mod tests {
         // A 3×3 image under a fused 3×3∘3×3 chain: the halo (2) exceeds
         // what the image can provide; planes clip to the full image.
         let cfg = TileConfig {
-            tile_w: 64,
-            tile_h: 64,
+            strip_rows: Some(64),
             threads: Some(1),
         };
         for mode in [
@@ -1450,5 +1383,158 @@ mod tests {
         ] {
             tiled_matches_reference(mode, 3, 3, &cfg);
         }
+    }
+
+    /// Every seam the geometry has: strip seams inside a band (explicit
+    /// 1-, 2- and 3-row strips and the derived height), band seams off the
+    /// strip grid (1–3 workers), halos below, at and above the strip
+    /// height and the image height, on sizes no strip height divides.
+    #[test]
+    fn strip_and_band_seams_bit_identical() {
+        for mode in [
+            BorderMode::Clamp,
+            BorderMode::Mirror,
+            BorderMode::Repeat,
+            BorderMode::Constant(-0.75),
+        ] {
+            for (w, h) in [(1, 1), (17, 1), (7, 5), (33, 29)] {
+                // A radius ≥ the image height only where the reference's
+                // (2r+1)² taps per pixel stay cheap.
+                let radii: &[usize] = if h <= 5 { &[1, 3, 5, 7] } else { &[1, 3] };
+                for &r in radii {
+                    let mut p = Pipeline::new("t");
+                    let k = fused_kernel_r(&mut p, mode, w, h, r);
+                    let input_id = p.inputs()[0];
+                    let img = synthetic_image(p.image(input_id).clone(), 23);
+                    let images = prepare_images(&p, &[(input_id, img)]).unwrap();
+                    let reference = execute_kernel(&p, &k, &images).unwrap();
+                    for strip_rows in [Some(1), Some(2), Some(3), None] {
+                        for threads in 1..=3 {
+                            let cfg = TileConfig {
+                                strip_rows,
+                                threads: Some(threads),
+                            };
+                            let got = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
+                            assert!(
+                                got.bit_equal(&reference),
+                                "mode {mode:?} size {w}x{h} radius {r} cfg {cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// sq → 3-tap horizontal → 7-tap vertical: the two fused stages need
+    /// 3 halo rows and the producer one halo column. Planes are sized from
+    /// the vertical halo alone, so an executor that read `hx` where it
+    /// means `hy` materializes 4 + 0 and 4 + 2 rows instead of 4 + 6 —
+    /// and still produces the right pixels, through the per-load fallback,
+    /// which is why this checks the planes and not only the output.
+    #[test]
+    fn vertical_halo_sizes_the_planes() {
+        let (w, h) = (11, 23);
+        let mut p = Pipeline::new("t");
+        let input = p.add_input(ImageDesc::new("in", w, h, 1));
+        let out = p.add_image(ImageDesc::new("out", w, h, 1));
+        let stage = |name: &str, on: StageRef, body: Expr, space| Stage {
+            name: name.into(),
+            refs: vec![on],
+            borders: vec![BorderMode::Mirror],
+            body: vec![body],
+            params: vec![],
+            space,
+        };
+        let across: Vec<&[f32]> = vec![&[1.0, -2.0, 0.5]];
+        let down: Vec<&[f32]> = vec![&[0.5], &[1.0], &[-1.5], &[2.0], &[0.25], &[-1.0], &[3.0]];
+        let k = Kernel {
+            name: "hv".into(),
+            inputs: vec![input],
+            output: out,
+            stages: vec![
+                stage(
+                    "sq",
+                    StageRef::Input(0),
+                    Expr::load(0) * Expr::load(0),
+                    MemSpace::Shared,
+                ),
+                stage(
+                    "across",
+                    StageRef::Stage(0),
+                    Expr::convolve(0, 0, &across),
+                    MemSpace::Shared,
+                ),
+                stage(
+                    "down",
+                    StageRef::Stage(1),
+                    Expr::convolve(0, 0, &down),
+                    MemSpace::Global,
+                ),
+            ],
+            root: 2,
+            input_staging: true,
+        };
+        p.add_kernel(k.clone());
+        p.mark_output(out);
+        let ck = CompiledKernel::new(&k);
+        assert_eq!(ck.halo(1), (0, 3));
+        assert_eq!(ck.halo(0), (1, 3));
+
+        let img = synthetic_image(p.image(input).clone(), 5);
+        let images = prepare_images(&p, &[(input, img)]).unwrap();
+        let reference = execute_kernel(&p, &k, &images).unwrap();
+        let cfg = TileConfig {
+            strip_rows: Some(4),
+            threads: Some(1),
+        };
+        let mut scratch = Scratch::default();
+        let got = execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut scratch).unwrap();
+        assert!(got.bit_equal(&reference));
+        // The tallest plane of either stage: an interior 4-row strip
+        // grown by 3 rows above and below, image-wide.
+        assert_eq!(scratch.planes[0].len(), (4 + 2 * 3) * w);
+        assert_eq!(scratch.planes[1].len(), (4 + 2 * 3) * w);
+        // The model walks the same planes: strips [0,4) … [20,23) cover
+        // 7 + 10·4 + 6 = 53 rows per stage.
+        let t = modeled_traffic(&p, &k, &ck, &cfg);
+        assert_eq!(t.plane_write_bytes, 2 * 53 * w as u64 * 4);
+    }
+
+    /// The derived strip height: as many rows as keep the planes inside
+    /// the 512 KiB budget, never under 8, the whole image when nothing is
+    /// materialized or the image is shorter.
+    #[test]
+    fn strip_rows_follow_the_planes_footprint() {
+        let derive = TileConfig::default();
+        let mut p = Pipeline::new("t");
+        let k = fused_kernel(&mut p, BorderMode::Clamp, 2048, 2048);
+        let ck = CompiledKernel::new(&k);
+        // One single-channel plane of 2048 · 4 B rows: 2^19 / 2^13.
+        assert_eq!(ck.strip_rows(2048, 2048, &derive), 64);
+        assert_eq!(ck.strip_rows(64, 64, &derive), 64);
+        assert_eq!(ck.strip_rows(1 << 16, 1 << 16, &derive), 8);
+        let pinned = TileConfig {
+            strip_rows: Some(0),
+            threads: None,
+        };
+        assert_eq!(ck.strip_rows(2048, 2048, &pinned), 1);
+
+        let mut p = Pipeline::new("t");
+        let input = p.add_input(ImageDesc::new("in", 2048, 2048, 1));
+        let out = p.add_image(ImageDesc::new("out", 2048, 2048, 1));
+        let point = Kernel::simple(
+            "neg",
+            vec![input],
+            out,
+            vec![BorderMode::Clamp],
+            vec![Expr::Const(0.0) - Expr::load(0)],
+            vec![],
+        );
+        p.add_kernel(point.clone());
+        assert_eq!(
+            CompiledKernel::new(&point).strip_rows(2048, 2048, &derive),
+            2048
+        );
     }
 }

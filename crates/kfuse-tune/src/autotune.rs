@@ -2,7 +2,7 @@
 //!
 //! The planner's analytic model picks one configuration; the autotuner
 //! *measures* the alternatives. Per `(pipeline fingerprint, size-class)`
-//! key it sweeps schedule × tile shape (× optionally the separable
+//! key it sweeps schedule × strip height (× optionally the separable
 //! rewrite), timing each candidate with the noise-aware rule of
 //! [`crate::measure`] and keeping the fastest.
 //!
@@ -69,22 +69,18 @@ pub struct Choice {
     /// Whether the separable mask factorization is applied at compile
     /// time (changes FP association — must survive the identity oracle).
     pub separable: bool,
-    /// Executor tile width.
-    pub tile_w: usize,
-    /// Executor tile height.
-    pub tile_h: usize,
+    /// Executor strip height; `None` lets the executor derive it.
+    pub strip_rows: Option<usize>,
 }
 
 impl Choice {
-    /// The static planner's pick: optimized schedule, default tile, no
-    /// separable rewrite.
+    /// The static planner's pick: optimized schedule, derived strip
+    /// height, no separable rewrite.
     pub fn static_default() -> Self {
-        let d = FastConfig::default();
         Self {
             schedule: Schedule::Optimized,
             separable: false,
-            tile_w: d.tile_w,
-            tile_h: d.tile_h,
+            strip_rows: FastConfig::default().strip_rows,
         }
     }
 
@@ -93,8 +89,7 @@ impl Choice {
     /// per-pipeline tunable).
     pub fn fast_config(&self) -> FastConfig {
         FastConfig {
-            tile_w: self.tile_w,
-            tile_h: self.tile_h,
+            strip_rows: self.strip_rows,
             ..FastConfig::default()
         }
     }
@@ -109,15 +104,28 @@ impl Choice {
         kfuse_dsl::compile(p, self.schedule, &cfg)
     }
 
-    /// Compact human label, e.g. `optimized+sep 128x64`.
+    /// Compact human label, e.g. `optimized+sep auto` or `basic 64`.
     pub fn label(&self) -> String {
         format!(
-            "{}{} {}x{}",
+            "{}{} {}",
             schedule_tag(self.schedule),
             if self.separable { "+sep" } else { "" },
-            self.tile_w,
-            self.tile_h,
+            strip_tag(self.strip_rows),
         )
+    }
+}
+
+/// Stable one-word tag per strip height (persistence + labels): the row
+/// count, or `auto` for the derived height.
+pub(crate) fn strip_tag(strip_rows: Option<usize>) -> String {
+    strip_rows.map_or_else(|| "auto".into(), |n| n.to_string())
+}
+
+/// Parses a [`strip_tag`] back; a zero row count is not a strip height.
+pub(crate) fn strip_from_tag(tag: &str) -> Option<Option<usize>> {
+    match tag {
+        "auto" => Some(None),
+        n => n.parse().ok().filter(|&n| n > 0).map(Some),
     }
 }
 
@@ -155,33 +163,32 @@ pub struct TuneOptions {
     /// off for online tuning: one probe input proves nothing about other
     /// inputs, and the runtime's contract is bit identity on all of them.
     pub include_separable: bool,
-    /// Tile shapes to sweep.
-    pub tiles: Vec<(usize, usize)>,
+    /// Strip heights to sweep.
+    pub strips: Vec<Option<usize>>,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        let d = FastConfig::default();
         Self {
             min_repeats: 3,
             max_repeats: 9,
             target_spread: 0.10,
             include_separable: false,
-            tiles: vec![(d.tile_w, d.tile_h), (64, 64), (256, 32), (32, 128)],
+            strips: vec![None, Some(8), Some(64)],
         }
     }
 }
 
 impl TuneOptions {
-    /// A cheap variant for smoke tests and CI: one tile, minimal repeats.
+    /// A cheap variant for smoke tests and CI: the derived strip height
+    /// only, minimal repeats.
     pub fn smoke() -> Self {
-        let d = FastConfig::default();
         Self {
             min_repeats: 1,
             max_repeats: 2,
             target_spread: 1.0,
             include_separable: false,
-            tiles: vec![(d.tile_w, d.tile_h)],
+            strips: vec![None],
         }
     }
 
@@ -197,12 +204,11 @@ impl TuneOptions {
                 &[false]
             };
             for &separable in seps {
-                for &(tile_w, tile_h) in &self.tiles {
+                for &strip_rows in &self.strips {
                     out.push(Choice {
                         schedule,
                         separable,
-                        tile_w,
-                        tile_h,
+                        strip_rows,
                     });
                 }
             }
@@ -403,12 +409,15 @@ mod tests {
     fn candidate_space_shape() {
         let opts = TuneOptions::default();
         let n = opts.candidates().len();
-        // 3 schedules × 4 tiles, no separable by default.
-        assert_eq!(n, 12);
+        // 3 schedules × 3 strip heights, no separable by default.
+        assert_eq!(n, 9);
+        // The static default is a candidate, so tuned ≥ static holds by
+        // construction.
+        assert!(opts.candidates().contains(&Choice::static_default()));
         let mut with_sep = opts.clone();
         with_sep.include_separable = true;
-        // + (basic, optimized) × 4 tiles.
-        assert_eq!(with_sep.candidates().len(), 20);
+        // + (basic, optimized) × 3 strip heights.
+        assert_eq!(with_sep.candidates().len(), 15);
     }
 
     #[test]
@@ -417,6 +426,12 @@ mod tests {
             assert_eq!(schedule_from_tag(schedule_tag(s)), Some(s));
         }
         assert_eq!(schedule_from_tag("bogus"), None);
+        for strip in [None, Some(1), Some(64)] {
+            assert_eq!(strip_from_tag(&strip_tag(strip)), Some(strip));
+        }
+        assert_eq!(strip_from_tag("0"), None);
+        assert_eq!(strip_from_tag("128x64"), None);
+        assert_eq!(Choice::static_default().label(), "optimized auto");
     }
 
     #[test]
@@ -425,7 +440,7 @@ mod tests {
         let inputs = probe_inputs(&p, 7);
         let base = default_config(GpuSpec::gtx680());
         let mut opts = TuneOptions::smoke();
-        opts.tiles = vec![(128, 64), (32, 32)];
+        opts.strips = vec![None, Some(5)];
         let result = autotune(&p, &inputs, &base, &opts).unwrap();
         assert!(!result.measured.is_empty());
         assert_eq!(result.key, TuneKey::for_pipeline(&p));

@@ -18,7 +18,7 @@
 //!   least squares; the result plugs into
 //!   [`kfuse_core::MeasuredPolicy`] and is differential-tested against
 //!   [`kfuse_core::StaticModelPolicy`].
-//! * [`mod@autotune`] — empirical search over schedule × tile shape
+//! * [`mod@autotune`] — empirical search over schedule × strip height
 //!   (× optionally the separable rewrite) per
 //!   `(fingerprint, size-class)` [`TuneKey`], with **bit identity versus
 //!   the reference interpreter as a hard oracle**: tuning may change

@@ -4,11 +4,11 @@
 //! to the reference tree-walking interpreter
 //! (`kfuse_sim::execute_reference`).
 //!
-//! The fast engine materializes each inlined stage once per tile into a
+//! The fast engine materializes each inlined stage once per strip into a
 //! halo-extended scratch plane; the interpreter recomputes producers per
 //! load. Both perform the same f32 arithmetic on the same values, so any
 //! bit difference is a bug in the tape lowering, the halo math, or the
-//! index-exchange handling at tile borders.
+//! index-exchange handling at strip seams and image borders.
 
 use kfuse_apps::paper_apps;
 use kfuse_core::FusionConfig;
@@ -47,24 +47,31 @@ fn assert_fast_matches_reference(p: &Pipeline, fast_cfg: &FastConfig, label: &st
 }
 
 /// All six applications, unfused and under both fusion schedules, on a
-/// non-square odd-sized image, with tiles that do not divide the image.
+/// non-square odd-sized image: 11-row strips that do not divide the
+/// 61 rows or the two 30/31-row bands, one-row strips (every row a seam),
+/// and the derived strip height.
 #[test]
 fn all_apps_all_schedules_bit_identical() {
-    let fast_cfg = FastConfig {
-        tile_w: 24,
-        tile_h: 11,
-        threads: Some(2),
-    };
+    let fast_cfgs = [
+        FastConfig {
+            strip_rows: Some(11),
+            threads: Some(2),
+        },
+        FastConfig {
+            strip_rows: Some(1),
+            threads: Some(1),
+        },
+        FastConfig::default(),
+    ];
     for app in paper_apps() {
         let p = (app.build_sized)(97, 61);
-        assert_fast_matches_reference(&p, &fast_cfg, &format!("{}/baseline", app.name));
-        for schedule in [Schedule::Basic, Schedule::Optimized] {
-            let fused = compile(&p, schedule, &cfg());
-            assert_fast_matches_reference(
-                &fused,
-                &fast_cfg,
-                &format!("{}/{:?}", app.name, schedule),
-            );
+        for fast_cfg in &fast_cfgs {
+            let label = format!("{}/{:?}", app.name, fast_cfg.strip_rows);
+            assert_fast_matches_reference(&p, fast_cfg, &format!("{label}/baseline"));
+            for schedule in [Schedule::Basic, Schedule::Optimized] {
+                let fused = compile(&p, schedule, &cfg());
+                assert_fast_matches_reference(&fused, fast_cfg, &format!("{label}/{schedule:?}"));
+            }
         }
     }
 }
@@ -88,8 +95,7 @@ fn fused_chain_all_border_modes() {
         let p = b.build();
         let fused = compile(&p, Schedule::Optimized, &cfg());
         let fast_cfg = FastConfig {
-            tile_w: 9,
-            tile_h: 7,
+            strip_rows: Some(7),
             threads: Some(2),
         };
         assert_fast_matches_reference(&fused, &fast_cfg, &format!("chain/{mode:?}"));
@@ -97,12 +103,11 @@ fn fused_chain_all_border_modes() {
     }
 }
 
-/// Image smaller than a tile in both dimensions.
+/// Image shorter than a strip (a strip is a tile as wide as the image).
 #[test]
 fn image_smaller_than_tile() {
     let fast_cfg = FastConfig {
-        tile_w: 256,
-        tile_h: 256,
+        strip_rows: Some(256),
         threads: Some(1),
     };
     for app in paper_apps() {
@@ -125,8 +130,7 @@ fn halo_wider_than_image() {
         let p = b.build();
         let fused = compile(&p, Schedule::Optimized, &cfg());
         let fast_cfg = FastConfig {
-            tile_w: 3,
-            tile_h: 3,
+            strip_rows: Some(3),
             threads: Some(2),
         };
         assert_fast_matches_reference(&fused, &fast_cfg, &format!("wide-halo/{mode:?}"));
@@ -140,13 +144,11 @@ fn multi_channel_rgb_tiled() {
     let fused = compile(&p, Schedule::Optimized, &cfg());
     for fast_cfg in [
         FastConfig {
-            tile_w: 8,
-            tile_h: 8,
+            strip_rows: Some(8),
             threads: Some(1),
         },
         FastConfig {
-            tile_w: 5,
-            tile_h: 3,
+            strip_rows: Some(3),
             threads: Some(3),
         },
     ] {
@@ -166,8 +168,7 @@ fn constant_border_in_halo() {
     let p = b.build();
     let fused = compile(&p, Schedule::Optimized, &cfg());
     let fast_cfg = FastConfig {
-        tile_w: 4,
-        tile_h: 4,
+        strip_rows: Some(4),
         threads: Some(2),
     };
     assert_fast_matches_reference(&fused, &fast_cfg, "constant-halo");
@@ -177,8 +178,7 @@ fn constant_border_in_halo() {
 #[test]
 fn degenerate_shapes() {
     let fast_cfg = FastConfig {
-        tile_w: 16,
-        tile_h: 16,
+        strip_rows: Some(16),
         threads: Some(2),
     };
     for (w, h) in [(64, 1), (1, 64), (1, 1), (2, 2)] {
@@ -188,14 +188,13 @@ fn degenerate_shapes() {
     }
 }
 
-/// More worker threads than row bands must not break band splitting.
+/// More worker threads than rows must not break band splitting.
 #[test]
 fn oversubscribed_threads() {
     let p = kfuse_apps::harris(33, 9, kfuse_apps::harris::DEFAULT_K);
     let fused = compile(&p, Schedule::Optimized, &cfg());
     let fast_cfg = FastConfig {
-        tile_w: 16,
-        tile_h: 4,
+        strip_rows: Some(4),
         threads: Some(64),
     };
     assert_fast_matches_reference(&fused, &fast_cfg, "harris-oversubscribed");

@@ -63,7 +63,7 @@ fn autotune_winner_survives_reexecution() {
     let inputs = probe_inputs(&p, 5);
     let base = StaticModelPolicy::paper_default().fusion_config().clone();
     let mut opts = TuneOptions::smoke();
-    opts.tiles = vec![(128, 64), (32, 32)];
+    opts.strips = vec![None, Some(8)];
     let result = autotune(&p, &inputs, &base, &opts).unwrap();
     assert_eq!(result.key, TuneKey::for_pipeline(&p));
     assert!(result
