@@ -13,10 +13,9 @@
 //! * [`planner`] — the benefit-weighted dependence graph, **Algorithm 1**
 //!   (recursive Stoer–Wagner min-cut partitioning) with a replayable
 //!   trace, objective Eq. (1), and plan application.
-//! * [`policy`] — planning policies behind one [`PlanPolicy`] trait:
-//!   the paper's static analytic model ([`StaticModelPolicy`]) versus
-//!   measured, feedback-calibrated constants ([`MeasuredPolicy`], fed by
-//!   the `kfuse-tune` calibrator).
+//! * [`policy`] — the [`PlanPolicy`] trait, who decides the fusion
+//!   configuration, and its one implementation, the paper's analytic
+//!   model ([`StaticModelPolicy`]).
 //! * [`explain`] — planner explainability: [`PlanTrace`] flattens a plan
 //!   into per-edge benefit breakdowns (δ, φ, g, γ, ε-clamp reasons),
 //!   legality verdicts, and the recursion log, rendered as a text report
@@ -73,7 +72,7 @@ pub use planner::{
     pair_is_legal, pair_verdict, plan_optimized, EdgeInfo, FusionConfig, FusionPlan, FusionResult,
     Trace, TraceEvent,
 };
-pub use policy::{MeasuredPolicy, PlanPolicy, StaticModelPolicy};
+pub use policy::{PlanPolicy, StaticModelPolicy};
 pub use resources::{fits_device, resource_check, shared_usage_bytes};
 pub use separable::{factor_kernel, factor_pipeline};
 pub use synthesis::{absolute_extents, input_access_extents, synthesize};

@@ -6,12 +6,8 @@
 //! * [`StaticModelPolicy`] prices edges with the paper's analytic
 //!   [`BenefitModel`] and its data-sheet GPU constants — planning as the
 //!   paper evaluates it, with no feedback from the machine.
-//! * [`MeasuredPolicy`] prices edges with the *same* equations but
-//!   constants fitted from observed executions
-//!   ([`kfuse_model::CostConstants`], produced by `kfuse-tune`'s
-//!   calibrator) — planning informed by what this host actually measures.
 //!
-//! Both implement [`PlanPolicy`], so they are differential-testable: a
+//! Skewed constants make a [`PlanPolicy`] differential-testable: a
 //! policy only ever changes *which* legal partition is chosen, never the
 //! semantics of the fused pipeline, so every policy's output must stay
 //! bit-identical to the reference interpreter (the fuzzer enforces this
@@ -19,7 +15,7 @@
 
 use crate::planner::{fuse_optimized, plan_optimized, FusionConfig, FusionPlan, FusionResult};
 use kfuse_ir::Pipeline;
-use kfuse_model::{BenefitModel, CostConstants};
+use kfuse_model::BenefitModel;
 
 /// A planning policy: owns the [`FusionConfig`] (benefit model, block
 /// shape, thresholds) that Algorithm 1 runs under.
@@ -29,8 +25,7 @@ use kfuse_model::{BenefitModel, CostConstants};
 /// bit-identical to the unfused reference — a policy that could change
 /// output pixels is a miscompilation, not a policy.
 pub trait PlanPolicy: Send + Sync + std::fmt::Debug {
-    /// Short stable name (`"static"`, `"measured"`) for logs, benchmarks,
-    /// and persistence.
+    /// Short stable name (`"static"`) for logs and benchmarks.
     fn name(&self) -> &'static str;
 
     /// The fusion configuration this policy plans with.
@@ -72,47 +67,6 @@ impl StaticModelPolicy {
 impl PlanPolicy for StaticModelPolicy {
     fn name(&self) -> &'static str {
         "static"
-    }
-
-    fn fusion_config(&self) -> &FusionConfig {
-        &self.cfg
-    }
-}
-
-/// The feedback-directed policy: identical equations, measured constants.
-///
-/// Built from a base configuration plus a fitted [`CostConstants`]; only
-/// the calibratable constants differ from [`StaticModelPolicy`], so a
-/// differential test between the two isolates exactly the effect of
-/// calibration on fusion decisions.
-#[derive(Clone, Debug)]
-pub struct MeasuredPolicy {
-    cfg: FusionConfig,
-    constants: CostConstants,
-}
-
-impl MeasuredPolicy {
-    /// A policy that plans with `constants` substituted into `base`'s
-    /// benefit model. Insane constants (non-finite, non-positive access
-    /// costs) are refused — the caller should keep its previous policy.
-    pub fn from_constants(base: FusionConfig, constants: CostConstants) -> Option<Self> {
-        if !constants.is_sane() {
-            return None;
-        }
-        let mut cfg = base;
-        cfg.model = cfg.model.with_constants(&constants);
-        Some(Self { cfg, constants })
-    }
-
-    /// The fitted constants this policy prices with.
-    pub fn constants(&self) -> CostConstants {
-        self.constants
-    }
-}
-
-impl PlanPolicy for MeasuredPolicy {
-    fn name(&self) -> &'static str {
-        "measured"
     }
 
     fn fusion_config(&self) -> &FusionConfig {
@@ -170,75 +124,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn measured_policy_swaps_only_constants() {
-        let base = FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()));
-        let fitted = CostConstants {
-            t_global: 250.0,
-            t_shared: 2.0,
-            c_alu: 1.0,
-            c_sfu: 8.0,
-            gamma: 0.0,
-        };
-        let policy = MeasuredPolicy::from_constants(base.clone(), fitted).unwrap();
-        assert_eq!(policy.name(), "measured");
-        assert_eq!(policy.constants(), fitted);
-        assert_eq!(policy.fusion_config().model.constants(), fitted);
-        // Non-calibratable knobs are untouched.
-        assert_eq!(policy.fusion_config().model.epsilon, base.model.epsilon);
-        assert_eq!(
-            policy.fusion_config().shared_threshold,
-            base.shared_threshold
-        );
-    }
-
-    #[test]
-    fn measured_policy_refuses_insane_constants() {
-        let base = FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()));
-        for bad in [
-            CostConstants {
-                t_global: 0.0,
-                t_shared: 4.0,
-                c_alu: 4.0,
-                c_sfu: 16.0,
-                gamma: 0.0,
-            },
-            CostConstants {
-                t_global: 400.0,
-                t_shared: f64::INFINITY,
-                c_alu: 4.0,
-                c_sfu: 16.0,
-                gamma: 0.0,
-            },
-            CostConstants {
-                t_global: 400.0,
-                t_shared: 4.0,
-                c_alu: f64::NAN,
-                c_sfu: 16.0,
-                gamma: 0.0,
-            },
-        ] {
-            assert!(MeasuredPolicy::from_constants(base.clone(), bad).is_none());
-        }
-    }
-
-    /// Both policies fuse the point chain completely: where measurement
-    /// and model agree, the decisions coincide.
+    /// Skewed constants fuse the point chain as completely as the
+    /// paper's: where the model is clear-cut, the decisions coincide.
     #[test]
     fn policies_agree_on_clear_cut_fusion() {
         let p = chain();
         let s = StaticModelPolicy::paper_default();
-        let m = MeasuredPolicy::from_constants(
-            s.fusion_config().clone(),
-            CostConstants {
-                t_global: 900.0,
-                t_shared: 3.0,
-                c_alu: 2.0,
-                c_sfu: 10.0,
-                gamma: 0.0,
-            },
-        )
-        .unwrap();
+        let m = StaticModelPolicy::new(FusionConfig::new(BenefitModel::new(GpuSpec {
+            t_global: 900.0,
+            t_shared: 3.0,
+            c_alu: 2.0,
+            c_sfu: 10.0,
+            ..GpuSpec::gtx680()
+        })));
         assert_eq!(s.fuse(&p).pipeline.kernels().len(), 1);
         assert_eq!(m.fuse(&p).pipeline.kernels().len(), 1);
     }

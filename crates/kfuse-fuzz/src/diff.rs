@@ -18,16 +18,15 @@
 //! * every fusion [`kfuse_dsl::Schedule`], each run through both the
 //!   interpreter and the fast executor — this is where planner + synthesis
 //!   bugs surface as wrong pixels;
-//! * both planning policies ([`kfuse_core::StaticModelPolicy`] and
-//!   [`kfuse_core::MeasuredPolicy`] under seed-skewed synthetic
-//!   calibration constants): policies may pick *different partitions*,
-//!   never different pixels;
+//! * two planning policies ([`kfuse_core::StaticModelPolicy`] under the
+//!   paper's constants and under seed-skewed ones): policies may pick
+//!   *different partitions*, never different pixels;
 //! * a [`Runtime`] round trip, cold then warm, asserting the warm
 //!   submission actually hit the plan cache.
 
-use kfuse_core::{MeasuredPolicy, PlanPolicy, StaticModelPolicy};
+use kfuse_core::{FusionConfig, PlanPolicy, StaticModelPolicy};
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_model::{CostConstants, GpuSpec};
+use kfuse_model::{BenefitModel, GpuSpec};
 use kfuse_obs::{validate_chrome_trace, Tracer};
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{
@@ -270,25 +269,20 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
     }
 
     // Policy lane: planning policies own the fusion decision, not the
-    // semantics. The measured policy runs with synthetic "fitted"
-    // constants whose ratios are skewed by the seed — so across a corpus
-    // the two policies genuinely disagree on partitions — and both must
-    // still produce reference-identical pixels.
+    // semantics. The second policy prices with constants whose ratios
+    // are skewed by the seed — so across a corpus the two policies
+    // genuinely disagree on partitions — and both must still produce
+    // reference-identical pixels.
     let static_policy = StaticModelPolicy::paper_default();
     let skew = 1.0 + (seed % 16) as f64;
-    let constants = CostConstants {
+    let skewed_policy = StaticModelPolicy::new(FusionConfig::new(BenefitModel::new(GpuSpec {
         t_global: 50.0 * skew,
         t_shared: 4.0,
         c_alu: 4.0 + (seed % 5) as f64,
         c_sfu: 16.0,
-        gamma: 0.0,
-    };
-    let measured_policy =
-        MeasuredPolicy::from_constants(static_policy.fusion_config().clone(), constants)
-            .expect("synthetic calibration constants are sane");
-    let policies: [&dyn PlanPolicy; 2] = [&static_policy, &measured_policy];
-    for policy in policies {
-        let label = policy.name();
+        ..GpuSpec::gtx680()
+    })));
+    for (label, policy) in [("static", &static_policy), ("skewed", &skewed_policy)] {
         let fused = policy.fuse(p).pipeline;
         fused.validate().map_err(|e| Failure::InvalidPipeline {
             path: format!("policy:{label}"),

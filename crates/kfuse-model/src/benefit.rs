@@ -167,53 +167,6 @@ impl EdgeEstimate {
     }
 }
 
-/// The effective cost constants the benefit equations actually consume —
-/// the calibratable subset of [`GpuSpec`] plus the `γ` of Eq. 11.
-///
-/// The paper fixes these from data sheets (`t_g = 400`, `c_ALU = 4`, …);
-/// `kfuse-tune` instead *fits* them from observed kernel timings, so a
-/// planner can price fusion decisions for the machine it is actually
-/// running on. Only ratios matter to the min-cut partitioning (δ scales
-/// with `t_global`, φ with `c_ALU`), so any consistent unit system is
-/// valid — the calibrator normalizes into paper-comparable cycle units.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostConstants {
-    /// Effective global-memory access cost `t_g` (cycles).
-    pub t_global: f64,
-    /// Effective shared/local access cost `t_s` (cycles).
-    pub t_shared: f64,
-    /// Effective ALU operation cost `c_ALU` (cycles).
-    pub c_alu: f64,
-    /// Effective SFU operation cost `c_SFU` (cycles).
-    pub c_sfu: f64,
-    /// Additional-gains term `γ` of Eq. 11.
-    pub gamma: f64,
-}
-
-impl CostConstants {
-    /// The constants a [`GpuSpec`] + model currently encodes.
-    pub fn from_spec(gpu: &GpuSpec, gamma: f64) -> Self {
-        Self {
-            t_global: gpu.t_global,
-            t_shared: gpu.t_shared,
-            c_alu: gpu.c_alu,
-            c_sfu: gpu.c_sfu,
-            gamma,
-        }
-    }
-
-    /// Whether every constant is finite and the access/op costs are
-    /// strictly positive — the precondition for feeding them to the
-    /// min-cut graph (Eq. 12 clamps, but garbage ratios still plan
-    /// garbage).
-    pub fn is_sane(&self) -> bool {
-        [self.t_global, self.t_shared, self.c_alu, self.c_sfu]
-            .iter()
-            .all(|v| v.is_finite() && *v > 0.0)
-            && self.gamma.is_finite()
-    }
-}
-
 /// The benefit model: a GPU description plus the tunable constants of
 /// Eq. 12.
 #[derive(Clone, Debug)]
@@ -255,24 +208,6 @@ impl BenefitModel {
             block: BlockShape::DEFAULT,
             separable_phi: false,
         }
-    }
-
-    /// Replaces the calibratable constants with `c`, leaving every other
-    /// knob (ε, `IS` mode, recompute mode, block shape) untouched. This is
-    /// how a fitted [`CostConstants`] becomes a planning model — the
-    /// `MeasuredPolicy` of `kfuse-core` is exactly a model built this way.
-    pub fn with_constants(mut self, c: &CostConstants) -> Self {
-        self.gpu.t_global = c.t_global;
-        self.gpu.t_shared = c.t_shared;
-        self.gpu.c_alu = c.c_alu;
-        self.gpu.c_sfu = c.c_sfu;
-        self.gamma = c.gamma;
-        self
-    }
-
-    /// The calibratable constants this model currently prices with.
-    pub fn constants(&self) -> CostConstants {
-        CostConstants::from_spec(&self.gpu, self.gamma)
     }
 
     /// Iteration-space size of an image under the configured [`IsMode`].
@@ -650,49 +585,6 @@ mod tests {
         let est = model.edge_weight(&p, sq, gauss, mid, true);
         // sq has n_ALU = 1 (one multiply): δ=400, φ=4·1·9=36.
         assert_eq!(est.raw, 400.0 - 36.0);
-    }
-
-    /// `with_constants` swaps exactly the calibratable subset and
-    /// round-trips through `constants()`; the weight of an edge under the
-    /// rebuilt model equals the weight under a hand-edited spec.
-    #[test]
-    fn constants_round_trip_and_reprice() {
-        let (p, sq, gauss, mid) = tiny_pipeline();
-        let base = BenefitModel::new(GpuSpec::gtx680());
-        let fitted = CostConstants {
-            t_global: 123.0,
-            t_shared: 7.0,
-            c_alu: 2.5,
-            c_sfu: 9.0,
-            gamma: 11.0,
-        };
-        assert!(fitted.is_sane());
-        let model = base.clone().with_constants(&fitted);
-        assert_eq!(model.constants(), fitted);
-        // Non-calibratable knobs survive.
-        assert_eq!(model.epsilon, base.epsilon);
-        assert_eq!(model.is_mode, base.is_mode);
-        let mut manual = base;
-        manual.gpu.t_global = 123.0;
-        manual.gpu.t_shared = 7.0;
-        manual.gpu.c_alu = 2.5;
-        manual.gpu.c_sfu = 9.0;
-        manual.gamma = 11.0;
-        assert_eq!(
-            model.edge_weight(&p, sq, gauss, mid, true).weight,
-            manual.edge_weight(&p, sq, gauss, mid, true).weight
-        );
-        // Degenerate constants are flagged, not silently accepted.
-        assert!(!CostConstants {
-            t_shared: 0.0,
-            ..fitted
-        }
-        .is_sane());
-        assert!(!CostConstants {
-            t_global: f64::NAN,
-            ..fitted
-        }
-        .is_sane());
     }
 
     #[test]

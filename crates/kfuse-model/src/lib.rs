@@ -21,7 +21,7 @@ pub mod gpu;
 
 pub use benefit::{
     cost_op, delta_register, delta_shared, eq9_fused_window, phi_local_to_local,
-    phi_point_to_local, BenefitModel, ClampReason, CostConstants, EdgeEstimate, FusionScenario,
-    IsMode, L2LRecompute,
+    phi_point_to_local, BenefitModel, ClampReason, EdgeEstimate, FusionScenario, IsMode,
+    L2LRecompute,
 };
 pub use gpu::{BlockShape, GpuSpec};

@@ -15,9 +15,6 @@
 //!   executor, the serving runtime) without perturbing tier-1 numbers.
 //! * [`chrome`] — renders recorded events in the Chrome `trace_event`
 //!   JSON format, loadable in `chrome://tracing` and Perfetto.
-//! * [`profile`] — profile extraction: flattens recorded `kernel:*`
-//!   spans into [`KernelObservation`] rows (measured wall time next to
-//!   modeled byte/op volumes), the input of the `kfuse-tune` calibrator.
 //! * [`json`] — the single JSON string-escape/number-format helper shared
 //!   by every hand-rolled serializer in the workspace (runtime metrics
 //!   snapshot, trace exporter).
@@ -49,7 +46,6 @@
 pub mod check;
 pub mod chrome;
 pub mod json;
-pub mod profile;
 pub mod prom;
 pub mod recorder;
 pub mod tracer;
@@ -57,7 +53,6 @@ pub mod tracer;
 pub use check::{parse_json, validate_chrome_trace, ChromeTraceStats, Json};
 pub use chrome::to_chrome_json;
 pub use json::{escape_json, fmt_json_f64, push_json_escaped, push_json_string};
-pub use profile::{kernel_observations, trace_observations, KernelObservation};
 pub use prom::{escape_label_value, is_valid_metric_name, validate_prometheus, PromWriter};
 pub use recorder::{
     ActiveRequest, FlightRecorder, RecorderConfig, RecorderStats, RequestOutcome, RequestRecord,

@@ -47,9 +47,8 @@ pub struct CachedPlan {
 /// Hit/miss tallies for one structural fingerprint, across every
 /// `(schedule, exec)` variant it was looked up under.
 ///
-/// This is the observability the autotuner keys on: a fingerprint with
-/// many lookups is *hot* — repeat traffic worth tuning off the request
-/// path — regardless of whether those lookups hit or missed.
+/// A fingerprint with many lookups is *hot* — repeat traffic —
+/// regardless of whether those lookups hit or missed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FingerprintStats {
     /// Structural pipeline fingerprint.
@@ -189,15 +188,6 @@ impl PlanCache {
                 self.map.insert(key, (self.tick, entry));
             }
         }
-    }
-
-    /// Drops every cached plan while keeping the lookup statistics and the
-    /// eviction counter. Used when the planning policy changes: every
-    /// cached plan was compiled under the old policy and must not be
-    /// served again. Cleared plans are not counted as evictions (nothing
-    /// was displaced by competing traffic).
-    pub fn clear_plans(&mut self) {
-        self.map.clear();
     }
 
     /// Number of cached plans.

@@ -23,12 +23,7 @@
 //!   to the wrong slots;
 //! * [`metrics`] — per-tenant atomic counters and log₂ latency histograms,
 //!   exported as a [`MetricsSnapshot`] with hand-rolled JSON and
-//!   Prometheus text exposition (the workspace is zero-external-crate);
-//! * [`tune`] — optional online autotuning ([`TuneConfig`]): a background
-//!   retuner thread probes hot pipeline fingerprints off the request path
-//!   with `kfuse-tune`, installs bit-identity-proven winners that override
-//!   the plan for `Optimized` jobs, persists them across restarts, and can
-//!   calibrate the planning policy from the runtime's own trace spans.
+//!   Prometheus text exposition (the workspace is zero-external-crate).
 //!
 //! Serving is traceable end to end: set a recording
 //! [`kfuse_obs::Tracer`] in [`RuntimeConfig`] and every request emits
@@ -68,7 +63,6 @@ pub mod cache;
 pub mod metrics;
 pub mod runtime;
 pub mod session;
-pub mod tune;
 
 pub use cache::{CachedPlan, FingerprintStats, PlanCache, PlanKey};
 pub use metrics::{
@@ -77,4 +71,3 @@ pub use metrics::{
 };
 pub use runtime::{Admission, JobHandle, Priority, Runtime, RuntimeConfig, RuntimeError};
 pub use session::{FrameHandle, SessionStats};
-pub use tune::{RetuneReport, TuneConfig};

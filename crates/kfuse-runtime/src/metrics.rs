@@ -447,9 +447,6 @@ pub struct RuntimeGauges {
     pub cache_size: u64,
     /// Plan-cache capacity.
     pub cache_capacity: u64,
-    /// Tuned plan choices installed by the autotuner (0 when tuning is
-    /// disabled).
-    pub tuned_plans: u64,
     /// Cumulative plans evicted to make room.
     pub cache_evictions: u64,
     /// Runtime shards serving the process (1 = unsharded). Queue and
@@ -534,14 +531,13 @@ impl MetricsSnapshot {
         let g = &self.runtime;
         out.push_str(&format!(
             "{{\"queue_depth\":{},\"queue_depth_hwm\":{},\"in_flight\":{},\"cache_size\":{},\
-             \"cache_capacity\":{},\"tuned_plans\":{},\"cache_evictions\":{},\"shards\":{},\
+             \"cache_capacity\":{},\"cache_evictions\":{},\"shards\":{},\
              \"sessions_open\":{}}}",
             g.queue_depth,
             g.queue_depth_hwm,
             g.in_flight,
             g.cache_size,
             g.cache_capacity,
-            g.tuned_plans,
             g.cache_evictions,
             g.shards,
             g.sessions_open,
@@ -720,7 +716,7 @@ impl MetricsSnapshot {
             }
         }
         let g = &self.runtime;
-        let gauges: [(&str, &str, u64); 8] = [
+        let gauges: [(&str, &str, u64); 7] = [
             (
                 "kfuse_queue_depth",
                 "Jobs queued for a worker.",
@@ -745,11 +741,6 @@ impl MetricsSnapshot {
                 "kfuse_plan_cache_capacity",
                 "Plan cache capacity.",
                 g.cache_capacity,
-            ),
-            (
-                "kfuse_tuned_plans",
-                "Tuned plan choices installed by the autotuner.",
-                g.tuned_plans,
             ),
             (
                 "kfuse_runtime_shards",
@@ -952,7 +943,6 @@ mod tests {
             in_flight: 2,
             cache_size: 5,
             cache_capacity: 8,
-            tuned_plans: 0,
             cache_evictions: 1,
             shards: 4,
             sessions_open: 2,
@@ -978,8 +968,8 @@ mod tests {
         let doc = snap.to_prometheus();
         // 9 counter families × 2 pipelines + 3 quantiles × 2 pipelines
         // + 1 mean × 2 pipelines + 2 SLO counters × 2 + 2 SLO gauges × 2
-        // + 9 runtime samples (no exemplars or fidelity rows recorded).
-        assert_eq!(kfuse_obs::validate_prometheus(&doc).unwrap(), 43);
+        // + 8 runtime samples (no exemplars or fidelity rows recorded).
+        assert_eq!(kfuse_obs::validate_prometheus(&doc).unwrap(), 42);
         assert!(doc.contains("# TYPE kfuse_requests_total counter"));
         assert!(doc.contains("kfuse_queue_depth_hwm 9"));
         assert!(doc.contains("kfuse_requests_total{pipeline=\"a\\\"b\\\\c\"} 1"));
@@ -1117,7 +1107,6 @@ mod tests {
         let reg = MetricsRegistry::default();
         reg.handle("t").record_request();
         let mut snap = reg.snapshot();
-        snap.runtime.tuned_plans = 2;
         snap.fingerprints = vec![
             crate::cache::FingerprintStats {
                 fingerprint: 0xdead_beef,
@@ -1131,12 +1120,10 @@ mod tests {
             },
         ];
         let json = snap.to_json();
-        assert!(json.contains("\"tuned_plans\":2"));
         assert!(json.contains("\"fingerprint\":\"00000000deadbeef\",\"hits\":9,\"misses\":1"));
         kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
 
         let doc = snap.to_prometheus();
-        assert!(doc.contains("kfuse_tuned_plans 2"));
         assert!(doc.contains(
             "kfuse_plan_cache_fingerprint_hits_total{fingerprint=\"00000000deadbeef\"} 9"
         ));

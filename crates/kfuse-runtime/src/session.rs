@@ -201,9 +201,8 @@ impl Runtime {
     /// The per-frame plan is obtained through the owning shard's plan
     /// cache under the same `(fingerprint, schedule, exec)` key the
     /// stateless path uses, so a session and ordinary submissions of the
-    /// same pipeline share one compiled plan. (Tuned overrides are *not*
-    /// consulted: a session pins its plan for its lifetime, and retuning
-    /// mid-stream would silently change the plan under live state.)
+    /// same pipeline share one compiled plan, pinned for the session's
+    /// lifetime.
     pub fn open_session_with(
         &self,
         tenant: &str,

@@ -859,8 +859,8 @@ pub fn execute_kernel_compiled_traced(
                 ("plane_read_bytes", traffic.plane_read_bytes.into()),
                 ("halo_extra_bytes", traffic.halo_extra_bytes.into()),
                 ("stages", k.stages.len().into()),
-                // Modeled compute volume, for the kfuse-tune calibrator:
-                // per-pixel operation counts scaled by the output plane.
+                // Modeled compute volume: per-pixel operation counts
+                // scaled by the output plane.
                 ("alu_ops", (ops.alu as u64 * pixels).into()),
                 ("sfu_ops", (ops.sfu as u64 * pixels).into()),
                 ("pixels", pixels.into()),

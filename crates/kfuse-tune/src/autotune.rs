@@ -12,11 +12,11 @@
 //! rewrite reassociates floating point, so it usually does) are rejected
 //! outright. Tuning may change *which* plan runs — never what it computes.
 
-use crate::measure::{measure_until, Sample};
+use crate::measure::{measure_paired, measure_until, Paired, Sample};
 use kfuse_core::FusionConfig;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, Execution, FastConfig};
+use kfuse_sim::{execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig, Scratch};
 
 /// What the autotuner tunes *for*: one pipeline structure at one
 /// workload-size bucket. Structures come from
@@ -115,36 +115,18 @@ impl Choice {
     }
 }
 
-/// Stable one-word tag per strip height (persistence + labels): the row
-/// count, or `auto` for the derived height.
-pub(crate) fn strip_tag(strip_rows: Option<usize>) -> String {
+/// One-word label per strip height: the row count, or `auto` for the
+/// derived height.
+fn strip_tag(strip_rows: Option<usize>) -> String {
     strip_rows.map_or_else(|| "auto".into(), |n| n.to_string())
 }
 
-/// Parses a [`strip_tag`] back; a zero row count is not a strip height.
-pub(crate) fn strip_from_tag(tag: &str) -> Option<Option<usize>> {
-    match tag {
-        "auto" => Some(None),
-        n => n.parse().ok().filter(|&n| n > 0).map(Some),
-    }
-}
-
-/// Stable one-word tag per schedule (persistence + labels).
+/// One-word label per schedule.
 pub fn schedule_tag(s: Schedule) -> &'static str {
     match s {
         Schedule::Baseline => "baseline",
         Schedule::Basic => "basic",
         Schedule::Optimized => "optimized",
-    }
-}
-
-/// Parses a [`schedule_tag`] back.
-pub fn schedule_from_tag(tag: &str) -> Option<Schedule> {
-    match tag {
-        "baseline" => Some(Schedule::Baseline),
-        "basic" => Some(Schedule::Basic),
-        "optimized" => Some(Schedule::Optimized),
-        _ => None,
     }
 }
 
@@ -159,9 +141,8 @@ pub struct TuneOptions {
     pub target_spread: f64,
     /// Whether separable-rewrite candidates enter the search. They must
     /// still pass the bit-identity oracle on the probe inputs, which only
-    /// masks that factor *exactly* (e.g. binomial masks) survive. Leave
-    /// off for online tuning: one probe input proves nothing about other
-    /// inputs, and the runtime's contract is bit identity on all of them.
+    /// masks that factor *exactly* (e.g. binomial masks) survive — on
+    /// that input: one probe input proves nothing about other inputs.
     pub include_separable: bool,
     /// Strip heights to sweep.
     pub strips: Vec<Option<usize>>,
@@ -239,6 +220,11 @@ pub struct TuneResult {
     pub measured: Vec<Measured>,
     /// Candidates rejected for disagreeing with the reference bit-for-bit.
     pub rejected: usize,
+    /// `best` re-timed against [`Choice::static_default`] in `max_repeats`
+    /// alternating pairs — the verdict to quote; the search's medians are
+    /// a best-of-N selection. `None` when the static default won or did
+    /// not survive the oracle.
+    pub versus_static: Option<Paired>,
 }
 
 /// Why tuning produced no result.
@@ -285,12 +271,13 @@ fn outputs_bit_identical(p: &Pipeline, reference: &Execution, got: &Execution) -
 
 /// Tunes `p` on the given probe inputs.
 ///
-/// Every candidate is compiled, executed once, and compared bit-for-bit
+/// Every candidate is compiled once, executed, and compared bit-for-bit
 /// against the reference interpreter; only identical candidates are
 /// timed. Measurement uses the adaptive spread rule, and the contenders
 /// within noise of the provisional winner are re-measured at the repeat
 /// ceiling before the final pick — spending repeats exactly where the
-/// decision is close.
+/// decision is close. The winner is then re-timed against the static
+/// default in alternating pairs ([`TuneResult::versus_static`]).
 pub fn autotune(
     p: &Pipeline,
     inputs: &[(ImageId, Image)],
@@ -301,28 +288,29 @@ pub fn autotune(
         execute_reference(p, inputs).map_err(|e| TuneError::ReferenceFailed(e.to_string()))?;
     let mut rejected = 0usize;
     let mut measured: Vec<Measured> = Vec::new();
-    let mut survivors: Vec<(Choice, Pipeline)> = Vec::new();
+    let mut survivors: Vec<(Choice, CompiledPlan)> = Vec::new();
     for choice in opts.candidates() {
-        let compiled = choice.compile(p, base);
+        let plan = CompiledPlan::compile(&choice.compile(p, base));
         let cfg = choice.fast_config();
-        match execute_fast_with(&compiled, inputs, &cfg) {
-            Ok(exec) if outputs_bit_identical(p, &reference, &exec) => {
-                survivors.push((choice, compiled));
+        match plan.and_then(|plan| plan.execute(inputs, &cfg).map(|exec| (exec, plan))) {
+            Ok((exec, plan)) if outputs_bit_identical(p, &reference, &exec) => {
+                survivors.push((choice, plan));
             }
             _ => rejected += 1,
         }
     }
-    for (choice, compiled) in &survivors {
-        let cfg = choice.fast_config();
+    let run = |choice: &Choice, plan: &CompiledPlan, scratch: &mut Scratch| {
+        let exec = plan.execute_with_scratch(inputs, &choice.fast_config(), scratch);
+        std::hint::black_box(exec.expect("oracle-checked candidate"));
+    };
+    let plan_of = |choice: &Choice| survivors.iter().find(|(c, _)| c == choice).map(|(_, p)| p);
+    let mut scratch = Scratch::default();
+    for (choice, plan) in &survivors {
         let sample = measure_until(
             opts.min_repeats,
             opts.max_repeats,
             opts.target_spread,
-            || {
-                std::hint::black_box(
-                    execute_fast_with(compiled, inputs, &cfg).expect("oracle-checked candidate"),
-                );
-            },
+            || run(choice, plan, &mut scratch),
         );
         measured.push(Measured {
             choice: *choice,
@@ -348,17 +336,9 @@ pub fn autotune(
         if contended.len() > 1 {
             for &i in &contended {
                 let choice = measured[i].choice;
-                let compiled = &survivors
-                    .iter()
-                    .find(|(c, _)| *c == choice)
-                    .expect("measured candidate came from survivors")
-                    .1;
-                let cfg = choice.fast_config();
+                let plan = plan_of(&choice).expect("measured candidate came from survivors");
                 measured[i].sample = measure_until(opts.max_repeats, opts.max_repeats, 0.0, || {
-                    std::hint::black_box(
-                        execute_fast_with(compiled, inputs, &cfg)
-                            .expect("oracle-checked candidate"),
-                    );
+                    run(&choice, plan, &mut scratch)
                 });
             }
             measured.sort_by(|a, b| {
@@ -371,12 +351,23 @@ pub fn autotune(
     }
     let best = measured[0].choice;
     let best_sample = measured[0].sample;
+    let fixed = Choice::static_default();
+    let mut fixed_scratch = Scratch::default();
+    let versus_static = match (plan_of(&best), plan_of(&fixed)) {
+        (Some(best_plan), Some(fixed_plan)) if best != fixed => Some(measure_paired(
+            opts.max_repeats,
+            || run(&best, best_plan, &mut scratch),
+            || run(&fixed, fixed_plan, &mut fixed_scratch),
+        )),
+        _ => None,
+    };
     Ok(TuneResult {
         key: TuneKey::for_pipeline(p),
         best,
         best_sample,
         measured,
         rejected,
+        versus_static,
     })
 }
 
@@ -385,6 +376,7 @@ mod tests {
     use super::*;
     use kfuse_dsl::default_config;
     use kfuse_model::GpuSpec;
+    use kfuse_sim::execute_fast_with;
 
     fn small_app() -> Pipeline {
         // Sobel at a small size: multi-kernel, local windows, realistic.
@@ -421,16 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn choice_labels_round_trip_tags() {
-        for s in Schedule::ALL {
-            assert_eq!(schedule_from_tag(schedule_tag(s)), Some(s));
-        }
-        assert_eq!(schedule_from_tag("bogus"), None);
-        for strip in [None, Some(1), Some(64)] {
-            assert_eq!(strip_from_tag(&strip_tag(strip)), Some(strip));
-        }
-        assert_eq!(strip_from_tag("0"), None);
-        assert_eq!(strip_from_tag("128x64"), None);
+    fn choice_labels() {
         assert_eq!(Choice::static_default().label(), "optimized auto");
     }
 
@@ -454,6 +437,10 @@ mod tests {
         for m in &result.measured[1..] {
             assert!(m.sample.median_s >= result.best_sample.median_s);
         }
+        // A winner other than the static default carries a paired verdict
+        // over `max_repeats` pairs.
+        let pairs = (result.best != Choice::static_default()).then_some(opts.max_repeats);
+        assert_eq!(result.versus_static.map(|v| v.pairs), pairs);
     }
 
     #[test]

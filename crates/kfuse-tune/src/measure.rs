@@ -119,9 +119,79 @@ pub fn measure_until(
     sample
 }
 
+/// Verdict of a paired comparison: candidate and baseline timed in
+/// alternating order, so clock drift hits both sides alike.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Paired {
+    /// Pairs timed.
+    pub pairs: usize,
+    /// Pairs the candidate won outright (ties count for neither side).
+    pub wins: usize,
+    /// Median over pairs of `baseline / candidate` wall time.
+    pub speedup: f64,
+    /// At least nine tenths of the pairs won *and* the medians apart by
+    /// more than the baseline's own inter-quartile range.
+    pub clearly_faster: bool,
+}
+
+/// The verdict over two pair-aligned timing vectors (seconds).
+pub fn paired_verdict(candidate: &[f64], baseline: &[f64]) -> Paired {
+    let pairs = candidate.len().min(baseline.len());
+    let (c, b) = (&candidate[..pairs], &baseline[..pairs]);
+    let wins = c.iter().zip(b).filter(|(c, b)| c < b).count();
+    let ratios: Vec<f64> = c.iter().zip(b).map(|(c, b)| b / c).collect();
+    let (cs, bs) = (summarize(c), summarize(b));
+    Paired {
+        pairs,
+        wins,
+        speedup: summarize(&ratios).median_s,
+        clearly_faster: pairs > 0
+            && wins * 10 >= pairs * 9
+            && bs.median_s - cs.median_s > bs.spread * bs.median_s,
+    }
+}
+
+/// Times `candidate` against `baseline` in `pairs` alternating pairs (odd
+/// pairs run the baseline first) after one untimed warm-up each.
+pub fn measure_paired(
+    pairs: usize,
+    mut candidate: impl FnMut(),
+    mut baseline: impl FnMut(),
+) -> Paired {
+    let mut sides: [&mut dyn FnMut(); 2] = [&mut candidate, &mut baseline];
+    sides.iter_mut().for_each(|f| f());
+    let mut times = [Vec::new(), Vec::new()];
+    for i in 0..pairs {
+        for k in [i % 2, 1 - i % 2] {
+            let start = Instant::now();
+            sides[k]();
+            times[k].push(start.elapsed().as_secs_f64());
+        }
+    }
+    paired_verdict(&times[0], &times[1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paired_verdict_on_synthetic_vectors() {
+        // Ten baseline timings wobbling ±5 %: an IQR well above 1 %.
+        let base = [1.0, 1.05, 0.95, 1.02, 0.98, 1.04, 0.96, 1.01, 0.99, 1.03];
+        let verdict = |k: f64, every: usize| {
+            let mut c = base;
+            c.iter_mut().step_by(every).for_each(|t| *t *= k);
+            let v = paired_verdict(&c, &base);
+            (v.wins, v.clearly_faster)
+        };
+        assert_eq!(verdict(1.0, 1), (0, false)); // all ties
+        assert_eq!(verdict(0.99, 1), (10, false)); // 10 of 10, inside the spread
+        assert_eq!(verdict(0.7, 1), (10, true)); // 10 of 10 by 30 %
+        assert_eq!(verdict(0.5, 2), (5, false)); // 5 of 10, however large
+        let by_30 = paired_verdict(&base.map(|t| t * 0.7), &base);
+        assert!((by_30.speedup - 1.0 / 0.7).abs() < 1e-9);
+    }
 
     #[test]
     fn summarize_odd_and_even() {

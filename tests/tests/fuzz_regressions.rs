@@ -61,27 +61,25 @@ fn sweep_separable_seeds() {
 }
 
 /// Pins the harness's policy-differential lane with seeds where the
-/// static and a skewed measured planning policy pick **different
+/// paper-constant and a skewed-constant planning policy pick **different
 /// partitions** — the interesting case, since identical plans make the
 /// lane vacuous. A policy may change which plan runs, never the pixels:
 /// `check_seed` runs both policies' fused pipelines against the
 /// reference interpreter bit for bit.
 #[test]
 fn sweep_policy_divergent_seeds() {
-    use kfuse_core::{MeasuredPolicy, PlanPolicy, StaticModelPolicy};
-    use kfuse_model::CostConstants;
+    use kfuse_core::{FusionConfig, PlanPolicy, StaticModelPolicy};
+    use kfuse_model::{BenefitModel, GpuSpec};
     let static_policy = StaticModelPolicy::paper_default();
     // Memory barely more expensive than recompute: fusion benefits
     // shrink toward the ε-clamp and marginal fusions flip to "don't".
-    let skewed = CostConstants {
+    let skewed = StaticModelPolicy::new(FusionConfig::new(BenefitModel::new(GpuSpec {
         t_global: 8.0,
         t_shared: 4.0,
         c_alu: 40.0,
         c_sfu: 160.0,
-        gamma: 0.0,
-    };
-    let measured =
-        MeasuredPolicy::from_constants(static_policy.fusion_config().clone(), skewed).unwrap();
+        ..GpuSpec::gtx680()
+    })));
     let mut pinned = Vec::new();
     for seed in 0..300u64 {
         if pinned.len() == 3 {
@@ -89,7 +87,7 @@ fn sweep_policy_divergent_seeds() {
         }
         let p = kfuse_fuzz::generate(seed);
         let s_kernels = static_policy.fuse(&p).pipeline.kernels().len();
-        let m_kernels = measured.fuse(&p).pipeline.kernels().len();
+        let m_kernels = skewed.fuse(&p).pipeline.kernels().len();
         if s_kernels != m_kernels {
             check_seed(seed).unwrap_or_else(|f| panic!("policy seed {seed:#x} regressed: {f}"));
             pinned.push(seed);
