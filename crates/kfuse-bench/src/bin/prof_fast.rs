@@ -1,6 +1,10 @@
 //! Profiling harness: loops the fast executor on one paper app so `perf`
 //! (or any sampling profiler) sees a long, steady workload.
 //!
+//! It runs on **one thread** (`FastConfig { threads: Some(1), .. }`), as
+//! `bench_exec`'s size sweep and the `exec_large` benchmark workload do,
+//! so a profile describes the program the numbers in EXPERIMENTS.md time.
+//!
 //! Configured entirely through environment variables:
 //!
 //! * `PROF_APP` — app name, default `Harris`;
@@ -55,7 +59,10 @@ fn main() {
         .iter()
         .map(|&id| (id, synthetic_image(p.image(id).clone(), 42)))
         .collect();
-    let cfg = FastConfig::default();
+    let cfg = FastConfig {
+        threads: Some(1),
+        ..FastConfig::default()
+    };
     let scratch = std::env::var("PROF_SCRATCH").is_ok();
     let plan = kfuse_sim::CompiledPlan::compile(&p).unwrap();
     let mut sc = kfuse_sim::Scratch::default();

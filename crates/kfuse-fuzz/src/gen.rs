@@ -11,7 +11,15 @@
 //! Beyond single-stage kernels it also emits **pre-fused multi-stage
 //! kernels** (a `Shared`/`Register` producer stage under a `Global` root),
 //! so the deep-halo executor paths are exercised even when the planner
-//! would decline to fuse anything on a tiny image.
+//! would decline to fuse anything on a tiny image. In half the pipelines
+//! one kernel reads one slot of one stage through a **transcendental per
+//! tap** (`ln(|v| + 1)` or `exp(-|v| / 32)` of every load), the shape the
+//! strip engine stages as a plane of its own when it recurs at two or more
+//! offsets (`kfuse_sim::stage_tap_subexpressions`). Those draws come from a
+//! side stream, so every other draw — and the shape of every pipeline a
+//! pinned seed was chosen for — is what it was before the bias existed;
+//! one kernel per pipeline keeps long pipelines (the benchmark's
+//! `plan_cold` draws up to 24 kernels) close to their old size.
 //!
 //! Every generated pipeline passes [`Pipeline::validate`]; the generator
 //! asserts this, so a failure here is a generator bug, not a finding.
@@ -69,6 +77,7 @@ pub fn generate(seed: u64) -> Pipeline {
 /// Generates a random valid pipeline, deterministically from `seed`.
 pub fn generate_with(seed: u64, cfg: &GenConfig) -> Pipeline {
     let mut rng = SplitMix64::new(seed);
+    let mut taps = SplitMix64::new(seed ^ 0x7461_7073_2f66_6e21);
     let &(w, h) = rng.pick(SIZES);
     let mut p = Pipeline::new(format!("fuzz-{seed:#x}"));
 
@@ -82,6 +91,9 @@ pub fn generate_with(seed: u64, cfg: &GenConfig) -> Pipeline {
     }
 
     let n_kernels = 1 + rng.below(cfg.max_kernels as u64) as usize;
+    let tap_kernel = taps
+        .chance(1, 2)
+        .then(|| taps.below(n_kernels as u64) as usize);
     let mut produced: Vec<ImageId> = Vec::new();
     for ki in 0..n_kernels {
         // Re-picking an already-consumed image yields shared-input and
@@ -96,7 +108,11 @@ pub fn generate_with(seed: u64, cfg: &GenConfig) -> Pipeline {
         } else {
             gen_simple_kernel(&mut rng, cfg, ki, &srcs, out, out_ch, w, h)
         };
-        p.add_kernel(kernel);
+        p.add_kernel(if tap_kernel == Some(ki) {
+            transcendental_taps(&mut taps, kernel)
+        } else {
+            kernel
+        });
         produced.push(out);
         avail.push((out, out_ch));
     }
@@ -221,6 +237,40 @@ fn maybe_unary(rng: &mut SplitMix64, e: Expr) -> Expr {
         3 => Expr::Un(UnOp::Sqrt, Box::new(Expr::Un(UnOp::Abs, Box::new(e)))),
         _ => e,
     }
+}
+
+/// `k` with every load of one slot of one stage wrapped in the same
+/// transcendental: `ln(|v| + 1)` or `exp(-|v| / 32)`, both finite on finite
+/// inputs.
+fn transcendental_taps(rng: &mut SplitMix64, mut k: Kernel) -> Kernel {
+    let s = rng.below(k.stages.len() as u64) as usize;
+    let stage = &mut k.stages[s];
+    let slot = rng.below(stage.refs.len() as u64) as usize;
+    let log = rng.chance(1, 2);
+    let f = |load: Expr| {
+        let abs = Expr::Un(UnOp::Abs, Box::new(load));
+        if log {
+            Expr::Un(UnOp::Log, Box::new(abs + Expr::Const(1.0)))
+        } else {
+            Expr::Un(UnOp::Exp, Box::new(-abs * Expr::Const(0.03125)))
+        }
+    };
+    for e in &mut stage.body {
+        *e = e.map_loads(&|at, dx, dy, ch| {
+            let load = Expr::Load {
+                slot: at,
+                dx,
+                dy,
+                ch,
+            };
+            if at == slot {
+                f(load)
+            } else {
+                load
+            }
+        });
+    }
+    k
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -390,7 +440,8 @@ mod tests {
 
     /// The sweep actually covers the shapes the fuzzer exists for:
     /// degenerate images, fused multi-stage kernels, every border mode,
-    /// multi-channel images, and radius ≥ dimension.
+    /// multi-channel images, radius ≥ dimension, exactly-separable stages,
+    /// and per-tap transcendentals the executor stages.
     #[test]
     fn sweep_covers_target_shapes() {
         let mut tiny = false;
@@ -398,6 +449,7 @@ mod tests {
         let mut multi_channel = false;
         let mut radius_ge_dim = false;
         let mut separable = false;
+        let mut taps = false;
         let mut modes = [false; 4];
         for seed in 0..400 {
             let p = generate(seed);
@@ -413,6 +465,7 @@ mod tests {
             tiny |= w.min(h) == 1;
             for k in p.kernels() {
                 fused |= k.stages.len() > 1;
+                taps |= kfuse_sim::stage_tap_subexpressions(k).is_some();
                 for s in &k.stages {
                     let (rx, ry) = s.max_extent();
                     radius_ge_dim |= rx as usize >= w || ry as usize >= h;
@@ -430,6 +483,7 @@ mod tests {
         }
         assert!(tiny && fused && multi_channel && radius_ge_dim);
         assert!(separable, "no exactly-separable stage in the sweep");
+        assert!(taps, "no kernel with a transcendental per tap to stage");
         assert!(modes.iter().all(|&m| m), "border modes covered: {modes:?}");
     }
 }

@@ -11,6 +11,8 @@
 //! and simple unary operations execute on ALUs; transcendental operations
 //! (square root, exponential, …) execute on SFUs.
 
+use crate::math;
+
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
@@ -26,7 +28,7 @@ pub enum BinOp {
     Min,
     /// Maximum of the operands.
     Max,
-    /// `a.powf(b)` — executes on the SFU.
+    /// `a.powf(b)` ([`crate::math::pow`]) — executes on the SFU.
     Pow,
     /// `1.0` if `a < b`, else `0.0`.
     Lt,
@@ -50,7 +52,7 @@ impl BinOp {
             BinOp::Div => a / b,
             BinOp::Min => a.min(b),
             BinOp::Max => a.max(b),
-            BinOp::Pow => a.powf(b),
+            BinOp::Pow => math::pow(a, b),
             BinOp::Lt => f32::from(a < b),
             BinOp::Gt => f32::from(a > b),
         }
@@ -66,9 +68,9 @@ pub enum UnOp {
     Abs,
     /// Square root — SFU.
     Sqrt,
-    /// Natural exponential — SFU.
+    /// Natural exponential ([`crate::math::exp`]) — SFU.
     Exp,
-    /// Natural logarithm — SFU.
+    /// Natural logarithm ([`crate::math::ln`]) — SFU.
     Log,
     /// Sine — SFU.
     Sin,
@@ -96,8 +98,8 @@ impl UnOp {
             UnOp::Neg => -a,
             UnOp::Abs => a.abs(),
             UnOp::Sqrt => a.sqrt(),
-            UnOp::Exp => a.exp(),
-            UnOp::Log => a.ln(),
+            UnOp::Exp => math::exp(a),
+            UnOp::Log => math::ln(a),
             UnOp::Sin => a.sin(),
             UnOp::Cos => a.cos(),
             UnOp::Rsqrt => a.sqrt().recip(),

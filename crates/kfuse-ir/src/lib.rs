@@ -23,16 +23,20 @@
 //! * [`Pipeline::fingerprint`] — a stable structural identity, independent
 //!   of names and insertion order, used by plan caches to recognize repeat
 //!   submissions of the same computation ([`fingerprint`]).
+//! * [`math`] — the one definition of `exp`, `ln` and `pow` that every
+//!   evaluator of the IR calls, scalar or vectorized.
 //!
-//! The crate is purely structural: evaluation lives in `kfuse-sim`, cost and
-//! benefit models in `kfuse-model`, and the fusion transformation itself in
-//! `kfuse-core`.
+//! Apart from the scalar semantics of its operators ([`BinOp::apply`],
+//! [`UnOp::apply`], [`math`]) the crate is structural: evaluation lives in
+//! `kfuse-sim`, cost and benefit models in `kfuse-model`, and the fusion
+//! transformation itself in `kfuse-core`.
 
 pub mod border;
 pub mod expr;
 pub mod fingerprint;
 pub mod image;
 pub mod kernel;
+pub mod math;
 pub mod pipeline;
 pub mod print;
 pub mod stencil;

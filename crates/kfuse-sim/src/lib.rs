@@ -27,7 +27,8 @@
 //! * [`fast`] — the compiled engine behind [`execute`]: stages lowered to
 //!   CSE'd instruction [`tape`]s, executed in full-width row strips
 //!   ([`tile`]) with halo-plane materialization of inlined stages and
-//!   multi-threaded row bands.
+//!   multi-threaded row bands. Per-tap transcendental subexpressions are
+//!   staged as planes of their own first ([`hoist`]).
 //!
 //! For repeated execution of the same pipeline, [`plan::CompiledPlan`]
 //! captures the validated/ordered/lowered form once; `kfuse-runtime` caches
@@ -36,6 +37,7 @@
 pub mod cost;
 pub mod exec;
 pub mod fast;
+pub mod hoist;
 pub mod micro;
 pub mod plan;
 mod simd;
@@ -46,6 +48,7 @@ pub mod timing;
 pub use cost::{analyze_kernel, analyze_pipeline, total_dram_bytes, LaunchCost, ThreadCost};
 pub use exec::{execute, execute_kernel, execute_reference, synthetic_image, ExecError, Execution};
 pub use fast::{execute_fast, execute_fast_with, FastConfig};
+pub use hoist::stage_tap_subexpressions;
 pub use micro::{build_trace, MicroSim, MicroTiming, WarpOp};
 pub use plan::CompiledPlan;
 pub use tape::{compile_stage, Tape};

@@ -14,11 +14,16 @@
 //! [`UnOp::apply`]): `+ − × ÷` and `sqrt` are IEEE-754 correctly rounded,
 //! `min`/`max` are Rust's `f32::min`/`max`, `rsqrt` is `sqrt` then `recip`
 //! (two correctly rounded operations), and `a + b * c` is never contracted
-//! into an FMA. The per-op tests at the bottom pin this on NaN payloads
-//! (quiet and signaling), infinities, signed zeros, subnormals, and a
-//! deterministic sweep of random bit patterns.
+//! into an FMA. `exp`, `ln` and `pow` are not libm calls the two sides
+//! could resolve differently: both call [`kfuse_ir::math`], whose `exp`
+//! and `ln` are branch-free `f32` arithmetic, so the unary pass over them
+//! vectorizes like any other and each lane computes the scalar function's
+//! bits. The per-op tests at the bottom pin this on NaN payloads (quiet
+//! and signaling), infinities, signed zeros, subnormals, a ramp across
+//! `exp`'s and `ln`'s reduction intervals, and a deterministic sweep of
+//! random bit patterns.
 
-use kfuse_ir::{BinOp, UnOp};
+use kfuse_ir::{math, BinOp, UnOp};
 
 /// Elementwise binary operation over register rows; the operator match is
 /// hoisted out of the loop so each arm vectorizes.
@@ -37,7 +42,7 @@ pub(crate) fn bin_rows_scalar(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) 
         BinOp::Div => ew!(|x: f32, y: f32| x / y),
         BinOp::Min => ew!(f32::min),
         BinOp::Max => ew!(f32::max),
-        BinOp::Pow => ew!(f32::powf),
+        BinOp::Pow => ew!(math::pow),
         BinOp::Lt => ew!(|x, y| f32::from(x < y)),
         BinOp::Gt => ew!(|x, y| f32::from(x > y)),
     }
@@ -56,8 +61,8 @@ pub(crate) fn un_rows_scalar(op: UnOp, a: &[f32], out: &mut [f32]) {
         UnOp::Neg => ew!(|x: f32| -x),
         UnOp::Abs => ew!(f32::abs),
         UnOp::Sqrt => ew!(f32::sqrt),
-        UnOp::Exp => ew!(f32::exp),
-        UnOp::Log => ew!(f32::ln),
+        UnOp::Exp => ew!(math::exp),
+        UnOp::Log => ew!(math::ln),
         UnOp::Sin => ew!(f32::sin),
         UnOp::Cos => ew!(f32::cos),
         UnOp::Rsqrt => ew!(|x: f32| x.sqrt().recip()),
@@ -208,10 +213,19 @@ mod tests {
         }
     }
 
-    /// [`un_rows_scalar`] against [`UnOp::apply`] on every value of the grid.
+    /// [`un_rows_scalar`] against [`UnOp::apply`] on every value of the
+    /// grid plus a ramp over `[-110, 110]` — through `exp`'s underflow and
+    /// overflow and every `ln 2` reduction interval between — and its
+    /// reciprocals for `ln`. Optimized, the row pass is the vectorized
+    /// loop and `apply` the scalar call, so this is where `math::exp` and
+    /// `math::ln` are pinned lane for lane.
     #[test]
     fn unary_ops_bit_identical_across_levels() {
-        let (a, _) = operand_grid();
+        let (mut a, _) = operand_grid();
+        let ramp: Vec<f32> = (0..4401).map(|i| i as f32 * 0.05 - 110.0).collect();
+        a.extend(ramp.iter().map(|&x| x.recip()));
+        a.extend(ramp);
+        let a = std::hint::black_box(a);
         let mut got = vec![0.0f32; a.len()];
         for op in ALL_UN {
             got.fill(0.0);

@@ -38,6 +38,7 @@
 //! a pure computation once and reusing the result cannot change any bit.
 
 use crate::exec::{resolve_kernel_inputs, Evaluator, ExecError};
+use crate::hoist::stage_tap_subexpressions;
 use crate::simd;
 use crate::tape::{compile_stage, Instr, LoadTarget, Tape};
 use kfuse_ir::border::Resolved;
@@ -77,8 +78,15 @@ impl TileConfig {
 
 /// A kernel compiled for strip execution: one tape per stage plus the
 /// cumulative halo each materialized stage must cover.
+///
+/// The tapes are those of the kernel with its per-tap transcendental
+/// subexpressions staged ([`crate::hoist`]), so such a subexpression is
+/// one more plane, evaluated once per pixel instead of once per tap.
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
+    /// The rewritten kernel, or `None` where nothing was staged and the
+    /// tapes are the caller's kernel's own.
+    staged: Option<Kernel>,
     tapes: Vec<Tape>,
     /// Channels per stage.
     chans: Vec<usize>,
@@ -95,8 +103,11 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Compiles every stage of `k` and derives halo requirements.
+    /// Stages `k`'s per-tap transcendental subexpressions, compiles every
+    /// stage and derives halo requirements.
     pub fn new(k: &Kernel) -> Self {
+        let staged = stage_tap_subexpressions(k);
+        let k = staged.as_ref().unwrap_or(k);
         let tapes: Vec<Tape> = k.stages.iter().map(compile_stage).collect();
         let n = k.stages.len();
         let mut needed = vec![false; n];
@@ -118,14 +129,25 @@ impl CompiledKernel {
         }
         let plane_order: Vec<usize> = (0..n).filter(|&j| needed[j] && j != k.root).collect();
         let max_regs = tapes.iter().map(Tape::reg_count).max().unwrap_or(0);
+        let (chans, root) = (
+            k.stages.iter().map(kfuse_ir::Stage::channels).collect(),
+            k.root,
+        );
         Self {
+            staged,
             tapes,
-            chans: k.stages.iter().map(kfuse_ir::Stage::channels).collect(),
+            chans,
             halos,
             plane_order,
-            root: k.root,
+            root,
             max_regs,
         }
+    }
+
+    /// The kernel the tapes were compiled from, given the one this was
+    /// compiled for: `k` itself, or `k` with per-tap subexpressions staged.
+    fn kernel<'k>(&'k self, k: &'k Kernel) -> &'k Kernel {
+        self.staged.as_ref().unwrap_or(k)
     }
 
     /// Cumulative halo of stage `j` (testing/introspection).
@@ -846,7 +868,9 @@ pub fn execute_kernel_compiled_traced(
         let traffic = modeled_traffic(p, k, ck, cfg);
         let desc = p.image(k.output);
         let pixels = (desc.width * desc.height) as u64;
-        let ops = k.op_counts();
+        // The stages and operations that ran: those of the staged kernel.
+        let ran = ck.kernel(k);
+        let ops = ran.op_counts();
         tracer.complete(
             format!("kernel:{}", k.name),
             "exec",
@@ -858,7 +882,7 @@ pub fn execute_kernel_compiled_traced(
                 ("plane_write_bytes", traffic.plane_write_bytes.into()),
                 ("plane_read_bytes", traffic.plane_read_bytes.into()),
                 ("halo_extra_bytes", traffic.halo_extra_bytes.into()),
-                ("stages", k.stages.len().into()),
+                ("stages", ran.stages.len().into()),
                 // Modeled compute volume: per-pixel operation counts
                 // scaled by the output plane.
                 ("alu_ops", (ops.alu as u64 * pixels).into()),
@@ -882,7 +906,8 @@ fn execute_kernel_compiled_inner(
     let inputs = resolve_kernel_inputs(p, k, images)?;
     let out_desc = p.image(k.output).clone();
     let (iw, ih) = (out_desc.width, out_desc.height);
-    let fallback = Evaluator::new(k, inputs.clone(), iw, ih);
+    // The fallback evaluates the tapes' stages, staged ones included.
+    let fallback = Evaluator::new(ck.kernel(k), inputs.clone(), iw, ih);
     let mut out = Image::zeros(out_desc);
     let out_nc = out.channels();
     let run = Run {
@@ -922,7 +947,7 @@ fn execute_kernel_compiled_inner(
 mod tests {
     use super::*;
     use crate::exec::{execute_kernel, execute_reference, prepare_images, synthetic_image};
-    use kfuse_ir::{BorderMode, Expr, ImageDesc, MemSpace, Stage, StageRef};
+    use kfuse_ir::{BorderMode, Expr, ImageDesc, MemSpace, Stage, StageRef, UnOp};
 
     /// gauss3-over-square fused kernel: stage 0 squares the input, the
     /// root convolves stage 0 with a 3×3 window.
@@ -1536,5 +1561,131 @@ mod tests {
             CompiledKernel::new(&point).strip_rows(2048, 2048, &derive),
             2048
         );
+    }
+
+    /// Enhance's geometric mean over a `(2r+1)²` window:
+    /// `exp(Σ ln(in + 1) / n) − 1`, one `ln` per tap.
+    fn gmean_kernel(p: &mut Pipeline, mode: BorderMode, w: usize, h: usize, r: i32) -> Kernel {
+        let input = p.add_input(ImageDesc::new("in", w, h, 1));
+        let out = p.add_image(ImageDesc::new("out", w, h, 1));
+        let ln1p = |dx, dy| {
+            Expr::Un(
+                UnOp::Log,
+                Box::new(Expr::load_at(0, dx, dy) + Expr::Const(1.0)),
+            )
+        };
+        let taps = (-r..=r).flat_map(|dy| (-r..=r).map(move |dx| (dx, dy)));
+        let sum = taps
+            .map(|(dx, dy)| ln1p(dx, dy))
+            .reduce(|a, b| a + b)
+            .unwrap();
+        let n = ((2 * r + 1) * (2 * r + 1)) as f32;
+        let body = Expr::Un(UnOp::Exp, Box::new(sum * Expr::Const(1.0 / n))) - Expr::Const(1.0);
+        let k = Kernel::simple("gmean", vec![input], out, vec![mode], vec![body], vec![]);
+        p.add_kernel(k.clone());
+        p.mark_output(out);
+        k
+    }
+
+    fn gmean_matches_reference(mode: BorderMode, w: usize, h: usize, r: i32, cfg: &TileConfig) {
+        let mut p = Pipeline::new("t");
+        let k = gmean_kernel(&mut p, mode, w, h, r);
+        let ck = CompiledKernel::new(&k);
+        assert_eq!(ck.plane_stages().len(), 1, "the ln is one plane");
+        let input_id = p.inputs()[0];
+        let img = synthetic_image(p.image(input_id).clone(), 29);
+        let images = prepare_images(&p, &[(input_id, img)]).unwrap();
+        let reference = execute_kernel(&p, &k, &images).unwrap();
+        let got =
+            execute_kernel_compiled(&p, &k, &ck, &images, cfg, &mut Scratch::default()).unwrap();
+        assert!(
+            got.bit_equal(&reference),
+            "mode {mode:?} size {w}x{h} radius {r} cfg {cfg:?}: max diff {}",
+            got.max_abs_diff(&reference)
+        );
+    }
+
+    /// The staged `ln` under every border mode: `Constant(v)` taps read
+    /// `ln(v + 1)`, the others exchange into the plane. Images shorter
+    /// and narrower than the halo wrap `Repeat` and `Mirror` several
+    /// times; one-row strips of a taller image make the top strip's
+    /// `Repeat` taps land on the image's last row, outside the plane, so
+    /// the fallback evaluator computes the staged stage there.
+    #[test]
+    fn staged_taps_bit_identical_in_every_border_mode() {
+        let one_row = TileConfig {
+            strip_rows: Some(1),
+            threads: Some(1),
+        };
+        for mode in [
+            BorderMode::Clamp,
+            BorderMode::Mirror,
+            BorderMode::Repeat,
+            BorderMode::Constant(-0.75),
+        ] {
+            for (w, h) in [(1, 1), (2, 3), (3, 2)] {
+                gmean_matches_reference(mode, w, h, 2, &TileConfig::default());
+                gmean_matches_reference(mode, w, h, 2, &one_row);
+            }
+            gmean_matches_reference(mode, 9, 7, 1, &one_row);
+        }
+    }
+
+    /// The staged plane at every strip and band seam.
+    #[test]
+    fn staged_taps_strip_and_band_seams() {
+        for mode in [
+            BorderMode::Clamp,
+            BorderMode::Mirror,
+            BorderMode::Repeat,
+            BorderMode::Constant(2.5),
+        ] {
+            for (w, h) in [(1, 1), (7, 5), (33, 29)] {
+                for strip_rows in [Some(1), Some(2), Some(3), None] {
+                    for threads in [1, 2] {
+                        let cfg = TileConfig {
+                            strip_rows,
+                            threads: Some(threads),
+                        };
+                        gmean_matches_reference(mode, w, h, 1, &cfg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// What is not staged keeps the plane set it had: a bilateral tap
+    /// whose `exp` reads the tap and the centre (Night's `atrous`), a
+    /// transcendental read at one offset only, and `sqrt` per tap — one
+    /// instruction, not worth a plane.
+    #[test]
+    fn unstaged_kernels_keep_their_planes() {
+        let mut p = Pipeline::new("t");
+        let input = p.add_input(ImageDesc::new("in", 8, 8, 1));
+        let out = p.add_image(ImageDesc::new("out", 8, 8, 1));
+        let weight = |dx| {
+            let d = Expr::load_at(0, dx, 0) - Expr::load(0);
+            Expr::Un(UnOp::Exp, Box::new(-(d.clone() * d)))
+        };
+        let bilateral = (weight(-1) * Expr::load_at(0, -1, 0) + weight(1) * Expr::load_at(0, 1, 0))
+            / (weight(-1) + weight(1));
+        let point = Expr::Un(UnOp::Exp, Box::new(Expr::load(0))) + Expr::load_at(0, 1, 0);
+        let sqrt = |dx| Expr::Un(UnOp::Sqrt, Box::new(Expr::load_at(0, dx, 0)));
+        for body in [bilateral, point, sqrt(-1) + sqrt(1)] {
+            let k = Kernel::simple(
+                "k",
+                vec![input],
+                out,
+                vec![BorderMode::Clamp],
+                vec![body],
+                vec![],
+            );
+            assert!(stage_tap_subexpressions(&k).is_none());
+            assert!(CompiledKernel::new(&k).plane_stages().is_empty());
+        }
+        // A fused kernel keeps exactly its inlined stages as planes.
+        let mut p = Pipeline::new("t");
+        let k = fused_kernel(&mut p, BorderMode::Clamp, 8, 8);
+        assert_eq!(CompiledKernel::new(&k).plane_stages(), &[0]);
     }
 }

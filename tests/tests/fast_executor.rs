@@ -15,7 +15,10 @@ use kfuse_core::FusionConfig;
 use kfuse_dsl::{c, compile, v, Mask, PipelineBuilder, Schedule};
 use kfuse_ir::{BorderMode, Image, Pipeline};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{execute_fast_with, execute_reference, synthetic_image, FastConfig};
+use kfuse_sim::{
+    execute_fast_with, execute_reference, stage_tap_subexpressions, synthetic_image,
+    CompiledKernel, FastConfig,
+};
 
 fn cfg() -> FusionConfig {
     FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()))
@@ -198,4 +201,30 @@ fn oversubscribed_threads() {
         threads: Some(64),
     };
     assert_fast_matches_reference(&fused, &fast_cfg, "harris-oversubscribed");
+}
+
+/// Where the executor stages per-tap transcendental subexpressions, over
+/// the six apps under every schedule: only in kernels holding Enhance's
+/// geometric mean, whose nine `ln(in + 1)` become exactly one plane more.
+/// Night's bilateral `exp` reads the tap *and* the centre, and the four
+/// convolution apps have no transcendental: every other kernel keeps its
+/// plane set — one plane per inlined stage.
+#[test]
+fn staged_taps_only_where_a_transcendental_recurs() {
+    for app in paper_apps() {
+        let p = (app.build_sized)(64, 48);
+        for schedule in [Schedule::Baseline, Schedule::Basic, Schedule::Optimized] {
+            for k in compile(&p, schedule, &cfg()).kernels() {
+                let gmean = k.stages.iter().any(|s| s.name == "gmean");
+                let staged = stage_tap_subexpressions(k);
+                let label = format!("{}/{schedule:?}/{}", app.name, k.name);
+                assert_eq!(staged.is_some(), gmean, "{label}");
+                if let Some(s) = staged {
+                    assert_eq!(s.stages.len(), k.stages.len() + 1, "{label}");
+                }
+                let planes = CompiledKernel::new(k).plane_stages().len();
+                assert_eq!(planes, k.stages.len() - 1 + usize::from(gmean), "{label}");
+            }
+        }
+    }
 }

@@ -60,6 +60,26 @@ fn sweep_separable_seeds() {
     assert_eq!(pinned.len(), 4, "separable bias produced only {pinned:?}");
 }
 
+/// Pins the executor's tap staging: sweep seeds whose pipelines hold a
+/// kernel that reads one slot through the same transcendental at two or
+/// more offsets, which the strip engine stages as a plane of its own
+/// (`kfuse_sim::stage_tap_subexpressions`). Together they cover all four
+/// border modes — `Constant` taps mapped through `f`, `Repeat` and
+/// `Mirror` wrapping on 1-pixel-wide and 1-pixel-tall images — and the
+/// harness runs each staged kernel against the unstaged reference.
+#[test]
+fn sweep_staged_tap_seeds() {
+    for seed in [11u64, 18, 19, 40, 52, 64] {
+        let p = kfuse_fuzz::generate(seed);
+        let staged = p
+            .kernels()
+            .iter()
+            .filter_map(kfuse_sim::stage_tap_subexpressions);
+        assert!(staged.count() > 0, "seed {seed} drifted: nothing to stage");
+        check_seed(seed).unwrap_or_else(|f| panic!("staged-tap seed {seed:#x} regressed: {f}"));
+    }
+}
+
 /// Pins the harness's policy-differential lane with seeds where the
 /// paper-constant and a skewed-constant planning policy pick **different
 /// partitions** — the interesting case, since identical plans make the

@@ -15,9 +15,14 @@ use kfuse_core::{plan_optimized, PlanTrace};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_model::GpuSpec;
-use kfuse_obs::{parse_json, validate_chrome_trace, validate_prometheus, EventKind, Tracer};
+use kfuse_obs::{
+    parse_json, validate_chrome_trace, validate_prometheus, ArgValue, EventKind, Tracer,
+};
 use kfuse_runtime::{Runtime, RuntimeConfig};
-use kfuse_sim::{execute_reference, synthetic_image, CompiledPlan, Scratch, TileConfig};
+use kfuse_sim::{
+    execute_reference, modeled_traffic, synthetic_image, CompiledKernel, CompiledPlan, Scratch,
+    TileConfig,
+};
 
 fn inputs_for(p: &Pipeline, seed: u64) -> Vec<(ImageId, Image)> {
     p.inputs()
@@ -116,6 +121,60 @@ fn traced_execution_is_bit_identical_for_all_apps() {
             );
         }
     }
+}
+
+/// Telemetry describes the kernel that ran. Enhance's `gmean` runs with
+/// its nine per-tap `ln(in + 1)` staged as one plane, so at 2048² on one
+/// thread its strips are 64 rows — the plane's 8 KiB rows into the
+/// 512 KiB strip budget — and its modeled traffic and span arguments are
+/// those of the staged kernel, checked here by hand.
+#[test]
+fn staged_gmean_telemetry_by_hand() {
+    let cfg = TileConfig {
+        strip_rows: None,
+        threads: Some(1),
+    };
+    let gamma = kfuse_apps::enhance::DEFAULT_GAMMA;
+    let p = kfuse_apps::enhance(2048, 2048, gamma);
+    let gmean = &p.kernels()[0];
+    let ck = CompiledKernel::new(gmean);
+    assert_eq!(ck.strip_rows(2048, 2048, &cfg), 64);
+    let t = modeled_traffic(&p, gmean, &ck, &cfg);
+    let (px, row) = (2048 * 2048 * 4, 2048 * 4);
+    // 32 strips, each plane grown by the window's one-row halo and
+    // clipped at the image: 65 + 30 · 66 + 65 = 2110 rows, 62 of them halo.
+    assert_eq!(t.plane_write_bytes, 2110 * row);
+    assert_eq!(t.halo_extra_bytes, 62 * row);
+    // The staged `ln` reads the input once per plane cell; the window
+    // reads the plane at nine taps per pixel and nothing else.
+    assert_eq!(t.global_load_bytes, 2110 * row);
+    assert_eq!(t.plane_read_bytes, 9 * px);
+    assert_eq!(t.global_store_bytes, px);
+
+    let small = kfuse_apps::enhance(48, 36, gamma);
+    let tracer = Tracer::enabled();
+    CompiledPlan::compile(&small)
+        .unwrap()
+        .execute_traced(
+            &inputs_for(&small, 3),
+            &cfg,
+            &mut Scratch::default(),
+            &tracer,
+        )
+        .unwrap();
+    let events = tracer.events();
+    let span = events.iter().find(|e| e.name == "kernel:gmean").unwrap();
+    let arg = |name| match span.args.iter().find(|(k, _)| *k == name) {
+        Some((_, ArgValue::U64(v))) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    // Per pixel, the staged `ln(in + 1)`: one add, one `ln`; the window:
+    // eight adds, a multiply, an `exp` and a subtract. Unstaged it was
+    // nineteen ALU and ten SFU operations in one stage.
+    let pixels = 48 * 36;
+    assert_eq!(arg("stages"), 2);
+    assert_eq!(arg("alu_ops"), 11 * pixels);
+    assert_eq!(arg("sfu_ops"), 2 * pixels);
 }
 
 #[test]
