@@ -20,8 +20,8 @@
 //!   bounded `prev_frame(k)` depth, stepped through a session under every
 //!   fusion schedule and checked frame for frame against the streaming
 //!   oracle;
-//! * [`wire`] — the `kfuse-net` frame-codec harness: random frames
-//!   through encode → decode → re-encode for bit-identity, plus
+//! * [`wire`] — the `kfuse-net` frame-codec harness: random frames of
+//!   all 14 types through encode → decode → re-encode for bit-identity, plus
 //!   single-byte corruption probes that must never panic.
 //!
 //! The `fuzz` bin in `kfuse-bench` drives seed sweeps

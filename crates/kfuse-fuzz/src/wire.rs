@@ -10,17 +10,17 @@
 //! the corrupted bytes (never silently reinterpret); it must never panic.
 
 use kfuse_dsl::Schedule;
-use kfuse_ir::ImageId;
+use kfuse_ir::{Image, ImageId};
 use kfuse_net::wire::{decode_frame, encode_frame, ErrorCode, Frame, Limits, TraceContext};
 use kfuse_net::Priority;
 use kfuse_sim::synthetic_image;
 
 use crate::gen::generate;
 use crate::rng::SplitMix64;
+use crate::stream::generate_stream;
 
-/// Half the traced frames carry a trace context (exercising the
-/// version-2 encoding), half do not (exercising the pre-revision
-/// version-1 bytes), so both canonical encodings stay covered.
+/// Half the traced frames carry a trace context, half do not, so both
+/// values of the presence byte stay covered.
 fn random_trace(rng: &mut SplitMix64) -> Option<TraceContext> {
     rng.chance(1, 2).then(|| TraceContext {
         trace_id: rng.next_u64(),
@@ -28,10 +28,8 @@ fn random_trace(rng: &mut SplitMix64) -> Option<TraceContext> {
     })
 }
 
-/// Half the submits stay `Normal` (canonical version-1/2 bytes), the
-/// rest split between `High` and `Low` (canonical version-3 bytes), so
-/// the QoS protocol revision gets the same fuzz coverage as the trace
-/// revision.
+/// Half the submits stay `Normal`, the rest split between `High` and
+/// `Low`, so every value of the priority byte stays covered.
 fn random_priority(rng: &mut SplitMix64) -> Priority {
     if rng.chance(1, 2) {
         Priority::Normal
@@ -42,13 +40,25 @@ fn random_priority(rng: &mut SplitMix64) -> Priority {
     }
 }
 
-/// Builds a deterministic pseudorandom frame for `seed`, covering every
-/// frame type with type-appropriate random content (pipelines come from
-/// the pipeline generator, images from `synthetic_image`).
+fn random_schedule(rng: &mut SplitMix64) -> Schedule {
+    *rng.pick(&[Schedule::Baseline, Schedule::Basic, Schedule::Optimized])
+}
+
+/// Input images for a freshly generated pipeline.
+fn random_inputs(rng: &mut SplitMix64) -> Vec<(ImageId, Image)> {
+    let pipeline = generate(rng.next_u64());
+    crate::make_inputs(&pipeline, rng.next_u64())
+}
+
+/// Builds a deterministic pseudorandom frame for `seed`, drawing all 14
+/// frame types (the match arms are their type bytes) with
+/// type-appropriate random content: pipelines from the pipeline
+/// generator, streams from [`generate_stream`], images from
+/// `synthetic_image`.
 pub fn generate_frame(seed: u64) -> Frame {
     let mut rng = SplitMix64::new(seed ^ 0x77ee_aa55_0f0f_f0f0);
-    match rng.below(9) {
-        0 => {
+    match rng.below(14) + 1 {
+        1 => {
             let pipeline = generate(rng.next_u64());
             Frame::RegisterPipeline {
                 name: random_name(&mut rng),
@@ -56,13 +66,12 @@ pub fn generate_frame(seed: u64) -> Frame {
                 pipeline,
             }
         }
-        1 => Frame::RegisterAck {
+        2 => Frame::RegisterAck {
             fingerprint: rng.next_u64(),
         },
-        2 => {
-            let pipeline = generate(rng.next_u64());
-            let inputs = crate::make_inputs(&pipeline, rng.next_u64());
-            let schedule = *rng.pick(&[Schedule::Baseline, Schedule::Basic, Schedule::Optimized]);
+        3 => {
+            let inputs = random_inputs(&mut rng);
+            let schedule = random_schedule(&mut rng);
             Frame::Submit {
                 request_id: rng.next_u64(),
                 tenant: random_name(&mut rng),
@@ -77,7 +86,7 @@ pub fn generate_frame(seed: u64) -> Frame {
                 trace: random_trace(&mut rng),
             }
         }
-        3 => {
+        4 => {
             let pipeline = generate(rng.next_u64());
             let n = 1 + rng.below(3) as usize;
             let outputs = (0..n)
@@ -92,34 +101,50 @@ pub fn generate_frame(seed: u64) -> Frame {
                 trace: random_trace(&mut rng),
             }
         }
-        4 => Frame::Error {
+        5 => {
+            let codes: Vec<ErrorCode> = (1..=15).filter_map(ErrorCode::from_u16).collect();
+            Frame::Error {
+                request_id: rng.next_u64(),
+                code: *rng.pick(&codes),
+                message: random_name(&mut rng),
+                trace: random_trace(&mut rng),
+            }
+        }
+        6 => Frame::Ping {
+            token: rng.next_u64(),
+        },
+        7 => Frame::Pong {
+            token: rng.next_u64(),
+        },
+        8 => Frame::Drain,
+        9 => Frame::DrainAck,
+        10 => Frame::OpenSession {
             request_id: rng.next_u64(),
-            code: *rng.pick(&[
-                ErrorCode::Malformed,
-                ErrorCode::UnknownPipeline,
-                ErrorCode::QueueFull,
-                ErrorCode::AdmissionTimeout,
-                ErrorCode::DeadlineExceeded,
-                ErrorCode::Draining,
-                ErrorCode::ExecFailed,
-                ErrorCode::FingerprintMismatch,
-                ErrorCode::InvalidPipeline,
-                ErrorCode::BadInputs,
-                ErrorCode::Panicked,
-                ErrorCode::Unsupported,
-                ErrorCode::ConnectionLimit,
-            ]),
-            message: random_name(&mut rng),
+            tenant: random_name(&mut rng),
+            schedule: random_schedule(&mut rng),
+            stream: generate_stream(rng.next_u64()),
+        },
+        11 => Frame::SessionAck {
+            request_id: rng.next_u64(),
+            session_id: rng.next_u64(),
+        },
+        12 => Frame::SubmitFrame {
+            request_id: rng.next_u64(),
+            session_id: rng.next_u64(),
+            inputs: random_inputs(&mut rng),
             trace: random_trace(&mut rng),
         },
-        5 => Frame::Ping {
-            token: rng.next_u64(),
+        13 => Frame::CloseSession {
+            request_id: rng.next_u64(),
+            session_id: rng.next_u64(),
+            drain: rng.chance(1, 2),
         },
-        6 => Frame::Pong {
-            token: rng.next_u64(),
+        _ => Frame::CloseSessionAck {
+            request_id: rng.next_u64(),
+            session_id: rng.next_u64(),
+            frames_completed: rng.next_u64(),
+            frames_errored: rng.next_u64(),
         },
-        7 => Frame::Drain,
-        _ => Frame::DrainAck,
     }
 }
 
@@ -186,7 +211,7 @@ mod tests {
 
     #[test]
     fn generator_covers_every_frame_type() {
-        let mut seen = [false; 9];
+        let mut seen = [false; 14];
         for seed in 0..512 {
             seen[(generate_frame(seed).type_byte() - 1) as usize] = true;
         }
@@ -207,19 +232,19 @@ mod tests {
         }
     }
 
-    /// The generator must exercise *both* canonical encodings of every
-    /// traced frame type: with a trace context (version 2) and without
-    /// (version 1 — the pre-revision wire bytes old clients send).
+    /// The generator must exercise both values of the presence byte on
+    /// every frame type with a trace field.
     #[test]
     fn generator_covers_traced_and_untraced_variants() {
-        // [type 3, 4, 5] × [untraced, traced]
-        let mut seen = [[false; 2]; 3];
+        // [Submit, ResultOk, Error, SubmitFrame] × [untraced, traced]
+        let mut seen = [[false; 2]; 4];
         for seed in 0..2048 {
             let frame = generate_frame(seed);
             let idx = match frame.type_byte() {
                 3 => 0,
                 4 => 1,
                 5 => 2,
+                12 => 3,
                 _ => continue,
             };
             seen[idx][usize::from(frame.trace().is_some())] = true;
@@ -230,47 +255,8 @@ mod tests {
         );
     }
 
-    /// Old-version acceptance, fuzzed: every traced frame the generator
-    /// produces also decodes from its version-1 (trace-stripped) bytes.
-    #[test]
-    fn traced_frames_decode_as_version_1_without_context() {
-        let limits = Limits::default();
-        let mut checked = 0;
-        for seed in 0..512 {
-            let frame = generate_frame(seed);
-            let Some(_) = frame.trace() else { continue };
-            // Version-3 submits (non-Normal priority) carry a priority
-            // prefix inside the payload; stripping the trace tail alone
-            // does not produce valid version-1 bytes for them.
-            if let Frame::Submit { priority, .. } = &frame {
-                if *priority != Priority::Normal {
-                    continue;
-                }
-            }
-            let bytes = encode_frame(&frame);
-            // Rebuild the pre-revision frame: version 1, payload minus
-            // the 16 trailing trace bytes, checksum re-sealed.
-            let payload = &bytes[kfuse_net::wire::HEADER_LEN..bytes.len() - 16];
-            let mut old = bytes[..kfuse_net::wire::HEADER_LEN].to_vec();
-            old[4] = kfuse_net::wire::VERSION;
-            old[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-            old[12..16].copy_from_slice(&kfuse_net::wire::checksum(payload).to_le_bytes());
-            old.extend_from_slice(payload);
-            let decoded = decode_frame(&old, &limits)
-                .unwrap_or_else(|e| panic!("seed {seed}: version-1 bytes rejected: {e}"));
-            assert_eq!(decoded.trace(), None, "seed {seed}");
-            assert_eq!(decoded.type_byte(), frame.type_byte(), "seed {seed}");
-            // And the round trip back to version-1 bytes is canonical.
-            assert_eq!(encode_frame(&decoded), old, "seed {seed}");
-            checked += 1;
-        }
-        assert!(checked > 20, "only {checked} traced frames generated");
-    }
-
-    /// The generator must exercise every Submit QoS lane — Normal
-    /// (version 1/2) plus High and Low (version 3), each with and
-    /// without a trace context — so all four version-3 canonical
-    /// encodings stay under fuzz.
+    /// The generator must exercise every Submit priority byte, each with
+    /// and without a trace context.
     #[test]
     fn generator_covers_priority_lanes() {
         // [Normal, High, Low] × [untraced, traced]

@@ -201,7 +201,6 @@ impl Client {
     }
 
     /// Like [`Client::submit`], but with an explicit [`Priority`] class.
-    /// Non-`Normal` priorities put a version-3 frame on the wire.
     pub fn submit_qos(
         &mut self,
         tenant: &str,
@@ -217,22 +216,9 @@ impl Client {
         self.submit_full(tenant, inputs, schedule, deadline, priority, trace)
     }
 
-    /// Submits with an explicit trace context (`None` sends a version-1
-    /// frame, exactly what a pre-revision client puts on the wire).
-    pub fn submit_traced(
-        &mut self,
-        tenant: &str,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<u64, ClientError> {
-        self.submit_full(tenant, inputs, schedule, deadline, Priority::Normal, trace)
-    }
-
     /// Full-control submit: priority class and trace context both
-    /// explicit. All other submit flavors funnel through here.
-    pub fn submit_full(
+    /// explicit. Both submit flavors funnel through here.
+    fn submit_full(
         &mut self,
         tenant: &str,
         inputs: Vec<(ImageId, Image)>,

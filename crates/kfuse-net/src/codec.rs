@@ -553,7 +553,7 @@ fn decode_image(r: &mut ByteReader<'_>, limits: &Limits) -> Result<Image, WireEr
 }
 
 // ---------------------------------------------------------------------------
-// Stream pipelines (wire version 4).
+// Stream pipelines (the `OpenSession` payload).
 // ---------------------------------------------------------------------------
 
 /// Appends a [`StreamPipeline`]: the per-frame pipeline followed by its
@@ -693,7 +693,8 @@ mod tests {
         0x3f80_0000,
     ];
 
-    /// A `ResultOk` payload (request id + one bound image), by hand.
+    /// A `ResultOk` payload (request id + one bound image + no trace),
+    /// by hand.
     fn result_payload(desc: &ImageDesc, sample_bytes: &[u8]) -> Vec<u8> {
         let mut payload = Vec::new();
         crate::wire::put_u64(&mut payload, 1);
@@ -704,6 +705,7 @@ mod tests {
         put_u32(&mut payload, desc.height as u32);
         put_u32(&mut payload, desc.channels as u32);
         payload.extend_from_slice(sample_bytes);
+        put_u8(&mut payload, 0); // trace presence
         payload
     }
 
@@ -733,10 +735,10 @@ mod tests {
     fn sample_bytes_must_match_the_announced_shape_exactly() {
         let desc = ImageDesc::new("img", 5, 3, 2);
         let exact = result_payload(&desc, &[0x5a; 5 * 3 * 2 * 4]);
-        let decode = |payload: &[u8]| crate::wire::decode_payload(1, 4, payload, &limits());
+        let decode = |payload: &[u8]| crate::wire::decode_payload(4, payload, &limits());
         assert!(decode(&exact).is_ok());
-        let short = &exact[..exact.len() - 1];
-        assert!(matches!(decode(short), Err(WireError::Truncated)));
+        let short = result_payload(&desc, &[0x5a; 5 * 3 * 2 * 4 - 1]);
+        assert!(matches!(decode(&short), Err(WireError::Truncated)));
         let mut long = exact.clone();
         long.push(0);
         assert!(matches!(decode(&long), Err(WireError::TrailingBytes(1))));
@@ -776,14 +778,14 @@ mod tests {
         put_str(&mut payload, "t");
         crate::wire::put_u64(&mut payload, 0); // deadline
         put_u8(&mut payload, 0); // schedule
+        put_u8(&mut payload, 0); // priority
         put_u32(&mut payload, 1); // one bound image
         put_u32(&mut payload, 0); // id
         put_str(&mut payload, "img");
         put_u32(&mut payload, 0); // width 0!
         put_u32(&mut payload, 4);
         put_u32(&mut payload, 1);
-        let err =
-            crate::wire::decode_payload(crate::wire::VERSION, 3, &payload, &limits()).unwrap_err();
+        let err = crate::wire::decode_payload(3, &payload, &limits()).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
     }
 

@@ -7,13 +7,15 @@
 //! fingerprint-keyed plan cache). Everything is built on `std` alone,
 //! matching the workspace's zero-external-crate rule.
 //!
-//! * [`wire`] — the versioned, length-prefixed, checksummed frame
-//!   protocol (an eight-lane word-wise FNV-1a, [`wire::checksum`], that
-//!   costs about one `memcpy` of the payload): `RegisterPipeline`
-//!   (serialized kfuse-ir + fingerprint),
-//!   `Submit` (tenant, deadline budget, image payload), `ResultOk` /
-//!   `Error` replies, and `Ping`/`Drain` control frames. Decoding is
-//!   bounded by [`wire::Limits`] before any allocation.
+//! * [`wire`] — the length-prefixed, checksummed frame protocol (an
+//!   eight-lane word-wise FNV-1a, [`wire::checksum`], that costs about
+//!   one `memcpy` of the payload), one revision with one payload layout
+//!   per frame type: `RegisterPipeline` (serialized kfuse-ir +
+//!   fingerprint), `Submit` (tenant, deadline budget, schedule, priority,
+//!   image payload, optional trace context), `ResultOk` / `Error`
+//!   replies, the streaming-session frames, and `Ping`/`Drain` control
+//!   frames. Decoding is bounded by [`wire::Limits`] before any
+//!   allocation.
 //! * [`server`] — a [`server::Server`] owning a `kfuse_runtime::Runtime`
 //!   (sharded, QoS-aware): per-connection read/write timeouts,
 //!   slow-loris detection, bounded in-flight pipelining with

@@ -1,11 +1,11 @@
-//! The kfuse wire protocol: versioned, length-prefixed, checksummed frames.
+//! The kfuse wire protocol: length-prefixed, checksummed frames.
 //!
 //! Every message on a kfuse connection is one *frame*:
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic           "KFN2"
-//!      4     1  version         0x01–0x04, fixed by the frame (below)
+//!      4     1  version         [`VERSION`]; any other value is refused
 //!      5     1  frame type      see [`Frame`]
 //!      6     2  reserved        must be zero (LE)
 //!      8     4  payload length  bytes after the header (LE)
@@ -16,39 +16,21 @@
 //! The magic is `KFN2` since the checksum became the eight-lane word-wise
 //! FNV-1a defined at [`checksum`]: a `KFN1` peer (byte-serial FNV-1a)
 //! fails its first frame with [`WireError::BadMagic`] rather than every
-//! frame with a checksum mismatch. Nothing else about the frame changed.
+//! frame with a checksum mismatch.
 //!
-//! **Version 2 (traced)** is the additive trace-context revision: the
-//! `Submit`, `ResultOk`, and `Error` payloads carry a trailing 16-byte
-//! [`TraceContext`] (`trace_id` + `span_id`, both u64 LE) after their
-//! version-1 fields. Encoding is *canonical per presence*: a frame with
-//! trace context always encodes as version 2, a frame without always as
-//! version 1 — so decode→re-encode is bit-identical in both directions
-//! and pre-revision peers keep interoperating (they simply never send
-//! version 2). A version-2 header on any other frame type is rejected as
-//! malformed: no frame has two valid encodings.
-//!
-//! **Version 3 (QoS)** is the additive priority revision, `Submit` only:
-//! after the version-1 fields the payload carries a priority byte
-//! (`1` = high, `2` = low) and a trace-presence byte (`0`/`1`), then the
-//! 16-byte trace context iff present. The same canonical-per-presence
-//! rule extends: a submit encodes as version 3 **iff** its priority is
-//! not `Normal` (normal-priority submits keep their version-1/2 bytes,
-//! so pre-revision captures stay bit-identical); a version-3 header
-//! announcing normal priority, an unknown priority byte, or any frame
-//! type other than `Submit` is malformed. Replies carry no priority —
-//! the class shapes queueing, not the result.
-//!
-//! **Version 4 (streaming)** adds the session frames (types 10–14):
-//! `OpenSession` (tenant + schedule + a serialized
-//! [`kfuse_stream::StreamPipeline`]), `SessionAck`, `SubmitFrame` (the
-//! next frame of a session's input sequence; replies reuse
-//! `ResultOk`/`Error` keyed by `request_id`), `CloseSession`
-//! (`drain` = fence only or full close), and `CloseSessionAck` carrying
-//! the session's frame accounting. Gating is strict both ways: the
-//! session frame types are *only* valid at version 4, and version 4 is
-//! *only* valid for them — pre-revision frames keep their exact
-//! pre-revision bytes, and every frame still has exactly one encoding.
+//! **One layout per frame type.** There is one protocol revision, and
+//! each frame type has one payload layout (DESIGN.md §3.11 tabulates
+//! them). An optional field is a presence byte (`0`/`1`) followed by the
+//! field only when the byte is `1`: the trailing [`TraceContext`] of
+//! `Submit`, `ResultOk`, `Error` and `SubmitFrame` is encoded this way.
+//! `Submit` always carries its priority byte (`0` normal, `1` high, `2`
+//! low) right after the schedule byte. Every frame therefore has exactly
+//! one encoding because the layout admits no other: decode → re-encode
+//! is bit-identical, and any other presence, priority, schedule, drain
+//! or state-source byte is [`WireError::Malformed`]. The version byte is
+//! `5` because the values `1`–`4` named earlier, incompatible layouts: a
+//! peer still speaking one fails its first frame with
+//! [`WireError::BadVersion`] instead of being misparsed.
 //!
 //! All multi-byte integers are little-endian; `f32` values travel as their
 //! IEEE-754 bit patterns so results round-trip **bit-identically** (the
@@ -78,26 +60,15 @@ use crate::codec;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"KFN2";
-/// Base protocol version (no trace context).
-pub const VERSION: u8 = 1;
-/// Trace-context protocol revision: `Submit`/`ResultOk`/`Error` payloads
-/// end with a 16-byte [`TraceContext`].
-pub const VERSION_TRACED: u8 = 2;
-/// QoS protocol revision (`Submit` only): the payload carries a priority
-/// byte and a trace-presence byte after the version-1 fields. Only
-/// non-normal priorities encode at this version.
-pub const VERSION_QOS: u8 = 3;
-/// Streaming-session protocol revision: the session frame types (10–14)
-/// exist only at this version, and this version is valid only for them.
-pub const VERSION_STREAM: u8 = 4;
+/// The protocol version every frame header carries; no other is accepted.
+pub const VERSION: u8 = 5;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 16;
-/// On-wire size of a [`TraceContext`] (two u64s).
-pub const TRACE_CONTEXT_LEN: usize = 16;
 
 /// Client-generated request trace identity, propagated end-to-end:
-/// carried on `Submit`, echoed verbatim in `ResultOk`/`Error`, and
-/// stamped onto every server-side span the request produces.
+/// carried on `Submit`/`SubmitFrame`, echoed verbatim in
+/// `ResultOk`/`Error`, and stamped onto every server-side span the
+/// request produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {
     /// 64-bit request trace id (the client should pick it unique and
@@ -384,11 +355,10 @@ pub enum Frame {
         schedule: Schedule,
         /// Input images keyed by the pipeline's [`ImageId`]s.
         inputs: Vec<(ImageId, Image)>,
-        /// Queueing class (version-3 frames only; pre-revision clients
-        /// always submit `Normal`).
+        /// Queueing class. Replies carry no priority: the class shapes
+        /// queueing, not the result.
         priority: Priority,
-        /// Request trace identity (version ≥ 2 frames only; `None` from
-        /// pre-revision clients).
+        /// Request trace identity, if the client traces.
         trace: Option<TraceContext>,
     },
     /// Successful execution result.
@@ -429,7 +399,7 @@ pub enum Frame {
     DrainAck,
     /// Open a temporal streaming session: the server compiles the stream's
     /// frame pipeline once and keeps its state planes alive between
-    /// frames. Version-4 frames only.
+    /// frames.
     OpenSession {
         /// Client-chosen id echoed in the `SessionAck`/`Error` reply.
         request_id: u64,
@@ -516,27 +486,6 @@ impl Frame {
             | Frame::Error { trace, .. }
             | Frame::SubmitFrame { trace, .. } => *trace,
             _ => None,
-        }
-    }
-
-    /// The wire version this frame canonically encodes as: version 4 for
-    /// the session frames (which exist at no other version), version 3
-    /// iff it is a non-normal-priority submit, else version 2 iff it
-    /// carries a trace context, version 1 otherwise. Exactly one encoding
-    /// per frame, at the oldest version that can express it.
-    pub fn wire_version(&self) -> u8 {
-        if self.type_byte() >= 10 {
-            return VERSION_STREAM;
-        }
-        if let Frame::Submit { priority, .. } = self {
-            if *priority != Priority::Normal {
-                return VERSION_QOS;
-            }
-        }
-        if self.trace().is_some() {
-            VERSION_TRACED
-        } else {
-            VERSION
         }
     }
 
@@ -704,14 +653,8 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_str(out, tenant);
             put_u64(out, *deadline_us);
             put_u8(out, schedule_byte(*schedule));
+            put_u8(out, priority_byte(*priority));
             codec::encode_bound_images(out, inputs);
-            if *priority != Priority::Normal {
-                // Version-3 tail: priority byte + trace-presence byte
-                // (+ context). The explicit presence flag keeps the
-                // priority field orthogonal to tracing.
-                put_u8(out, priority_byte(*priority));
-                put_u8(out, u8::from(trace.is_some()));
-            }
             put_trace(out, trace);
         }
         Frame::ResultOk {
@@ -763,9 +706,6 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *request_id);
             put_u64(out, *session_id);
             codec::encode_bound_images(out, inputs);
-            // Every type-12 frame is version 4, so the trace-presence
-            // byte is always encoded — one canonical encoding either way.
-            put_u8(out, u8::from(trace.is_some()));
             put_trace(out, trace);
         }
         Frame::CloseSession {
@@ -791,41 +731,32 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends the 16-byte trace context for version-2 frames; version-1
-/// frames (no context) append nothing.
+/// Appends the trace field: a presence byte, then the 16-byte context
+/// (`trace_id`, `span_id`) only when the byte is `1`.
 fn put_trace(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
+    put_u8(out, u8::from(trace.is_some()));
     if let Some(t) = trace {
         put_u64(out, t.trace_id);
         put_u64(out, t.span_id);
     }
 }
 
-/// Reads the trailing trace context of a version-2 payload (`None` for
-/// version 1, which has no such field).
-fn read_trace(r: &mut ByteReader<'_>, version: u8) -> Result<Option<TraceContext>, WireError> {
-    if version != VERSION_TRACED {
-        return Ok(None);
-    }
-    Ok(Some(TraceContext {
-        trace_id: r.u64()?,
-        span_id: r.u64()?,
-    }))
-}
-
-/// Reads the presence byte of a version-3/4 trace field, then the
-/// context iff it says one follows.
-fn read_flagged_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceContext>, WireError> {
+/// Reads the trace field [`put_trace`] writes.
+fn read_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceContext>, WireError> {
     match r.u8()? {
         0 => Ok(None),
-        1 => read_trace(r, VERSION_TRACED),
+        1 => Ok(Some(TraceContext {
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+        })),
         other => Err(WireError::Malformed(format!(
             "bad trace-presence byte {other}"
         ))),
     }
 }
 
-/// Wire byte for a non-normal priority (`Normal` never encodes one —
-/// its submits stay at version ≤ 2).
+/// The priority byte of `Submit`: `0`–`2`. Every other value decodes as
+/// [`WireError::Malformed`].
 fn priority_byte(p: Priority) -> u8 {
     match p {
         Priority::Normal => 0,
@@ -836,13 +767,9 @@ fn priority_byte(p: Priority) -> u8 {
 
 fn priority_from_byte(b: u8) -> Result<Priority, WireError> {
     Ok(match b {
+        0 => Priority::Normal,
         1 => Priority::High,
         2 => Priority::Low,
-        0 => {
-            return Err(WireError::Malformed(
-                "version 3 announcing normal priority; canonical encoding is version ≤ 2".into(),
-            ))
-        }
         other => {
             return Err(WireError::Malformed(format!(
                 "unknown priority byte {other}"
@@ -876,12 +803,11 @@ fn schedule_from_byte(b: u8) -> Result<Schedule, WireError> {
 
 /// Serializes a frame as header + payload, ready to write to a stream,
 /// in one buffer: the payload is encoded straight after a reserved header
-/// whose length and checksum fields are then patched in. The version
-/// byte is [`Frame::wire_version`].
+/// whose length and checksum fields are then patched in.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = vec![0u8; HEADER_LEN];
     out[..4].copy_from_slice(&MAGIC);
-    out[4] = frame.wire_version();
+    out[4] = VERSION;
     out[5] = frame.type_byte();
     encode_payload(frame, &mut out);
     let len = u32::try_from(out.len() - HEADER_LEN).expect("payload fits u32");
@@ -891,20 +817,17 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Validated frame header:
-/// `(version, type byte, payload length, payload checksum)`.
-/// Versions [`VERSION`] through [`VERSION_STREAM`] are accepted.
+/// Validated frame header: `(type byte, payload length, payload checksum)`.
 pub fn parse_header(
     header: &[u8; HEADER_LEN],
     limits: &Limits,
-) -> Result<(u8, u8, u32, u32), WireError> {
+) -> Result<(u8, u32, u32), WireError> {
     let magic = [header[0], header[1], header[2], header[3]];
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = header[4];
-    if !(VERSION..=VERSION_STREAM).contains(&version) {
-        return Err(WireError::BadVersion(version));
+    if header[4] != VERSION {
+        return Err(WireError::BadVersion(header[4]));
     }
     let ftype = header[5];
     if !(1..=14).contains(&ftype) {
@@ -922,32 +845,12 @@ pub fn parse_header(
         });
     }
     let cksum = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
-    Ok((version, ftype, len, cksum))
+    Ok((ftype, len, cksum))
 }
 
-/// Decodes one payload whose header already validated as `(version,
-/// ftype)`. Version 2 is only meaningful for `Submit`/`ResultOk`/`Error`
-/// (the traced frames), version 3 only for `Submit` (the prioritized
-/// frame), and version 4 only — and mandatorily — for the session frames
-/// (types 10–14); elsewhere they are rejected so every frame has exactly
-/// one valid encoding.
-pub fn decode_payload(
-    version: u8,
-    ftype: u8,
-    payload: &[u8],
-    limits: &Limits,
-) -> Result<Frame, WireError> {
-    let versions = match ftype {
-        3 => VERSION..=VERSION_QOS,
-        4 | 5 => VERSION..=VERSION_TRACED,
-        10..=14 => VERSION_STREAM..=VERSION_STREAM,
-        _ => VERSION..=VERSION,
-    };
-    if !versions.contains(&version) {
-        return Err(WireError::Malformed(format!(
-            "version {version} is invalid for frame type {ftype}"
-        )));
-    }
+/// Decodes one payload whose header already validated as frame type
+/// `ftype`.
+pub fn decode_payload(ftype: u8, payload: &[u8], limits: &Limits) -> Result<Frame, WireError> {
     let mut r = ByteReader::new(payload);
     let frame = match ftype {
         1 => {
@@ -968,12 +871,9 @@ pub fn decode_payload(
             let tenant = r.string(limits, "tenant name")?;
             let deadline_us = r.u64()?;
             let schedule = schedule_from_byte(r.u8()?)?;
+            let priority = priority_from_byte(r.u8()?)?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
-            let (priority, trace) = if version == VERSION_QOS {
-                (priority_from_byte(r.u8()?)?, read_flagged_trace(&mut r)?)
-            } else {
-                (Priority::Normal, read_trace(&mut r, version)?)
-            };
+            let trace = read_trace(&mut r)?;
             Frame::Submit {
                 request_id,
                 tenant,
@@ -987,7 +887,7 @@ pub fn decode_payload(
         4 => {
             let request_id = r.u64()?;
             let outputs = codec::decode_bound_images(&mut r, limits)?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Frame::ResultOk {
                 request_id,
                 outputs,
@@ -1000,7 +900,7 @@ pub fn decode_payload(
             let code = ErrorCode::from_u16(raw)
                 .ok_or_else(|| WireError::Malformed(format!("unknown error code {raw}")))?;
             let message = r.string(limits, "error message")?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Frame::Error {
                 request_id,
                 code,
@@ -1032,7 +932,7 @@ pub fn decode_payload(
             let request_id = r.u64()?;
             let session_id = r.u64()?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
-            let trace = read_flagged_trace(&mut r)?;
+            let trace = read_trace(&mut r)?;
             Frame::SubmitFrame {
                 request_id,
                 session_id,
@@ -1075,7 +975,7 @@ pub fn decode_frame(buf: &[u8], limits: &Limits) -> Result<Frame, WireError> {
     }
     let mut header = [0u8; HEADER_LEN];
     header.copy_from_slice(&buf[..HEADER_LEN]);
-    let (version, ftype, len, expected) = parse_header(&header, limits)?;
+    let (ftype, len, expected) = parse_header(&header, limits)?;
     let payload = &buf[HEADER_LEN..];
     if payload.len() < len as usize {
         return Err(WireError::Truncated);
@@ -1087,7 +987,7 @@ pub fn decode_frame(buf: &[u8], limits: &Limits) -> Result<Frame, WireError> {
     if found != expected {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    decode_payload(version, ftype, payload, limits)
+    decode_payload(ftype, payload, limits)
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -1141,14 +1041,14 @@ pub fn read_frame_counted(
     let mut header = [0u8; HEADER_LEN];
     read_full(r, &mut header, false)?;
     let header_at = Instant::now();
-    let (version, ftype, len, expected) = parse_header(&header, limits)?;
+    let (ftype, len, expected) = parse_header(&header, limits)?;
     let mut payload = vec![0u8; len as usize];
     read_full(r, &mut payload, true)?;
     let found = checksum(&payload);
     if found != expected {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    let frame = decode_payload(version, ftype, &payload, limits)?;
+    let frame = decode_payload(ftype, &payload, limits)?;
     Ok((frame, HEADER_LEN + payload.len(), header_at))
 }
 
@@ -1246,12 +1146,17 @@ mod tests {
             Err(WireError::BadMagic(_))
         ));
 
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::BadVersion(9))
-        ));
+        // One version is spoken: every other value, the retired 1–4
+        // included, is refused before the payload is read.
+        assert_eq!(good[4], VERSION);
+        for v in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut bad = good.clone();
+            bad[4] = v;
+            assert!(
+                matches!(decode_frame(&bad, &limits()), Err(WireError::BadVersion(got)) if got == v),
+                "version {v}"
+            );
+        }
 
         let mut bad = good.clone();
         bad[5] = 200;
@@ -1353,44 +1258,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_frames_encode_as_version_2() {
-        let traced = Frame::Submit {
-            request_id: 1,
-            tenant: "t".into(),
-            deadline_us: 0,
-            schedule: Schedule::Basic,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: Some(ctx()),
-        };
-        let bytes = encode_frame(&traced);
-        assert_eq!(bytes[4], VERSION_TRACED);
-        match roundtrip(&traced) {
-            Frame::Submit { trace, .. } => assert_eq!(trace, Some(ctx())),
-            other => panic!("decoded wrong frame: {other:?}"),
-        }
+    /// Re-frames `bytes` after `mutate` edits its payload, length and
+    /// checksum re-sealed, so the payload decoder is what must object.
+    fn reseal(bytes: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = bytes[HEADER_LEN..].to_vec();
+        mutate(&mut payload);
+        let mut out = bytes[..HEADER_LEN].to_vec();
+        out[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        out[12..16].copy_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
 
-        // Untraced encodes as version 1: exactly the pre-revision bytes.
-        let untraced = Frame::Submit {
-            request_id: 1,
-            tenant: "t".into(),
-            deadline_us: 0,
-            schedule: Schedule::Basic,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: None,
-        };
-        let old_bytes = encode_frame(&untraced);
-        assert_eq!(old_bytes[4], VERSION);
-        assert_eq!(
-            bytes.len(),
-            old_bytes.len() + TRACE_CONTEXT_LEN,
-            "trace context is exactly 16 additive bytes"
-        );
-        match roundtrip(&untraced) {
-            Frame::Submit { trace, .. } => assert_eq!(trace, None),
-            other => panic!("decoded wrong frame: {other:?}"),
+    /// One frame of each type with a trace field, carrying `trace`.
+    fn traced_frames(trace: Option<TraceContext>) -> [Frame; 4] {
+        [
+            Frame::Submit {
+                request_id: 1,
+                tenant: "t".into(),
+                deadline_us: 0,
+                schedule: Schedule::Basic,
+                inputs: vec![],
+                priority: Priority::Normal,
+                trace,
+            },
+            Frame::ResultOk {
+                request_id: 9,
+                outputs: vec![],
+                trace,
+            },
+            Frame::Error {
+                request_id: 9,
+                code: ErrorCode::QueueFull,
+                message: "full".into(),
+                trace,
+            },
+            Frame::SubmitFrame {
+                request_id: 5,
+                session_id: 17,
+                inputs: vec![],
+                trace,
+            },
+        ]
+    }
+
+    /// On every frame type that has one, the trace field ends the
+    /// payload as a presence byte followed, only when it is `1`, by the
+    /// context's two u64s.
+    #[test]
+    fn trace_field_is_a_presence_byte_then_the_context() {
+        let mut context = Vec::new();
+        put_u64(&mut context, ctx().trace_id);
+        put_u64(&mut context, ctx().span_id);
+        for (plain, traced) in traced_frames(None).iter().zip(&traced_frames(Some(ctx()))) {
+            let name = plain.type_name();
+            let without = encode_frame(plain);
+            let with = encode_frame(traced);
+            let n = without.len() - 1;
+            assert_eq!(without[n], 0, "{name}");
+            assert_eq!(with[HEADER_LEN..n], without[HEADER_LEN..n], "{name}");
+            assert_eq!(with[n], 1, "{name}");
+            assert_eq!(with[n + 1..], context[..], "{name}");
+            assert_eq!(roundtrip(plain).trace(), None, "{name}");
+            assert_eq!(roundtrip(traced).trace(), Some(ctx()), "{name}");
         }
     }
 
@@ -1415,80 +1345,37 @@ mod tests {
         }
     }
 
-    /// A pre-revision (version-1) frame — byte-for-byte what an old
-    /// client sends — must still decode, with `trace: None`.
-    #[test]
-    fn version_1_frames_still_accepted() {
-        let bytes = encode_frame(&Frame::Submit {
-            request_id: 3,
-            tenant: "old".into(),
-            deadline_us: 10,
-            schedule: Schedule::Baseline,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: None,
-        });
-        assert_eq!(bytes[4], VERSION);
-        match decode_frame(&bytes, &limits()).unwrap() {
-            Frame::Submit {
-                request_id, trace, ..
-            } => {
-                assert_eq!(request_id, 3);
-                assert_eq!(trace, None);
-            }
-            other => panic!("decoded wrong frame: {other:?}"),
-        }
-    }
-
-    /// Hostile-peer rules for the new field: a version-2 header on a
-    /// frame type that carries no trace context is malformed (no frame
-    /// may have two encodings), and a version-2 traced frame whose
-    /// payload is missing the 16 trailing bytes is truncated.
+    /// Hostile-peer rules for the trace field, on every frame type that
+    /// has one: an unknown presence byte is malformed, a context cut
+    /// short is truncated, and context bytes behind a `0` presence byte
+    /// are trailing bytes, never silently read.
     #[test]
     fn hostile_trace_context_rejected() {
-        let mut bytes = encode_frame(&Frame::Ping { token: 5 });
-        bytes[4] = VERSION_TRACED;
-        // Re-seal the checksum (unchanged payload) so the version check
-        // is what trips, not the checksum.
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-
-        let traced = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::QueueFull,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        // Strip half the trace context and re-frame honestly.
-        let payload = &traced[HEADER_LEN..traced.len() - 8];
-        let mut cut = traced[..HEADER_LEN].to_vec();
-        cut[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        cut[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
-        cut.extend_from_slice(payload);
-        assert!(matches!(
-            decode_frame(&cut, &limits()),
-            Err(WireError::Truncated)
-        ));
-    }
-
-    /// Version 1 with trailing trace-context-sized bytes is *not*
-    /// silently reinterpreted — the decoder flags the extra bytes.
-    #[test]
-    fn version_1_with_trailing_trace_bytes_rejected() {
-        let traced = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::QueueFull,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        let mut downgraded = traced.clone();
-        downgraded[4] = VERSION;
-        assert!(matches!(
-            decode_frame(&downgraded, &limits()),
-            Err(WireError::TrailingBytes(16))
-        ));
+        for (plain, traced) in traced_frames(None).iter().zip(&traced_frames(Some(ctx()))) {
+            let name = plain.type_name();
+            let bad = reseal(&encode_frame(plain), |p| *p.last_mut().unwrap() = 2);
+            assert!(
+                matches!(decode_frame(&bad, &limits()), Err(WireError::Malformed(m)) if m == "bad trace-presence byte 2"),
+                "{name}"
+            );
+            let with = encode_frame(traced);
+            let cut = reseal(&with, |p| p.truncate(p.len() - 8));
+            assert!(
+                matches!(decode_frame(&cut, &limits()), Err(WireError::Truncated)),
+                "{name}"
+            );
+            let absent = reseal(&with, |p| {
+                let presence = p.len() - 17;
+                p[presence] = 0;
+            });
+            assert!(
+                matches!(
+                    decode_frame(&absent, &limits()),
+                    Err(WireError::TrailingBytes(16))
+                ),
+                "{name}"
+            );
+        }
     }
 
     fn qos_submit(priority: Priority, trace: Option<TraceContext>) -> Frame {
@@ -1503,147 +1390,82 @@ mod tests {
         }
     }
 
-    /// Non-normal priorities encode as version 3 and round-trip
-    /// bit-identically, with and without trace context; normal priority
-    /// keeps the pre-revision bytes exactly.
+    /// Offset of `qos_submit`'s priority byte in its payload: request id
+    /// 8 | tenant 4 + 1 | deadline 8 | schedule 1.
+    const PRIORITY_AT: usize = 22;
+
+    /// Every priority, traced or not, round-trips bit-identically with
+    /// its byte right after the schedule byte.
     #[test]
-    fn prioritized_submits_encode_as_version_3() {
-        for (priority, trace) in [
-            (Priority::High, None),
-            (Priority::Low, None),
-            (Priority::High, Some(ctx())),
-            (Priority::Low, Some(ctx())),
+    fn submit_priority_byte_round_trips() {
+        for (priority, byte) in [
+            (Priority::Normal, 0),
+            (Priority::High, 1),
+            (Priority::Low, 2),
         ] {
-            let frame = qos_submit(priority, trace);
-            let bytes = encode_frame(&frame);
-            assert_eq!(bytes[4], VERSION_QOS);
-            match roundtrip(&frame) {
-                Frame::Submit {
-                    priority: p,
-                    trace: t,
-                    ..
-                } => {
-                    assert_eq!(p, priority);
-                    assert_eq!(t, trace);
+            for trace in [None, Some(ctx())] {
+                let frame = qos_submit(priority, trace);
+                assert_eq!(encode_frame(&frame)[HEADER_LEN + PRIORITY_AT], byte);
+                match roundtrip(&frame) {
+                    Frame::Submit {
+                        priority: p,
+                        trace: t,
+                        ..
+                    } => {
+                        assert_eq!(p, priority);
+                        assert_eq!(t, trace);
+                    }
+                    other => panic!("decoded wrong frame: {other:?}"),
                 }
-                other => panic!("decoded wrong frame: {other:?}"),
             }
         }
-        // Normal priority never bumps the version: the bytes are exactly
-        // what a pre-revision client sends.
-        assert_eq!(
-            encode_frame(&qos_submit(Priority::Normal, None))[4],
-            VERSION
-        );
-        assert_eq!(
-            encode_frame(&qos_submit(Priority::Normal, Some(ctx())))[4],
-            VERSION_TRACED
-        );
-        // The untraced v3 tail is exactly 2 additive bytes over v1.
-        let v1 = encode_frame(&qos_submit(Priority::Normal, None));
-        let v3 = encode_frame(&qos_submit(Priority::High, None));
-        assert_eq!(v3.len(), v1.len() + 2);
     }
 
-    /// Hostile-peer rules for version 3: normal priority announced at
-    /// v3, unknown priority bytes, bad trace-presence bytes, a retired
-    /// schedule byte, v3 on a non-submit frame, and a truncated tail are
-    /// all rejected.
+    /// Hostile-peer rules for `Submit`: unknown priority bytes, a bad
+    /// trace-presence byte, a context the presence byte promises but the
+    /// payload lacks, a chopped tail and a retired schedule byte are all
+    /// rejected.
     #[test]
     fn hostile_qos_frames_rejected() {
-        // Re-frame a valid v3 payload with a mutated tail byte.
-        let reseal = |bytes: &[u8], mutate: &dyn Fn(&mut Vec<u8>)| {
-            let mut payload = bytes[HEADER_LEN..].to_vec();
-            mutate(&mut payload);
-            let mut out = bytes[..HEADER_LEN].to_vec();
-            out[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-            out[12..16].copy_from_slice(&checksum(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-            out
-        };
         let good = encode_frame(&qos_submit(Priority::High, None));
+        assert_eq!(good[HEADER_LEN + PRIORITY_AT], 1, "priority byte located");
 
-        // Priority byte 0 (normal) at version 3: non-canonical.
-        let n = good.len() - HEADER_LEN;
-        let bad = reseal(&good, &|p| p[n - 2] = 0);
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // Unknown priority byte.
-        let bad = reseal(&good, &|p| p[n - 2] = 9);
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Malformed(_))
-        ));
+        for b in [3u8, 9] {
+            let bad = reseal(&good, |p| p[PRIORITY_AT] = b);
+            assert!(matches!(
+                decode_frame(&bad, &limits()),
+                Err(WireError::Malformed(m)) if m == format!("unknown priority byte {b}")
+            ));
+        }
         // Bad trace-presence byte.
-        let bad = reseal(&good, &|p| p[n - 1] = 7);
+        let bad = reseal(&good, |p| *p.last_mut().unwrap() = 7);
         assert!(matches!(
             decode_frame(&bad, &limits()),
             Err(WireError::Malformed(_))
         ));
         // Presence byte says traced but the context bytes are missing.
-        let bad = reseal(&good, &|p| {
-            let n = p.len();
-            p[n - 1] = 1;
-        });
+        let bad = reseal(&good, |p| *p.last_mut().unwrap() = 1);
         assert!(matches!(
             decode_frame(&bad, &limits()),
             Err(WireError::Truncated)
         ));
-        // Tail chopped off entirely, honestly re-framed: truncated.
-        let bad = reseal(&good, &|p| p.truncate(p.len() - 2));
+        // Presence byte chopped off, honestly re-framed: truncated.
+        let bad = reseal(&good, |p| p.truncate(p.len() - 1));
         assert!(matches!(
             decode_frame(&bad, &limits()),
             Err(WireError::Truncated)
         ));
 
-        // A retired schedule byte (3): request id 8 | tenant 4 + 1 |
-        // deadline 8, then the schedule.
-        assert_eq!(good[HEADER_LEN + 21], 2, "schedule byte located");
-        let bad = reseal(&good, &|p| p[21] = 3);
+        // A retired schedule byte (3), the byte before the priority.
+        assert_eq!(
+            good[HEADER_LEN + PRIORITY_AT - 1],
+            2,
+            "schedule byte located"
+        );
+        let bad = reseal(&good, |p| p[PRIORITY_AT - 1] = 3);
         assert!(matches!(
             decode_frame(&bad, &limits()),
             Err(WireError::Malformed(m)) if m == "unknown schedule byte 3"
-        ));
-
-        // Version 3 on a frame type that carries no priority.
-        let mut ping = encode_frame(&Frame::Ping { token: 5 });
-        ping[4] = VERSION_QOS;
-        assert!(matches!(
-            decode_frame(&ping, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // …and on a traced reply (type 4/5 allow v2, not v3).
-        let mut err = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::ConnectionLimit,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        err[4] = VERSION_QOS;
-        assert!(matches!(
-            decode_frame(&err, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    /// A v3 frame "downgraded" to a v1/v2 header is not silently
-    /// reinterpreted: the QoS tail surfaces as trailing bytes.
-    #[test]
-    fn version_3_downgrade_rejected() {
-        let mut bytes = encode_frame(&qos_submit(Priority::Low, None));
-        bytes[4] = VERSION;
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::TrailingBytes(2))
-        ));
-        let mut bytes = encode_frame(&qos_submit(Priority::Low, Some(ctx())));
-        bytes[4] = VERSION_TRACED;
-        // v2 consumes 16 of the 18 tail bytes as the context.
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::TrailingBytes(2))
         ));
     }
 
@@ -1833,7 +1655,7 @@ mod tests {
     }
 
     #[test]
-    fn session_frames_round_trip_at_version_4() {
+    fn session_frames_round_trip() {
         let stream = test_stream();
         let open = roundtrip(&Frame::OpenSession {
             request_id: 3,
@@ -1841,7 +1663,6 @@ mod tests {
             schedule: Schedule::Basic,
             stream: stream.clone(),
         });
-        assert_eq!(encode_frame(&open)[4], VERSION_STREAM);
         match open {
             Frame::OpenSession {
                 request_id,
@@ -1882,8 +1703,6 @@ mod tests {
 
         let desc = ImageDesc::new("frame", 8, 6, 1);
         let img = Image::from_data(desc, vec![1.0; 48]);
-        // SubmitFrame with and without a trace — both are version 4 (the
-        // presence byte, not the version, signals the context).
         for trace in [None, Some(ctx())] {
             let frame = Frame::SubmitFrame {
                 request_id: 5,
@@ -1891,7 +1710,6 @@ mod tests {
                 inputs: vec![(ImageId(0), img.clone())],
                 trace,
             };
-            assert_eq!(frame.wire_version(), VERSION_STREAM);
             match roundtrip(&frame) {
                 Frame::SubmitFrame {
                     session_id,
@@ -1908,84 +1726,53 @@ mod tests {
         }
     }
 
-    /// Version 4 is valid only for the session frames, and the session
-    /// frames are valid only at version 4 — no silent reinterpretation
-    /// in either direction.
+    /// Hostile-peer rules for the session frames: an unknown state-source
+    /// kind, a retired schedule byte and a bad trace-presence byte are
+    /// all malformed.
     #[test]
     fn version_4_gating_is_strict_both_ways() {
-        // A pre-revision frame relabeled as v4 is malformed.
-        let mut bytes = encode_frame(&Frame::Ping { token: 1 });
-        bytes[4] = VERSION_STREAM;
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-
-        // A session frame downgraded to any earlier version is malformed.
-        let ack = encode_frame(&Frame::SessionAck {
-            request_id: 1,
-            session_id: 2,
-        });
-        for v in [VERSION, VERSION_TRACED, VERSION_QOS] {
-            let mut bytes = ack.clone();
-            bytes[4] = v;
-            assert!(matches!(
-                decode_frame(&bytes, &limits()),
-                Err(WireError::Malformed(_))
-            ));
-        }
-
-        // A hostile source kind in the state table is rejected.
-        let mut bytes = encode_frame(&Frame::OpenSession {
+        let open = encode_frame(&Frame::OpenSession {
             request_id: 1,
             tenant: "t".into(),
             schedule: Schedule::Optimized,
             stream: test_stream(),
         });
         // State table tail layout: ... tap u32 | kind u8 | id u32 | depth u8.
-        let kind_pos = bytes.len() - 6;
-        assert_eq!(bytes[kind_pos], 1, "kind byte located");
-        bytes[kind_pos] = 9;
-        let payload_start = HEADER_LEN;
-        let cksum = checksum(&bytes[payload_start..]);
-        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
+        let bad = reseal(&open, |p| {
+            let kind = p.len() - 6;
+            assert_eq!(p[kind], 1, "kind byte located");
+            p[kind] = 9;
+        });
         assert!(matches!(
-            decode_frame(&bytes, &limits()),
+            decode_frame(&bad, &limits()),
             Err(WireError::Malformed(_))
         ));
 
         // A retired schedule byte (3) on OpenSession is rejected before
         // the stream is decoded: request id 8 | tenant 4 + 1 | schedule.
-        let mut bytes = encode_frame(&Frame::OpenSession {
-            request_id: 1,
-            tenant: "t".into(),
-            schedule: Schedule::Optimized,
-            stream: test_stream(),
+        let bad = reseal(&open, |p| {
+            assert_eq!(p[13], 2, "schedule byte located");
+            p[13] = 3;
         });
-        let sched_pos = HEADER_LEN + 13;
-        assert_eq!(bytes[sched_pos], 2, "schedule byte located");
-        bytes[sched_pos] = 3;
-        let cksum = checksum(&bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
         assert!(matches!(
-            decode_frame(&bytes, &limits()),
+            decode_frame(&bad, &limits()),
             Err(WireError::Malformed(m)) if m == "unknown schedule byte 3"
         ));
 
         // A bad trace-presence byte on SubmitFrame is rejected.
-        let mut bytes = encode_frame(&Frame::SubmitFrame {
+        let submit = encode_frame(&Frame::SubmitFrame {
             request_id: 1,
             session_id: 2,
             inputs: vec![],
             trace: None,
         });
-        let presence = bytes.len() - 1;
-        assert_eq!(bytes[presence], 0);
-        bytes[presence] = 7;
-        let cksum = checksum(&bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
+        let bad = reseal(&submit, |p| {
+            let presence = p.len() - 1;
+            assert_eq!(p[presence], 0);
+            p[presence] = 7;
+        });
         assert!(matches!(
-            decode_frame(&bytes, &limits()),
+            decode_frame(&bad, &limits()),
             Err(WireError::Malformed(_))
         ));
     }

@@ -10,8 +10,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use kfuse_dsl::Schedule;
-use kfuse_net::wire::{encode_frame, read_frame, HEADER_LEN};
-use kfuse_net::{Client, ClientError, ErrorCode, Frame, Limits, Server, ServerConfig, WireError};
+use kfuse_net::wire::{checksum, encode_frame, read_frame, HEADER_LEN, VERSION};
+use kfuse_net::{
+    Client, ClientError, ErrorCode, Frame, Limits, Priority, Server, ServerConfig, WireError,
+};
 use kfuse_sim::synthetic_image;
 
 fn test_server() -> Server {
@@ -22,18 +24,31 @@ fn test_server() -> Server {
     Server::bind("127.0.0.1:0", cfg).expect("bind")
 }
 
-/// Reads the server's reaction to garbage: a typed error frame, a clean
-/// close, or (for mid-frame stalls) a reset — anything but a hang.
-fn expect_error_or_close(stream: &mut TcpStream) {
+/// Reads the server's reaction to garbage: a typed error frame (whose
+/// message is returned), a clean close, or (for mid-frame stalls) a
+/// reset — anything but a hang.
+fn expect_error_or_close(stream: &mut TcpStream) -> Option<String> {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     match read_frame(stream, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        Ok(Frame::Error { code, message, .. }) => {
+            assert_eq!(code, ErrorCode::Malformed);
+            Some(message)
+        }
         Ok(other) => panic!("expected Error frame, got {other:?}"),
-        Err(WireError::Closed) | Err(WireError::Io(_)) | Err(WireError::Truncated) => {}
+        Err(WireError::Closed) | Err(WireError::Io(_)) | Err(WireError::Truncated) => None,
         Err(e) => panic!("expected error frame or close, got {e:?}"),
     }
+}
+
+/// `bytes` with its payload edited by `mutate` and the checksum
+/// re-sealed, so only the payload decoder can object.
+fn reseal(mut bytes: Vec<u8>, mutate: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    mutate(&mut bytes[HEADER_LEN..]);
+    let sum = checksum(&bytes[HEADER_LEN..]);
+    bytes[12..16].copy_from_slice(&sum.to_le_bytes());
+    bytes
 }
 
 /// The server must still answer a full register/submit round-trip.
@@ -68,9 +83,13 @@ fn malformed_frame_corpus() {
     bad_magic[0..4].copy_from_slice(b"HTTP");
     corpus.push(("bad magic", bad_magic));
 
-    let mut bad_version = good_ping.clone();
-    bad_version[4] = 0x7f;
-    corpus.push(("bad version", bad_version));
+    // An unknown version, and a valid ping re-headed at each retired
+    // revision: all must be refused as a version, never parsed.
+    for v in [0x7f, 1, 2, 3, 4] {
+        let mut bad_version = good_ping.clone();
+        bad_version[4] = v;
+        corpus.push(("bad version", bad_version));
+    }
 
     let mut bad_type = good_ping.clone();
     bad_type[5] = 0xee;
@@ -96,16 +115,42 @@ fn malformed_frame_corpus() {
     corpus.push(("truncated payload", good_ping[..HEADER_LEN + 3].to_vec()));
     corpus.push(("random noise", (0u16..512).map(|i| (i * 7) as u8).collect()));
 
+    // A well-framed Submit whose payload breaks the one layout. Payload:
+    // request id 8 | tenant 4 + 1 | deadline 8 | schedule | priority |
+    // input count 4 | trace presence.
+    let submit = encode_frame(&Frame::Submit {
+        request_id: 1,
+        tenant: "t".into(),
+        deadline_us: 0,
+        schedule: Schedule::Optimized,
+        inputs: vec![],
+        priority: Priority::Normal,
+        trace: None,
+    });
+    assert_eq!(submit.len(), HEADER_LEN + 28);
+    corpus.push(("unknown priority", reseal(submit.clone(), |p| p[22] = 3)));
+    corpus.push(("bad trace presence", reseal(submit, |p| p[27] = 2)));
+
     for (name, bytes) in corpus {
         let mut stream = TcpStream::connect(server.local_addr()).expect(name);
         stream.write_all(&bytes).expect(name);
         // Truncated cases need EOF to be detected as truncation.
         stream.shutdown(std::net::Shutdown::Write).ok();
-        expect_error_or_close(&mut stream);
+        let reply = expect_error_or_close(&mut stream);
+        if name == "bad version" {
+            assert_ne!(bytes[4], VERSION);
+            let refusal = WireError::BadVersion(bytes[4]).to_string();
+            assert_eq!(
+                reply.as_deref(),
+                Some(refusal.as_str()),
+                "version {}",
+                bytes[4]
+            );
+        }
         server_still_works(&server);
     }
 
-    assert!(server.net_metrics().protocol_errors >= 7);
+    assert!(server.net_metrics().protocol_errors >= 13);
     server.shutdown();
 }
 

@@ -310,51 +310,31 @@ fn shrink_preserves_predicate_and_validity() {
     assert!(p.kernels().len() < 2 || two.kernels().len() == 2);
 }
 
-/// Pins the wire protocol's trace-context revision: for each traced frame
-/// type (`Submit`, `ResultOk`, `Error`) the first sweep seed generating
-/// the *traced* (version-2) and *untraced* (version-1) variant. Each seed
-/// replays the full wire harness — encode → decode → re-encode
-/// bit-identity plus single-byte-flip no-panic probes — and each traced
-/// seed additionally proves old-version acceptance: its version-1
-/// (trace-stripped, re-sealed) bytes decode to the same frame minus the
-/// context and re-encode canonically. Fails loudly if the generator's
-/// variant coverage ever drifts off these seeds.
+/// Pins the wire protocol's trace field: for each frame type that has one
+/// (`Submit`, `ResultOk`, `Error`, `SubmitFrame`) the first sweep seed
+/// generating presence byte 1 (a context follows) and presence byte 0.
+/// Each seed replays the full wire harness — encode → decode → re-encode
+/// bit-identity plus single-byte-flip no-panic probes. Fails loudly if the
+/// generator's variant coverage ever drifts off these seeds.
 #[test]
 fn wire_trace_context_revision_seeds() {
     use kfuse_fuzz::wire::{check_wire_seed, generate_frame};
-    use kfuse_net::wire::{checksum, decode_frame, encode_frame, Limits, HEADER_LEN, VERSION};
 
     // (seed, type_byte, traced)
-    let pinned: [(u64, u8, bool); 6] = [
-        (0, 3, true),   // Submit with trace context (version 2)
-        (43, 3, false), // Submit without (version 1)
-        (24, 4, true),  // ResultOk with
-        (7, 4, false),  // ResultOk without
-        (3, 5, true),   // Error with
-        (2, 5, false),  // Error without
+    let pinned: [(u64, u8, bool); 8] = [
+        (6, 3, true),    // Submit with trace context
+        (41, 3, false),  // Submit without
+        (16, 4, true),   // ResultOk with
+        (2, 4, false),   // ResultOk without
+        (28, 5, true),   // Error with
+        (25, 5, false),  // Error without
+        (1, 12, true),   // SubmitFrame with
+        (63, 12, false), // SubmitFrame without
     ];
-    let limits = Limits::default();
     for (seed, type_byte, traced) in pinned {
         let frame = generate_frame(seed);
         assert_eq!(frame.type_byte(), type_byte, "seed {seed} drifted");
         assert_eq!(frame.trace().is_some(), traced, "seed {seed} drifted");
         check_wire_seed(seed).unwrap();
-        if !traced {
-            continue;
-        }
-        // Old-version acceptance: strip the 16 trailing trace bytes,
-        // rewrite version + length + checksum, decode, re-encode.
-        let bytes = encode_frame(&frame);
-        let payload = &bytes[HEADER_LEN..bytes.len() - 16];
-        let mut old = bytes[..HEADER_LEN].to_vec();
-        old[4] = VERSION;
-        old[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        old[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
-        old.extend_from_slice(payload);
-        let decoded = decode_frame(&old, &limits)
-            .unwrap_or_else(|e| panic!("seed {seed}: version-1 bytes rejected: {e}"));
-        assert_eq!(decoded.trace(), None, "seed {seed}");
-        assert_eq!(decoded.type_byte(), type_byte, "seed {seed}");
-        assert_eq!(encode_frame(&decoded), old, "seed {seed}: not canonical");
     }
 }

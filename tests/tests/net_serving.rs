@@ -277,7 +277,7 @@ fn pipelined_submissions_all_answered() {
     server.shutdown();
 }
 
-/// Version-3 QoS submits work end to end: every priority class is served
+/// Prioritized submits work end to end: every priority class is served
 /// bit-identically to the reference interpreter, and the per-tenant
 /// metrics account for all of them.
 #[test]
@@ -388,7 +388,7 @@ fn traced_request_appears_in_flight_recorder_dump() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming sessions over the wire (protocol rev 4).
+// Streaming sessions over the wire.
 // ---------------------------------------------------------------------------
 
 use kfuse_apps::temporal_apps;
