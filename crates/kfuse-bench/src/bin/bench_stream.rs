@@ -37,6 +37,7 @@ use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageId};
 use kfuse_model::{BenefitModel, GpuSpec};
+use kfuse_obs::Tracer;
 use kfuse_sim::{synthetic_image, CompiledPlan, FastConfig, Scratch};
 use kfuse_stream::{run_reference, StreamPipeline, StreamSession};
 use std::collections::VecDeque;
@@ -116,7 +117,7 @@ fn run_cold(
             inputs.push((s.tap, plane));
         }
         let exec = plan
-            .execute_owned(inputs, cfg, &mut scratch)
+            .run(inputs, cfg, &mut scratch, &Tracer::disabled())
             .expect("cold frame executes");
         for (ring, s) in rings.iter_mut().zip(stream.states()) {
             ring.push_back(

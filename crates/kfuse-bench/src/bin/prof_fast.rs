@@ -25,6 +25,7 @@ use kfuse_apps::paper_apps;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_model::{BenefitModel, GpuSpec};
+use kfuse_obs::Tracer;
 use kfuse_sim::{execute_fast_with, synthetic_image, FastConfig};
 
 fn main() {
@@ -69,7 +70,8 @@ fn main() {
     let t = std::time::Instant::now();
     for _ in 0..iters {
         if scratch {
-            std::hint::black_box(plan.execute_with_scratch(&inputs, &cfg, &mut sc).unwrap());
+            let exec = plan.run(inputs.clone(), &cfg, &mut sc, &Tracer::disabled());
+            std::hint::black_box(exec.unwrap());
         } else {
             std::hint::black_box(execute_fast_with(&p, &inputs, &cfg).unwrap());
         }

@@ -25,8 +25,11 @@
 //! propagated trace id links the full causal chain — `client_send` →
 //! `decode` → `submit` (ingress) → `queue_wait` → `plan` → `execute`
 //! (plus per-kernel spans) → `encode_write` → `client_recv` — across at
-//! least three threads, with a `bytes` arg on both wire spans. It also
-//! drives a deliberately deadline-missed request,
+//! least three threads, with a `bytes` arg on both wire spans. A traced
+//! session frame must chain `decode` → `queue_wait` → `execute` →
+//! `kernel:` the same way, in that order — frames run through the same
+//! worker envelope as stateless requests. It also drives a deliberately
+//! deadline-missed request,
 //! churns the recorder's recent ring past capacity, and checks the missed
 //! request's span tree still comes back (tail-based retention) from the
 //! sidecar's `/debug/requests` endpoint as a validated Chrome trace. The
@@ -39,7 +42,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use kfuse_apps::paper_apps;
+use kfuse_apps::{paper_apps, temporal_apps};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_net::{Client, ClientError, ErrorCode, Server, ServerConfig};
@@ -219,6 +222,26 @@ fn net_phase() {
         fail("out-of-order reply to the traced submit");
     }
 
+    // --- One traced session frame. ---
+    let stream = (temporal_apps()[0].build_sized)(48, 32);
+    let session = client
+        .open_session("traced-stream", &stream, Schedule::Optimized)
+        .unwrap_or_else(|e| fail(&format!("open session: {e}")));
+    let fresh = stream
+        .fresh_inputs()
+        .iter()
+        .map(|&id| (id, synthetic_image(stream.frame().image(id).clone(), 13)))
+        .collect();
+    client
+        .step_session(session, fresh)
+        .unwrap_or_else(|e| fail(&format!("traced frame: {e}")));
+    let frame_trace = client
+        .last_trace()
+        .unwrap_or_else(|| fail("traced frame generated no trace context"));
+    client
+        .close_session(session)
+        .unwrap_or_else(|e| fail(&format!("close session: {e}")));
+
     // --- A deliberately deadline-missed request. It must expire *in the
     // queue*: a budget the server has already spent when it reaches
     // admission is shed there and leaves no flight record. So both
@@ -351,6 +374,33 @@ fn net_phase() {
     if !request.iter().any(|e| e.name.starts_with("kernel:")) {
         fail("traced request has no per-kernel execute span");
     }
+    // The session frame's chain, in causal order: the first span of each
+    // link starts no earlier than the first of the link before it.
+    let frame: Vec<_> = events
+        .iter()
+        .filter(|e| e.trace_id == frame_trace.trace_id)
+        .collect();
+    let mut prev = 0;
+    for link in ["decode", "queue_wait", "execute", "kernel:"] {
+        let start = frame
+            .iter()
+            .filter(|e| e.name == link || (link.ends_with(':') && e.name.starts_with(link)))
+            .map(|e| e.ts_us)
+            .min()
+            .unwrap_or_else(|| {
+                fail(&format!(
+                    "traced session frame is missing its '{link}' span (got: {:?})",
+                    frame.iter().map(|e| e.name.as_str()).collect::<Vec<_>>()
+                ))
+            });
+        if start < prev {
+            fail(&format!(
+                "traced session frame's '{link}' span starts before the link before it"
+            ));
+        }
+        prev = start;
+    }
+    let frame_spans = frame.len();
     let tids: HashSet<u64> = request.iter().map(|e| e.tid).collect();
     if tids.len() < 3 {
         fail(&format!(
@@ -372,11 +422,13 @@ fn net_phase() {
     server.shutdown();
     println!(
         "trace_check net OK: request {:016x} chained {} spans across {} threads; \
-         flight dump retained missed request {:016x} through {} churn requests \
+         session frame {:016x} chained {} spans; flight dump retained missed request {:016x} through {} churn requests \
          ({} dump events); single-request trace written to {}",
         trace.trace_id,
         single_stats.complete_spans,
         tids.len(),
+        frame_trace.trace_id,
+        frame_spans,
         missed.trace_id,
         churn_requests,
         dump_stats.events,

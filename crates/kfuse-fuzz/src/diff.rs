@@ -228,7 +228,7 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
     let cfg = FastConfig::default();
     let mut scratch = Scratch::default();
     let got = plan
-        .execute_with_scratch(&inputs, &cfg, &mut scratch)
+        .run(inputs.clone(), &cfg, &mut scratch, &Tracer::disabled())
         .map_err(|e| Failure::ExecFailed {
             path: "plan:execute".into(),
             error: e.to_string(),
@@ -237,7 +237,7 @@ pub fn differential(p: &Pipeline, seed: u64) -> Result<(), Failure> {
 
     let tracer = Tracer::enabled();
     let got = plan
-        .execute_traced(&inputs, &cfg, &mut scratch, &tracer)
+        .run(inputs.clone(), &cfg, &mut scratch, &tracer)
         .map_err(|e| Failure::ExecFailed {
             path: "plan:traced".into(),
             error: e.to_string(),

@@ -3,9 +3,10 @@
 //! ## Per-connection threading: multiplexed replies
 //!
 //! Each accepted connection gets one persistent **reader** thread and a
-//! shared **outbox**. The reader decodes frames and submits jobs; each
-//! job registers a [`JobHandle::on_ready`] completion watcher that
-//! enqueues the reply into the outbox *when the job finishes*, and a
+//! shared **outbox**. The reader decodes frames and submits jobs and
+//! session frames through one admission tail; each admitted unit hands
+//! its [`Handle::on_ready`] watcher the result, which builds the reply
+//! frame and enqueues it into the outbox *when the unit finishes*, and a
 //! short-lived **drainer** thread (spawned on the empty→non-empty edge,
 //! exiting when the outbox runs dry) writes queued replies to the
 //! socket. Two head-of-line problems from the thread-per-direction
@@ -65,11 +66,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use kfuse_ir::{ImageId, Pipeline};
+use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_obs::{FlightRecorder, Tracer};
-use kfuse_runtime::{
-    Admission, FrameHandle, JobHandle, MetricsSnapshot, Runtime, RuntimeConfig, RuntimeError,
-};
+use kfuse_runtime::{Admission, Handle, MetricsSnapshot, Runtime, RuntimeConfig, RuntimeError};
+use kfuse_sim::Execution;
+use kfuse_stream::FrameOutput;
 
 use crate::http;
 use crate::metrics::{NetMetrics, NetSnapshot};
@@ -147,36 +148,15 @@ impl Inner {
     }
 }
 
-/// One outbox entry: a reply ready (or about to be ready) to write.
+/// One outbox entry: a finished reply frame.
 enum Reply {
-    /// A *completed* job: enqueued by its `on_ready` watcher, so the
-    /// handle's `wait` returns without blocking. Answers `request_id`,
-    /// echoing the submit's trace context so the client can stitch the
-    /// reply into the same causal chain.
-    Job {
-        request_id: u64,
-        handle: JobHandle,
-        outputs: Vec<ImageId>,
-        trace: Option<TraceContext>,
-    },
-    /// A *completed* session frame: enqueued by its `on_ready` watcher.
-    /// Same contract as `Job`, but the handle resolves to a
-    /// [`kfuse_stream::FrameOutput`] whose outputs are already bound.
-    SessionFrame {
-        request_id: u64,
-        handle: FrameHandle,
-        trace: Option<TraceContext>,
-    },
+    /// The answer to an admitted `Submit` or `SubmitFrame`, built by its
+    /// `on_ready` watcher from the result. It holds a slot in the
+    /// connection's in-flight gate (acquired at admission, released when
+    /// written or discarded).
+    Gated(Frame),
     /// An immediately-known reply (acks, errors, pongs).
     Now(Frame),
-}
-
-impl Reply {
-    /// Whether this reply holds a slot in the connection's in-flight
-    /// gate (acquired at submit, released when written or discarded).
-    fn holds_gate_slot(&self) -> bool {
-        matches!(self, Reply::Job { .. } | Reply::SessionFrame { .. })
-    }
 }
 
 /// Counting gate bounding submitted-but-unanswered jobs per connection.
@@ -305,22 +285,11 @@ impl Outbox {
         true
     }
 
-    /// Consumes a reply that will never be written, releasing its gate
+    /// Drops a reply that will never be written, releasing its gate
     /// slot so the reader (or close path) stops waiting for it.
     fn discard(&self, reply: Reply) {
-        match reply {
-            // The watcher fired, so these do not block; consuming the
-            // result keeps "every admitted job is reaped" true even for
-            // dead peers.
-            Reply::Job { handle, .. } => {
-                let _ = handle.wait();
-                self.gate.release();
-            }
-            Reply::SessionFrame { handle, .. } => {
-                let _ = handle.wait();
-                self.gate.release();
-            }
-            Reply::Now(_) => {}
+        if let Reply::Gated(_) = reply {
+            self.gate.release();
         }
     }
 
@@ -369,8 +338,10 @@ impl Outbox {
                     }
                 }
             };
-            let was_job = reply.holds_gate_slot();
-            let frame = build_reply_frame(reply);
+            let (frame, gated) = match reply {
+                Reply::Gated(frame) => (frame, true),
+                Reply::Now(frame) => (frame, false),
+            };
             self.inner.net.frame_type_sent(frame.type_byte());
             if let Frame::Error { code, .. } = &frame {
                 self.inner.net.error_sent(*code);
@@ -396,15 +367,15 @@ impl Outbox {
                         span_tracer.now_us(),
                         vec![("frame", frame.type_name().into()), ("bytes", bytes.into())],
                     );
-                    if was_job {
+                    if gated {
                         self.gate.release();
                     }
                 }
                 Err(_) => {
                     // Peer stopped reading (or the write timed out): mark
                     // the connection dead so the reader exits and pending
-                    // replies are reaped without writing.
-                    if was_job {
+                    // replies are dropped without writing.
+                    if gated {
                         self.gate.release();
                     }
                     self.mark_dead();
@@ -416,72 +387,6 @@ impl Outbox {
                 }
             }
         }
-    }
-}
-
-/// Builds the wire reply for one outbox entry. Job handles are ready
-/// (their watcher fired), so `wait` returns without blocking.
-fn build_reply_frame(reply: Reply) -> Frame {
-    match reply {
-        Reply::Now(frame) => frame,
-        Reply::Job {
-            request_id,
-            handle,
-            outputs,
-            trace,
-        } => match handle.wait() {
-            // The execution is owned here, so the output planes move into
-            // the reply instead of being copied (declared outputs are
-            // distinct ids, so no plane is taken twice).
-            Ok(mut exec) => {
-                let imgs: Result<Vec<_>, ImageId> = outputs
-                    .into_iter()
-                    .map(|id| exec.take_image(id).map(|img| (id, img)).ok_or(id))
-                    .collect();
-                match imgs {
-                    Ok(outputs) => Frame::ResultOk {
-                        request_id,
-                        outputs,
-                        trace,
-                    },
-                    Err(id) => Frame::Error {
-                        request_id,
-                        code: ErrorCode::ExecFailed,
-                        message: format!("execution produced no image {}", id.0),
-                        trace,
-                    },
-                }
-            }
-            Err(e) => {
-                let (code, message) = map_runtime_error(&e);
-                Frame::Error {
-                    request_id,
-                    code,
-                    message,
-                    trace,
-                }
-            }
-        },
-        Reply::SessionFrame {
-            request_id,
-            handle,
-            trace,
-        } => match handle.wait() {
-            Ok(out) => Frame::ResultOk {
-                request_id,
-                outputs: out.outputs,
-                trace,
-            },
-            Err(e) => {
-                let (code, message) = map_runtime_error(&e);
-                Frame::Error {
-                    request_id,
-                    code,
-                    message,
-                    trace,
-                }
-            }
-        },
     }
 }
 
@@ -674,12 +579,12 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
         reader_loop(&inner, &mut stream, &outbox, &mut conn);
         // The connection was this session's only submitter: close every
         // owned session so its state planes are freed and any frames
-        // still pending resolve (their replies are then reaped below).
+        // still pending resolve (their replies are then written or dropped below).
         for id in conn.sessions.drain() {
             let _ = inner.runtime.close_session(id);
         }
         // Close barrier: everything already admitted is answered (or the
-        // peer is dead and its replies were reaped) before the socket
+        // peer is dead and its replies were dropped) before the socket
         // goes away.
         outbox.quiesce(Duration::from_secs(30));
     }
@@ -809,87 +714,47 @@ fn handle_frame(
             inputs,
             priority,
             trace,
-        } => {
-            if inner.draining.load(Ordering::SeqCst) {
-                inner.net.refused_draining();
-                return send_error_traced(
-                    outbox,
-                    request_id,
-                    ErrorCode::Draining,
-                    "server is draining",
-                    trace,
-                );
-            }
-            let pipeline = {
-                let registry = inner.registry.lock().unwrap();
-                match registry.get(&tenant) {
-                    Some(reg) => Arc::clone(&reg.pipeline),
-                    None => {
-                        return send_error_traced(
-                            outbox,
-                            request_id,
-                            ErrorCode::UnknownPipeline,
-                            &format!("no pipeline registered as {tenant:?}"),
-                            trace,
-                        )
-                    }
-                }
-            };
-            if let Err(msg) = check_inputs(&pipeline, &inputs) {
-                return send_error_traced(outbox, request_id, ErrorCode::BadInputs, &msg, trace);
-            }
-            // The in-flight gate: past `max_in_flight` unanswered jobs
-            // the reader parks here and TCP backpressure throttles the
-            // client.
-            let gate_inner = Arc::clone(inner);
-            let gate_ob = Arc::clone(outbox);
-            if !outbox
-                .gate
-                .acquire(inner.cfg.max_in_flight.max(1), move || {
-                    gate_inner.shutdown_requested() || gate_ob.peer_dead()
-                })
-            {
-                return false;
-            }
+        } => admit(inner, outbox, request_id, trace, |trace_id, span_id| {
+            let pipeline = inner
+                .registry
+                .lock()
+                .unwrap()
+                .get(&tenant)
+                .map(|reg| Arc::clone(&reg.pipeline))
+                .ok_or_else(|| {
+                    (
+                        ErrorCode::UnknownPipeline,
+                        format!("no pipeline registered as {tenant:?}"),
+                    )
+                })?;
+            check_inputs(&pipeline, &inputs).map_err(|msg| (ErrorCode::BadInputs, msg))?;
             // Anchor the relative budget to the server clock *before*
             // queueing so queue wait counts against it.
             let deadline =
                 (deadline_us > 0).then(|| Instant::now() + Duration::from_micros(deadline_us));
-            // Propagate the client's trace context into the runtime so
-            // queue/plan/execute spans (and the flight-recorder entry)
-            // land under the same trace id the client generated.
-            let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
-            match inner.runtime.submit_with_ctx(
-                &tenant, &pipeline, inputs, schedule, priority, deadline, trace_id, span_id,
-            ) {
-                Ok(handle) => {
-                    // Completion-order multiplexing: the watcher enqueues
-                    // the reply the moment the job finishes; the reaper
-                    // duplicate is what the drainer consumes the result
-                    // through.
-                    let reaper = handle.duplicate();
-                    let ob = Arc::clone(outbox);
-                    let outputs = pipeline.outputs().to_vec();
-                    handle.on_ready(move || {
-                        ob.push(Reply::Job {
-                            request_id,
-                            handle: reaper,
-                            outputs,
-                            trace,
-                        });
-                    });
-                    true
-                }
-                Err(e) => {
-                    // Shed/rejected at admission: nothing will complete,
-                    // so the gate slot frees immediately and the typed
-                    // error can overtake slower in-flight replies.
-                    outbox.gate.release();
-                    let (code, msg) = map_runtime_error(&e);
-                    send_error_traced(outbox, request_id, code, &msg, trace)
-                }
-            }
-        }
+            let handle = inner
+                .runtime
+                .submit_with_ctx(
+                    &tenant, &pipeline, inputs, schedule, priority, deadline, trace_id, span_id,
+                )
+                .map_err(|e| map_runtime_error(&e))?;
+            // The execution is owned by the watcher, so the declared
+            // outputs (distinct ids) move into the reply uncopied.
+            let outputs = pipeline.outputs().to_vec();
+            Ok((handle, move |mut exec: Execution| {
+                outputs
+                    .into_iter()
+                    .map(|id| {
+                        exec.take_image(id).map(|img| (id, img)).ok_or_else(|| {
+                            (
+                                ErrorCode::ExecFailed,
+                                format!("execution produced no image {}", id.0),
+                            )
+                        })
+                    })
+                    .collect()
+            }))
+        }),
         Frame::Ping { token } => outbox.push(Reply::Now(Frame::Pong { token })),
         Frame::Drain => {
             inner.draining.store(true, Ordering::SeqCst);
@@ -935,62 +800,19 @@ fn handle_frame(
             session_id,
             inputs,
             trace,
-        } => {
-            if inner.draining.load(Ordering::SeqCst) {
-                inner.net.refused_draining();
-                return send_error_traced(
-                    outbox,
-                    request_id,
-                    ErrorCode::Draining,
-                    "server is draining",
-                    trace,
-                );
-            }
+        } => admit(inner, outbox, request_id, trace, |trace_id, span_id| {
             if !conn.sessions.contains(&session_id) {
-                return send_error_traced(
-                    outbox,
-                    request_id,
+                return Err((
                     ErrorCode::UnknownSession,
-                    &format!("no session {session_id} on this connection"),
-                    trace,
-                );
+                    format!("no session {session_id} on this connection"),
+                ));
             }
-            // Session frames share the connection's in-flight gate with
-            // stateless submits — same backpressure, one budget.
-            let gate_inner = Arc::clone(inner);
-            let gate_ob = Arc::clone(outbox);
-            if !outbox
-                .gate
-                .acquire(inner.cfg.max_in_flight.max(1), move || {
-                    gate_inner.shutdown_requested() || gate_ob.peer_dead()
-                })
-            {
-                return false;
-            }
-            let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
-            match inner
+            let handle = inner
                 .runtime
                 .submit_frame_with_ctx(session_id, inputs, trace_id, span_id)
-            {
-                Ok(handle) => {
-                    let reaper = handle.duplicate();
-                    let ob = Arc::clone(outbox);
-                    handle.on_ready(move || {
-                        ob.push(Reply::SessionFrame {
-                            request_id,
-                            handle: reaper,
-                            trace,
-                        });
-                    });
-                    true
-                }
-                Err(e) => {
-                    outbox.gate.release();
-                    let (code, msg) = map_runtime_error(&e);
-                    send_error_traced(outbox, request_id, code, &msg, trace)
-                }
-            }
-        }
+                .map_err(|e| map_runtime_error(&e))?;
+            Ok((handle, |out: FrameOutput| Ok(out.outputs)))
+        }),
         Frame::CloseSession {
             request_id,
             session_id,
@@ -1044,9 +866,84 @@ fn handle_frame(
     }
 }
 
+/// A refusal or failure as it goes on the wire.
+type WireFailure = (ErrorCode, String);
+
+/// The admission tail `Submit` and `SubmitFrame` share: the draining
+/// check, the in-flight gate, the trace-context split, and the reply path.
+/// `submit` validates the request and hands it to the runtime, returning
+/// the handle plus how to turn the finished result into reply outputs;
+/// the `on_ready` watcher then builds the reply frame on the worker that
+/// finished the unit and enqueues it, so replies leave in completion
+/// order. A refusal releases the gate slot at once and answers with its
+/// typed error (which may overtake slower in-flight replies).
+fn admit<T: Send + 'static, O>(
+    inner: &Arc<Inner>,
+    outbox: &Arc<Outbox>,
+    request_id: u64,
+    trace: Option<TraceContext>,
+    submit: impl FnOnce(u64, u64) -> Result<(Handle<T>, O), WireFailure>,
+) -> bool
+where
+    O: FnOnce(T) -> Result<Vec<(ImageId, Image)>, WireFailure> + Send + 'static,
+{
+    if inner.draining.load(Ordering::SeqCst) {
+        inner.net.refused_draining();
+        return send_error_traced(
+            outbox,
+            request_id,
+            ErrorCode::Draining,
+            "server is draining",
+            trace,
+        );
+    }
+    // The in-flight gate, one budget for both frame types: past
+    // `max_in_flight` unanswered requests the reader parks here and TCP
+    // backpressure throttles the client.
+    let gate_inner = Arc::clone(inner);
+    let gate_ob = Arc::clone(outbox);
+    if !outbox
+        .gate
+        .acquire(inner.cfg.max_in_flight.max(1), move || {
+            gate_inner.shutdown_requested() || gate_ob.peer_dead()
+        })
+    {
+        return false;
+    }
+    // Propagate the client's trace context into the runtime so its spans
+    // (and the flight-recorder entry) land under the client's trace id.
+    let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
+    match submit(trace_id, span_id) {
+        Ok((handle, outputs)) => {
+            let ob = Arc::clone(outbox);
+            handle.on_ready(move |result| {
+                let frame = match result.map_err(|e| map_runtime_error(&e)).and_then(outputs) {
+                    Ok(outputs) => Frame::ResultOk {
+                        request_id,
+                        outputs,
+                        trace,
+                    },
+                    Err((code, message)) => Frame::Error {
+                        request_id,
+                        code,
+                        message,
+                        trace,
+                    },
+                };
+                ob.push(Reply::Gated(frame));
+            });
+            true
+        }
+        Err((code, msg)) => {
+            outbox.gate.release();
+            send_error_traced(outbox, request_id, code, &msg, trace)
+        }
+    }
+}
+
 /// Submitted inputs must bind exactly the pipeline's declared inputs with
 /// matching shapes — checked *before* any id indexes anything.
-fn check_inputs(pipeline: &Pipeline, inputs: &[(ImageId, kfuse_ir::Image)]) -> Result<(), String> {
+fn check_inputs(pipeline: &Pipeline, inputs: &[(ImageId, Image)]) -> Result<(), String> {
     let declared = pipeline.inputs();
     if inputs.len() != declared.len() {
         return Err(format!(

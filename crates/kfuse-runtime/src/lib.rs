@@ -21,7 +21,7 @@
 //! * [`cache`] — the LRU [`PlanCache`] keyed by [`PlanKey`], guarded by an
 //!   id-layout hash so structural sharing can never bind a tenant's images
 //!   to the wrong slots;
-//! * [`metrics`] — per-tenant atomic counters and log₂ latency histograms,
+//! * [`metrics`] — per-tenant atomic counters and log-linear latency histograms,
 //!   exported as a [`MetricsSnapshot`] with hand-rolled JSON and
 //!   Prometheus text exposition (the workspace is zero-external-crate).
 //!
@@ -69,5 +69,5 @@ pub use metrics::{
     FidelitySnapshot, LatencyExemplar, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
     PipelineMetrics, PipelineSnapshot, RuntimeGauges,
 };
-pub use runtime::{Admission, JobHandle, Priority, Runtime, RuntimeConfig, RuntimeError};
+pub use runtime::{Admission, Handle, JobHandle, Priority, Runtime, RuntimeConfig, RuntimeError};
 pub use session::{FrameHandle, SessionStats};

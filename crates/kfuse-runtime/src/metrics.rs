@@ -634,7 +634,7 @@ impl MetricsSnapshot {
         w.family(
             "kfuse_request_latency_us",
             "gauge",
-            "Request latency quantiles (µs, log2-bucket upper bounds).",
+            "Request latency quantiles (µs, upper bounds of log-linear buckets, four per power of two).",
         );
         for p in &self.pipelines {
             for (q, v) in [("0.5", p.p50_us), ("0.95", p.p95_us), ("0.99", p.p99_us)] {

@@ -12,8 +12,19 @@
 //! approximation with unit job cost), so one tenant flooding the queue
 //! can no longer head-of-line block everyone else. Each job names a
 //! tenant pipeline, carries its input images and requested fusion
-//! [`Schedule`], and is answered through a one-shot result slot
-//! ([`JobHandle`]). Per job the worker:
+//! [`Schedule`], and is answered through a one-shot result [`Handle`]
+//! ([`JobHandle`]).
+//!
+//! **One job path.** Every admitted unit of work — a stateless job or a
+//! frame of a streaming session ([`crate::session`]) — carries a `Ticket`
+//! (result slot, admission instant, deadline, trace context) through one
+//! push onto the shard queue and, once dequeued, through one worker
+//! envelope (`serve`): flight-recorder begin, the `queue_wait` span, the
+//! dequeue-side deadline check, the `in_flight` gauge, `catch_unwind`,
+//! latency and SLO accounting, recorder finish, and the counted slot
+//! fill behind a drop guard, so every dequeued unit gets exactly one
+//! terminal outcome even if the worker unwinds. Only the body differs.
+//! The stateless body:
 //!
 //! 1. fingerprints the submitted pipeline (structural + id-layout hashes),
 //! 2. consults the shared LRU [`PlanCache`] under
@@ -21,8 +32,12 @@
 //!    layout hash also matches (see [`crate::cache`]),
 //! 3. on miss: runs the fusion planner (`kfuse_dsl::compile`) and lowers
 //!    the fused pipeline to a [`CompiledPlan`], caching the result,
-//! 4. executes the plan against the job's inputs, reusing the worker's
-//!    persistent [`Scratch`] so the steady state does not allocate.
+//! 4. runs the plan ([`CompiledPlan::run`]) on the job's inputs under the
+//!    request's tracer, reusing the worker's persistent [`Scratch`] so the
+//!    steady state does not allocate.
+//!
+//! The session body steps the session's state rings on that same scratch
+//! and under that same tracer.
 //!
 //! Admission control is configurable: when the queue is full, [`Admission::Reject`]
 //! fails the submit with [`RuntimeError::QueueFull`] (shed load, keep
@@ -250,179 +265,187 @@ impl From<ExecError> for RuntimeError {
     }
 }
 
-/// One-shot result slot a worker fills and a handle waits on. Generic
-/// over the payload: [`JobHandle`] waits on an [`Execution`],
-/// [`crate::session::FrameHandle`] on a [`kfuse_stream::FrameOutput`].
+/// One-shot result slot a worker fills and exactly one [`Handle`]
+/// consumes — by blocking in [`Handle::wait`] or through an
+/// [`Handle::on_ready`] watcher.
 pub(crate) struct Slot<T> {
     state: Mutex<SlotState<T>>,
     done: Condvar,
 }
 
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Self {
-            state: Mutex::new(SlotState {
-                result: None,
-                taken: false,
-                watcher: None,
-            }),
-            done: Condvar::new(),
+type Watcher<T> = Box<dyn FnOnce(Result<T, RuntimeError>) + Send>;
+
+struct SlotState<T> {
+    result: Option<Result<T, RuntimeError>>,
+    /// Watcher registered by [`Handle::on_ready`] before the result
+    /// arrived: the fill hands it the result instead of storing it.
+    watcher: Option<Watcher<T>>,
+}
+
+impl<T> Slot<T> {
+    /// Poisoned slot locks are ignored: the state is valid at every
+    /// instant the lock is held.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stores the result and wakes the waiter, or hands the result to the
+    /// registered watcher (outside the slot lock).
+    fn fill(&self, result: Result<T, RuntimeError>) {
+        let mut state = self.lock();
+        match state.watcher.take() {
+            Some(watcher) => {
+                drop(state);
+                watcher(result);
+            }
+            None => {
+                state.result = Some(result);
+                self.done.notify_all();
+            }
         }
     }
 }
 
-struct SlotState<T> {
-    result: Option<Result<T, RuntimeError>>,
-    /// Set when a waiter consumes `result`, so a second waiter on a
-    /// [`JobHandle::duplicate`] errors instead of blocking forever.
-    taken: bool,
-    /// Completion watcher registered by [`JobHandle::on_ready`]: invoked
-    /// exactly once, after the result is stored. Lets a network front-end
-    /// multiplex many in-flight jobs onto one reply path instead of
-    /// parking a thread per job in [`JobHandle::wait`].
-    watcher: Option<Box<dyn FnOnce() + Send>>,
+/// Handle to one admitted unit of work — a stateless job ([`JobHandle`])
+/// or a session frame ([`crate::FrameHandle`]). The result is consumed
+/// once: by [`Handle::wait`] or by an [`Handle::on_ready`] watcher.
+///
+/// Every dequeued unit is answered, even if the worker panics mid-unit
+/// (the result is then [`RuntimeError::Panicked`]): the worker envelope
+/// fills the slot through a drop guard that also fires on unwind.
+pub struct Handle<T> {
+    slot: Arc<Slot<T>>,
 }
 
-impl<T> Slot<T> {
-    /// Blocks until the result is stored, then consumes it.
-    pub(crate) fn wait(&self) -> Result<T, RuntimeError> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+/// Handle to a submitted stateless job.
+pub type JobHandle = Handle<Execution>;
+
+impl<T> std::fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Handle").finish_non_exhaustive()
+    }
+}
+
+impl<T> Handle<T> {
+    /// Blocks until the unit completes and returns its result.
+    pub fn wait(self) -> Result<T, RuntimeError> {
+        let mut state = self.slot.lock();
         loop {
             if let Some(result) = state.result.take() {
-                state.taken = true;
                 return result;
             }
-            if state.taken {
-                return Err(RuntimeError::Panicked(
-                    "result already taken by a duplicate handle".into(),
-                ));
-            }
             state = self
+                .slot
                 .done
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Registers a readiness watcher — see [`JobHandle::on_ready`].
-    pub(crate) fn on_ready(&self, f: impl FnOnce() + Send + 'static) {
-        let run_now = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if state.result.is_some() {
-                true
-            } else {
-                state.watcher = Some(Box::new(f));
-                return;
+    /// Hands the result to `f` as soon as it exists: immediately, on the
+    /// caller's thread, if it already does; otherwise on the worker thread
+    /// that completes the unit. This is what lets a connection handler
+    /// keep N units in flight and write replies in completion order
+    /// instead of submission order (no head-of-line blocking on a slow
+    /// request).
+    pub fn on_ready(self, f: impl FnOnce(Result<T, RuntimeError>) + Send + 'static) {
+        let mut state = self.slot.lock();
+        match state.result.take() {
+            Some(result) => {
+                drop(state);
+                f(result);
             }
+            None => state.watcher = Some(Box::new(f)),
+        }
+    }
+}
+
+/// What every admitted unit of work carries to the worker envelope: the
+/// slot its answer goes to, its admission instant, its deadline, and its
+/// propagated trace context (0 = none; a flight recorder then synthesizes
+/// a high-bit-tagged id at dequeue).
+pub(crate) struct Ticket<T> {
+    pub(crate) slot: Arc<Slot<T>>,
+    submitted: Instant,
+    deadline: Option<Instant>,
+    trace_id: u64,
+    span_id: u64,
+}
+
+impl<T> Ticket<T> {
+    /// A ticket stamped now, and the handle its answer will reach.
+    pub(crate) fn issue(
+        deadline: Option<Instant>,
+        trace_id: u64,
+        span_id: u64,
+    ) -> (Self, Handle<T>) {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                result: None,
+                watcher: None,
+            }),
+            done: Condvar::new(),
+        });
+        let ticket = Self {
+            slot: Arc::clone(&slot),
+            submitted: Instant::now(),
+            deadline,
+            trace_id,
+            span_id,
         };
-        if run_now {
-            f();
+        (ticket, Handle { slot })
+    }
+}
+
+/// Who a unit of work is metered against: its tenant's metrics and, for a
+/// session frame, the session's own frame counters.
+#[derive(Clone, Copy)]
+pub(crate) struct Meter<'a> {
+    pub(crate) tenant: &'a str,
+    pub(crate) metrics: &'a PipelineMetrics,
+    pub(crate) frames: Option<&'a crate::session::Counters>,
+}
+
+impl Meter<'_> {
+    /// Counts `result` as the unit's terminal outcome, then delivers it.
+    pub(crate) fn answer<T>(&self, slot: &Slot<T>, result: Result<T, RuntimeError>) {
+        match &result {
+            Ok(_) => self.metrics.record_completed(),
+            Err(RuntimeError::DeadlineExceeded) => self.metrics.record_deadline_miss(),
+            Err(_) => self.metrics.record_error(),
         }
-    }
-
-    /// Stores the result, wakes waiters, and runs the readiness watcher
-    /// (outside the slot lock — it may call back into `wait`).
-    pub(crate) fn fill(&self, result: Result<T, RuntimeError>) {
-        let watcher = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.result = Some(result);
-            self.done.notify_all();
-            state.watcher.take()
-        };
-        if let Some(w) = watcher {
-            w();
+        if let Some(frames) = self.frames {
+            frames.count(result.is_ok());
         }
+        slot.fill(result);
     }
 }
 
-/// Handle to a submitted job; [`JobHandle::wait`] blocks until a worker
-/// has produced the result.
-pub struct JobHandle {
-    slot: Arc<Slot<Execution>>,
-}
-
-impl std::fmt::Debug for JobHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle").finish_non_exhaustive()
-    }
-}
-
-impl JobHandle {
-    /// Blocks until the job completes and returns its result.
-    ///
-    /// Wakes even if the worker panicked mid-job (the result is then
-    /// [`RuntimeError::Panicked`]): every dequeued job is answered through
-    /// a completion drop-guard that fills the slot on unwind. Poisoned
-    /// slot locks are ignored — the `Option` state is valid at every
-    /// instant the lock is held.
-    pub fn wait(self) -> Result<Execution, RuntimeError> {
-        self.slot.wait()
-    }
-
-    /// Registers a completion watcher: `f` runs exactly once, as soon as
-    /// the job's result is available (immediately, on the caller's
-    /// thread, if it already is; otherwise on the worker thread that
-    /// completes the job). The watcher is a *readiness* signal — it takes
-    /// no result; pair it with [`JobHandle::wait`], which then returns
-    /// without blocking. This is what lets a connection handler keep N
-    /// jobs in flight and write replies in completion order instead of
-    /// submission order (no head-of-line blocking on a slow request).
-    pub fn on_ready(&self, f: impl FnOnce() + Send + 'static) {
-        self.slot.on_ready(f);
-    }
-
-    /// Returns a second handle to the same job's result slot.
-    ///
-    /// The result is delivered to whichever handle calls
-    /// [`JobHandle::wait`] first; the other then observes a
-    /// [`RuntimeError::Panicked`] "result already taken" error. Use this
-    /// when [`JobHandle::on_ready`] registration and the eventual `wait`
-    /// happen on different owners (e.g. a server that registers a
-    /// watcher, then hands the duplicate to the reply writer).
-    pub fn duplicate(&self) -> JobHandle {
-        JobHandle {
-            slot: Arc::clone(&self.slot),
-        }
-    }
-}
-
-/// Guarantees a dequeued job's result slot is filled exactly once.
+/// Guarantees a dequeued unit is answered — and its outcome counted —
+/// exactly once.
 ///
-/// The worker completes normally via [`CompletionGuard::complete`]; if it
-/// unwinds first — a panic anywhere between dequeue and slot fill, e.g. in
-/// the metrics or tracing paths outside the `catch_unwind` envelope — the
-/// drop impl answers the submitter with [`RuntimeError::Panicked`] instead
-/// of leaving it blocked in [`JobHandle::wait`] forever.
-struct CompletionGuard {
-    slot: Arc<Slot<Execution>>,
-    completed: bool,
+/// The envelope answers normally via [`CompletionGuard::answer`]; if
+/// it unwinds first — a panic anywhere between dequeue and slot fill
+/// outside the `catch_unwind` around the body, e.g. in the metrics or
+/// tracing paths — the drop impl counts an error and answers the
+/// submitter with [`RuntimeError::Panicked`] instead of leaving it
+/// blocked in [`Handle::wait`] forever.
+struct CompletionGuard<'a, T> {
+    slot: Option<Arc<Slot<T>>>,
+    meter: Meter<'a>,
 }
 
-impl CompletionGuard {
-    fn new(slot: Arc<Slot<Execution>>) -> Self {
-        Self {
-            slot,
-            completed: false,
+impl<T> CompletionGuard<'_, T> {
+    fn answer(&mut self, result: Result<T, RuntimeError>) {
+        if let Some(slot) = self.slot.take() {
+            self.meter.answer(&slot, result);
         }
-    }
-
-    /// Fills the slot with the job's result and wakes the submitter.
-    fn complete(mut self, result: Result<Execution, RuntimeError>) {
-        self.fill(result);
-    }
-
-    fn fill(&mut self, result: Result<Execution, RuntimeError>) {
-        if self.completed {
-            return;
-        }
-        self.completed = true;
-        self.slot.fill(result);
     }
 }
 
-impl Drop for CompletionGuard {
+impl<T> Drop for CompletionGuard<'_, T> {
     fn drop(&mut self) {
-        self.fill(Err(RuntimeError::Panicked(
+        self.answer(Err(RuntimeError::Panicked(
             "worker unwound before completing the job".to_string(),
         )));
     }
@@ -434,7 +457,6 @@ pub(crate) struct Job {
     tenant: String,
     priority: Priority,
     metrics: Arc<PipelineMetrics>,
-    submitted: Instant,
     payload: Payload,
 }
 
@@ -453,14 +475,7 @@ pub(crate) struct PipelineJob {
     pipeline: Pipeline,
     inputs: Vec<(ImageId, Image)>,
     schedule: Schedule,
-    slot: Arc<Slot<Execution>>,
-    /// Latest useful completion instant; expired jobs are dropped at
-    /// dequeue without executing.
-    deadline: Option<Instant>,
-    /// Wire-propagated trace context (0 = none; a flight recorder then
-    /// synthesizes a high-bit-tagged id at dequeue).
-    trace_id: u64,
-    span_id: u64,
+    ticket: Ticket<Execution>,
 }
 
 /// One tenant's FIFO lane within a priority class. `credit` is the
@@ -685,7 +700,7 @@ impl Runtime {
     /// A runtime whose queue is never drained — deterministic admission
     /// tests fill it without racing the workers.
     #[cfg(test)]
-    fn without_workers(cfg: RuntimeConfig) -> Self {
+    pub(crate) fn without_workers(cfg: RuntimeConfig) -> Self {
         Self::start(cfg, false)
     }
 
@@ -770,29 +785,19 @@ impl Runtime {
             }
         }
         let shared = self.shard_for(pipeline.fingerprint());
-        let slot = Arc::new(Slot::default());
+        let (ticket, handle) = Ticket::issue(deadline, trace_id, span_id);
         let job = Job {
             tenant: name.to_string(),
             priority,
             metrics: Arc::clone(&metrics),
-            submitted: Instant::now(),
             payload: Payload::Pipeline(PipelineJob {
                 pipeline: pipeline.clone(),
                 inputs,
                 schedule,
-                slot: Arc::clone(&slot),
-                deadline,
-                trace_id,
-                span_id,
+                ticket,
             }),
         };
         let cfg = &shared.cfg;
-        let weight = cfg
-            .tenant_weights
-            .iter()
-            .find(|(t, _)| t == name)
-            .map(|(_, w)| *w)
-            .unwrap_or(1);
         let capacity = cfg.queue_capacity;
         // Tenant share cap and per-class pressure threshold, in queue
         // slots. A threshold at or past capacity is disabled (the plain
@@ -824,11 +829,7 @@ impl Runtime {
                 return Err(RuntimeError::QueueFull);
             }
             if queue.len < capacity {
-                queue.push(job, weight);
-                let depth = queue.len as u64;
-                shared.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                shared.job_available.notify_one();
-                break depth;
+                break shared.push(&mut queue, job);
             }
             match cfg.admission {
                 Admission::Reject => {
@@ -859,7 +860,7 @@ impl Runtime {
         // arguments, and doing that under the queue mutex serialized
         // every submitter behind tracing cost (see DESIGN.md §3.15).
         cfg.tracer.counter("queue_depth", "serve", depth as f64);
-        Ok(JobHandle { slot })
+        Ok(handle)
     }
 
     /// Convenience: submit and wait.
@@ -965,7 +966,7 @@ impl Runtime {
     /// Lets queue-order and dequeue-path tests execute deterministically
     /// against a [`Runtime::without_workers`] runtime.
     #[cfg(test)]
-    fn drain_for_test(&self) {
+    pub(crate) fn drain_for_test(&self) {
         for shard in &self.shards {
             shard.queue.lock().unwrap().accepting = false;
             shard.job_available.notify_all();
@@ -990,41 +991,27 @@ impl Drop for Runtime {
 pub(crate) fn enqueue_session_runner(
     shared: &Shared,
     entry: &Arc<crate::session::SessionEntry>,
-    tenant: &str,
-    priority: Priority,
-    metrics: &Arc<PipelineMetrics>,
 ) -> Result<(), RuntimeError> {
-    let weight = shared
-        .cfg
-        .tenant_weights
-        .iter()
-        .find(|(t, _)| t == tenant)
-        .map(|(_, w)| *w)
-        .unwrap_or(1);
     let mut queue = shared.queue.lock().unwrap();
     if !queue.accepting {
         return Err(RuntimeError::ShuttingDown);
     }
-    queue.push(
+    shared.push(
+        &mut queue,
         Job {
-            tenant: tenant.to_string(),
-            priority,
-            metrics: Arc::clone(metrics),
-            submitted: Instant::now(),
+            tenant: entry.tenant.clone(),
+            priority: entry.priority,
+            metrics: Arc::clone(&entry.metrics),
             payload: Payload::Session(Arc::clone(entry)),
         },
-        weight,
     );
-    let depth = queue.len as u64;
-    shared.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-    shared.job_available.notify_one();
     Ok(())
 }
 
 fn worker_loop(shared: &Shared) {
-    // One scratch pool per worker, reused for every job: after a few
-    // requests the buffers reach their high-water mark and execution stops
-    // allocating.
+    // One scratch pool per worker, reused for every job and every session
+    // frame: after a few units the buffers reach their high-water mark and
+    // execution stops allocating.
     let mut scratch = Scratch::default();
     loop {
         let polled = {
@@ -1048,139 +1035,153 @@ fn worker_loop(shared: &Shared) {
             .cfg
             .tracer
             .counter("queue_depth", "serve", depth as f64);
-        // Session runners have their own per-frame completion discipline
-        // (every pending frame owns a result slot); hand the whole turn to
-        // the session module and move on to the next queued job.
-        let pj = match job.payload {
-            Payload::Session(ref entry) => {
-                let in_flight = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                shared
-                    .cfg
-                    .tracer
-                    .counter("in_flight", "serve", in_flight as f64);
-                crate::session::run_session_turn(shared, entry);
-                let in_flight = shared.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                shared
-                    .cfg
-                    .tracer
-                    .counter("in_flight", "serve", in_flight as f64);
-                continue;
+        match job.payload {
+            Payload::Pipeline(PipelineJob {
+                pipeline,
+                inputs,
+                schedule,
+                ticket,
+            }) => {
+                let meter = Meter {
+                    tenant: &job.tenant,
+                    metrics: &job.metrics,
+                    frames: None,
+                };
+                serve(shared, &mut scratch, meter, ticket, |scratch, tracer| {
+                    run_job(shared, meter, &pipeline, inputs, schedule, scratch, tracer)
+                });
             }
-            Payload::Pipeline(ref pj) => pj,
-        };
-        // From here on the submitter is owed an answer: the guard fills
-        // the slot with `Panicked` if anything below unwinds before
-        // `complete` runs.
-        let guard = CompletionGuard::new(Arc::clone(&pj.slot));
-        // Request-scoped recording: the flight recorder hands out a
-        // private tracer (uncontended; mirrored into the global tracer at
-        // finish) under the job's propagated — or synthesized — trace id.
-        let mut request = shared
-            .cfg
-            .recorder
-            .as_ref()
-            .map(|r| r.begin(pj.trace_id, pj.span_id, &job.tenant, &shared.cfg.tracer));
-        let span_tracer = match &request {
-            Some(active) => active.tracer().clone(),
-            None if pj.trace_id != 0 => shared.cfg.tracer.scoped(pj.trace_id),
-            None => shared.cfg.tracer.clone(),
-        };
-        // Deadline check at dequeue, before any planning or execution: a
-        // job that expired in the queue is answered immediately and costs
-        // no worker time (the network layer translates this into a typed
-        // wire error the client sees instead of a late result).
-        if let Some(deadline) = pj.deadline {
-            if Instant::now() >= deadline {
-                job.metrics.record_deadline_miss();
-                let us = u64::try_from(job.submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-                // The missed request keeps its span tree: queue_wait is
-                // all the time it ever spent.
-                if span_tracer.is_enabled() {
-                    span_tracer.complete(
-                        "queue_wait",
-                        "serve",
-                        span_tracer.ts_of(job.submitted),
-                        span_tracer.now_us(),
-                        vec![("pipeline", ArgValue::Str(job.tenant.clone()))],
-                    );
-                }
-                record_slo(pj, &job, us);
-                let trace_id = request
-                    .as_ref()
-                    .map(ActiveRequest::trace_id)
-                    .unwrap_or(pj.trace_id);
-                job.metrics.record_latency_traced(us, trace_id);
-                if let (Some(r), Some(active)) = (shared.cfg.recorder.as_ref(), request.take()) {
-                    r.finish(active, RequestOutcome::DeadlineMissed);
-                }
-                guard.complete(Err(RuntimeError::DeadlineExceeded));
-                continue;
+            Payload::Session(entry) => {
+                crate::session::run_session_turn(shared, &entry, &mut scratch);
             }
         }
-        #[cfg(test)]
-        fail_point_after_dequeue(&job.tenant);
-        let in_flight = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        shared
-            .cfg
-            .tracer
-            .counter("in_flight", "serve", in_flight as f64);
-        // Contain panics: a malformed job must fail its own caller, not
-        // take the worker (and every queued job behind it) down with it.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_job(shared, &job, pj, &mut scratch, &span_tracer)
-        }))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            Err(RuntimeError::Panicked(msg))
-        });
-        let in_flight = shared.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-        shared
-            .cfg
-            .tracer
-            .counter("in_flight", "serve", in_flight as f64);
-        match &result {
-            Ok(_) => job.metrics.record_completed(),
-            Err(_) => job.metrics.record_error(),
-        }
-        let us = u64::try_from(job.submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-        record_slo(pj, &job, us);
-        let trace_id = request
-            .as_ref()
-            .map(ActiveRequest::trace_id)
-            .unwrap_or(pj.trace_id);
-        job.metrics.record_latency_traced(us, trace_id);
-        if let (Some(r), Some(active)) = (shared.cfg.recorder.as_ref(), request.take()) {
-            let outcome = match &result {
-                Ok(_) => RequestOutcome::Ok,
-                Err(RuntimeError::DeadlineExceeded) => RequestOutcome::DeadlineMissed,
-                Err(e) => RequestOutcome::Errored(e.to_string()),
-            };
-            r.finish(active, outcome);
-        }
-        guard.complete(result);
     }
 }
 
-/// SLO accounting for deadlined jobs: how much of the request's deadline
-/// budget the runtime burned, and whether the SLO was met. Jobs without a
-/// deadline carry no SLO and record nothing.
-fn record_slo(pj: &PipelineJob, job: &Job, spent_us: u64) {
-    let Some(deadline) = pj.deadline else { return };
-    let budget_us = deadline
-        .checked_duration_since(job.submitted)
-        .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
-    job.metrics.record_slo(budget_us, spent_us);
+/// The worker envelope: the one function every dequeued unit of work — a
+/// stateless job or a session frame — runs through. Around `body` it
+/// does, in order: flight-recorder begin and the choice of span tracer;
+/// the `queue_wait` span; the dequeue-side deadline check; the
+/// `in_flight` gauge; `catch_unwind` (a panicking body fails its own
+/// caller, not the worker and every unit queued behind it); latency plus
+/// exemplar and SLO accounting; recorder finish; and the outcome count
+/// plus slot fill through a [`CompletionGuard`].
+///
+/// Spans go to the request-scoped tracer when a flight recorder is active
+/// (so they carry the trace id and land in the request's record), to the
+/// runtime's tracer scoped to the propagated trace id otherwise.
+pub(crate) fn serve<T>(
+    shared: &Shared,
+    scratch: &mut Scratch,
+    meter: Meter<'_>,
+    ticket: Ticket<T>,
+    body: impl FnOnce(&mut Scratch, &Tracer) -> Result<T, RuntimeError>,
+) {
+    let Ticket {
+        slot,
+        submitted,
+        deadline,
+        trace_id,
+        span_id,
+    } = ticket;
+    // From here on the submitter is owed an answer.
+    let mut guard = CompletionGuard {
+        slot: Some(slot),
+        meter,
+    };
+    let cfg = &shared.cfg;
+    // Request-scoped recording: the flight recorder hands out a private
+    // tracer (uncontended; mirrored into the global tracer at finish)
+    // under the unit's propagated — or synthesized — trace id.
+    let mut request = cfg
+        .recorder
+        .as_ref()
+        .map(|r| r.begin(trace_id, span_id, meter.tenant, &cfg.tracer));
+    let tracer = match &request {
+        Some(active) => active.tracer().clone(),
+        None if trace_id != 0 => cfg.tracer.scoped(trace_id),
+        None => cfg.tracer.clone(),
+    };
+    if tracer.is_enabled() {
+        // Time spent admitted but waiting for a worker (for a frame, also
+        // behind earlier frames of its session).
+        tracer.complete(
+            "queue_wait",
+            "serve",
+            tracer.ts_of(submitted),
+            tracer.now_us(),
+            vec![("pipeline", ArgValue::Str(meter.tenant.to_string()))],
+        );
+    }
+    // A unit whose deadline expired in the queue is answered before any
+    // planning or execution and costs no worker time (the network layer
+    // turns this into a typed wire error instead of a late result).
+    let result = if deadline.is_some_and(|d| Instant::now() >= d) {
+        Err(RuntimeError::DeadlineExceeded)
+    } else {
+        #[cfg(test)]
+        fail_point_after_dequeue(meter.tenant);
+        let gauge = |n: u64| cfg.tracer.counter("in_flight", "serve", n as f64);
+        gauge(shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1);
+        let result = catch_unwind(AssertUnwindSafe(|| body(scratch, &tracer)))
+            .unwrap_or_else(|panic| Err(RuntimeError::Panicked(panic_message(&*panic))));
+        gauge(shared.in_flight.fetch_sub(1, Ordering::Relaxed) - 1);
+        result
+    };
+    let us = micros(submitted.elapsed());
+    // SLO accounting for deadlined units: how much of the deadline budget
+    // the runtime burned, and whether the SLO was met.
+    if let Some(deadline) = deadline {
+        let budget_us = deadline.checked_duration_since(submitted).map_or(0, micros);
+        meter.metrics.record_slo(budget_us, us);
+    }
+    let latency_trace = request.as_ref().map_or(trace_id, ActiveRequest::trace_id);
+    meter.metrics.record_latency_traced(us, latency_trace);
+    if let (Some(r), Some(active)) = (cfg.recorder.as_ref(), request.take()) {
+        let outcome = match &result {
+            Ok(_) => RequestOutcome::Ok,
+            Err(RuntimeError::DeadlineExceeded) => RequestOutcome::DeadlineMissed,
+            Err(e) => RequestOutcome::Errored(e.to_string()),
+        };
+        r.finish(active, outcome);
+    }
+    guard.answer(result);
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The message a caught panic carried.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(ToString::to_string)
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
+}
+
+/// Runs `f` under an `execute` span — the execution span of both the
+/// stateless and the session body.
+pub(crate) fn execute_span<R>(tracer: &Tracer, tenant: &str, f: impl FnOnce() -> R) -> R {
+    let start = tracer.now_us();
+    let out = f();
+    if tracer.is_enabled() {
+        tracer.complete(
+            "execute",
+            "serve",
+            start,
+            tracer.now_us(),
+            vec![("pipeline", ArgValue::Str(tenant.to_string()))],
+        );
+    }
+    out
 }
 
 /// Test-only panic injection: submitting under this tenant name makes the
 /// worker unwind *outside* the `catch_unwind` envelope, in the region the
 /// [`CompletionGuard`] exists to cover. Without the guard the submitter
-/// would block in [`JobHandle::wait`] forever.
+/// would block in [`Handle::wait`] forever.
 #[cfg(test)]
 const PANIC_AFTER_DEQUEUE_TENANT: &str = "__kfuse_test_panic_after_dequeue__";
 
@@ -1214,6 +1215,22 @@ fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
 }
 
 impl Shared {
+    /// Pushes `job` onto the locked queue with its tenant's weight, raises
+    /// the high-water mark and wakes one worker; returns the new depth.
+    fn push(&self, queue: &mut QueueState, job: Job) -> u64 {
+        let weight = self
+            .cfg
+            .tenant_weights
+            .iter()
+            .find(|(t, _)| *t == job.tenant)
+            .map_or(1, |(_, w)| *w);
+        queue.push(job, weight);
+        let depth = queue.len as u64;
+        self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
+        self.job_available.notify_one();
+        depth
+    }
+
     /// The cache entry for `key` and whether the cache already had it: on
     /// a miss `p` is fused, lowered, priced and inserted. `p` is validated
     /// on a miss only (planning assumes a well-formed DAG); `invalid` turns
@@ -1245,41 +1262,29 @@ impl Shared {
     }
 }
 
-/// Plan (with cache) and execute one job. Spans go to `tracer`: the
-/// request-scoped tracer when a flight recorder is active (so they carry
-/// the trace id and land in the request's record), the runtime's global
-/// tracer otherwise.
+/// The stateless body: plan (with cache) and execute one job.
 fn run_job(
     shared: &Shared,
-    job: &Job,
-    pj: &PipelineJob,
+    meter: Meter<'_>,
+    pipeline: &Pipeline,
+    inputs: Vec<(ImageId, Image)>,
+    schedule: Schedule,
     scratch: &mut Scratch,
     tracer: &Tracer,
 ) -> Result<Execution, RuntimeError> {
-    if tracer.is_enabled() {
-        // Time spent admitted but waiting for a worker, measured from the
-        // submit instant to now.
-        tracer.complete(
-            "queue_wait",
-            "serve",
-            tracer.ts_of(job.submitted),
-            tracer.now_us(),
-            vec![("pipeline", ArgValue::Str(job.tenant.clone()))],
-        );
-    }
     let plan_start = tracer.now_us();
-    let fingerprint = pj.pipeline.fingerprint();
+    let fingerprint = pipeline.fingerprint();
     let key = PlanKey {
         fingerprint,
-        schedule: pj.schedule,
+        schedule,
         exec: shared.cfg.exec,
     };
-    let planned = shared.plan_for(key, &pj.pipeline, |m| ExecError::Invalid(m).into());
+    let planned = shared.plan_for(key, pipeline, |m| ExecError::Invalid(m).into());
     let hit = matches!(planned, Ok((_, true)));
     if hit {
-        job.metrics.record_cache_hit();
+        meter.metrics.record_cache_hit();
     } else {
-        job.metrics.record_cache_miss();
+        meter.metrics.record_cache_miss();
     }
     let CachedPlan {
         plan, modeled_us, ..
@@ -1291,7 +1296,7 @@ fn run_job(
             plan_start,
             tracer.now_us(),
             vec![
-                ("pipeline", ArgValue::Str(job.tenant.clone())),
+                ("pipeline", ArgValue::Str(meter.tenant.to_string())),
                 (
                     "cache",
                     ArgValue::Str(if hit { "hit" } else { "miss" }.into()),
@@ -1299,25 +1304,15 @@ fn run_job(
             ],
         );
     }
-    let exec_start = tracer.now_us();
     let exec_t0 = Instant::now();
-    let result = plan
-        .execute_traced(&pj.inputs, &shared.cfg.exec, scratch, tracer)
-        .map_err(RuntimeError::Exec);
+    let result = execute_span(tracer, meter.tenant, || {
+        plan.run(inputs, &shared.cfg.exec, scratch, tracer)
+    })
+    .map_err(RuntimeError::Exec);
     if result.is_ok() {
-        let observed_us = u64::try_from(exec_t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         shared
             .metrics
-            .record_fidelity(fingerprint, observed_us, modeled_us);
-    }
-    if tracer.is_enabled() {
-        tracer.complete(
-            "execute",
-            "serve",
-            exec_start,
-            tracer.now_us(),
-            vec![("pipeline", ArgValue::Str(job.tenant.clone()))],
-        );
+            .record_fidelity(fingerprint, micros(exec_t0.elapsed()), modeled_us);
     }
     result
 }
@@ -1436,12 +1431,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Panicked(_)));
         assert!(err.to_string().contains("panicked"));
-        // The panicking job is metered as a request against its tenant.
+        // The panicking job is metered as a request against its tenant,
+        // and the guard's fill counts it: every dequeued job gets a
+        // terminal outcome.
         let snap = rt.metrics();
-        assert_eq!(
-            snap.pipeline(PANIC_AFTER_DEQUEUE_TENANT).unwrap().requests,
-            1
-        );
+        let m = snap.pipeline(PANIC_AFTER_DEQUEUE_TENANT).unwrap();
+        assert_eq!(m.requests, 1);
+        assert_eq!(m.errors, 1);
         // The other worker keeps serving; shutdown joins the dead thread
         // without hanging.
         rt.execute("t", &p, vec![(input, img)], Schedule::Optimized)
@@ -1877,14 +1873,14 @@ mod tests {
     /// order, making queue-discipline tests deterministic.
     type OrderLog = Arc<Mutex<Vec<String>>>;
 
-    fn order_probe() -> (OrderLog, impl Fn(&JobHandle, &str)) {
+    fn order_probe() -> (OrderLog, impl Fn(JobHandle, &str)) {
         let order: OrderLog = Arc::new(Mutex::new(Vec::new()));
         let probe = {
             let order = Arc::clone(&order);
-            move |h: &JobHandle, label: &str| {
+            move |h: JobHandle, label: &str| {
                 let order = Arc::clone(&order);
                 let label = label.to_string();
-                h.on_ready(move || order.lock().unwrap().push(label));
+                h.on_ready(move |_| order.lock().unwrap().push(label));
             }
         };
         (order, probe)
@@ -1910,13 +1906,13 @@ mod tests {
             let h = rt
                 .submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
                 .unwrap();
-            probe(&h, &format!("flood{i}"));
+            probe(h, &format!("flood{i}"));
         }
         for i in 0..3 {
             let h = rt
                 .submit("light", &p, vec![(input, img.clone())], Schedule::Baseline)
                 .unwrap();
-            probe(&h, &format!("light{i}"));
+            probe(h, &format!("light{i}"));
         }
         rt.drain_for_test();
         let order = order.lock().unwrap();
@@ -1958,7 +1954,7 @@ mod tests {
                     0,
                 )
                 .unwrap();
-            probe(&h, label);
+            probe(h, label);
         };
         submit(Priority::Low, "low0");
         submit(Priority::Normal, "norm0");
@@ -1990,13 +1986,13 @@ mod tests {
             let h = rt
                 .submit("paying", &p, vec![(input, img.clone())], Schedule::Baseline)
                 .unwrap();
-            probe(&h, &format!("p{i}"));
+            probe(h, &format!("p{i}"));
         }
         for i in 0..4 {
             let h = rt
                 .submit("free", &p, vec![(input, img.clone())], Schedule::Baseline)
                 .unwrap();
-            probe(&h, &format!("f{i}"));
+            probe(h, &format!("f{i}"));
         }
         rt.drain_for_test();
         let order = order.lock().unwrap();
@@ -2140,9 +2136,9 @@ mod tests {
         rt.shutdown();
     }
 
-    /// `on_ready` fires exactly once — on the worker thread at completion
-    /// when registered before, immediately on the caller's thread when
-    /// registered after — and `wait` still returns the result.
+    /// `on_ready` fires exactly once with the job's result — on the worker
+    /// thread at completion when registered before, immediately on the
+    /// caller's thread when registered after.
     #[test]
     fn on_ready_fires_for_pending_and_completed_jobs() {
         let (p, input, _) = blur_pipeline(9, 9);
@@ -2162,10 +2158,11 @@ mod tests {
             .submit("t", &p, vec![(input, img.clone())], Schedule::Optimized)
             .unwrap();
         let f = Arc::clone(&fired);
-        h.on_ready(move || {
-            f.fetch_add(1, Ordering::SeqCst);
+        h.on_ready(move |result| {
+            if result.is_ok() {
+                f.fetch_add(1, Ordering::SeqCst);
+            }
         });
-        h.wait().unwrap();
         settle(1);
         // A watcher registered after completion fires synchronously.
         let h = rt
@@ -2173,11 +2170,12 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let f = Arc::clone(&fired);
-        h.on_ready(move || {
-            f.fetch_add(1, Ordering::SeqCst);
+        h.on_ready(move |result| {
+            if result.is_ok() {
+                f.fetch_add(1, Ordering::SeqCst);
+            }
         });
         settle(2);
-        h.wait().unwrap();
         rt.shutdown();
     }
 

@@ -20,11 +20,22 @@
 //! a bounded turn (`TURN_FRAMES`) and re-enqueues itself, so one
 //! firehose session cannot starve a shard's stateless traffic.
 //!
+//! A frame is a unit of work like any stateless job: it is answered
+//! through the same [`Handle`] ([`FrameHandle`]), and the runner hands
+//! each frame to the runtime's one worker envelope, which traces, meters
+//! and answers it exactly as it does a stateless request. Only the body
+//! differs — lock the session, step its rings
+//! ([`StreamSession::step_with`]) on the worker's scratch under the
+//! request's tracer — so a frame's flight record holds the same
+//! `queue_wait` → `execute` → `kernel:` span tree as a request's.
+//!
 //! Lifecycle: `Open → (drain) → Draining → (close) → Closed`. Draining is
 //! a fence — frames already accepted still complete in order, new submits
 //! are refused with [`RuntimeError::SessionDraining`]. Closing frees the
 //! state planes and fails any still-pending frames with
-//! [`RuntimeError::SessionClosed`]. A panic inside a frame step closes the
+//! [`RuntimeError::SessionClosed`]; frames a runner can no longer run
+//! because the runtime is shutting down get
+//! [`RuntimeError::ShuttingDown`]. A panic inside a frame step closes the
 //! session (its state rings can no longer be trusted) but never kills the
 //! worker.
 //!
@@ -35,16 +46,17 @@
 
 use crate::cache::PlanKey;
 use crate::metrics::PipelineMetrics;
-use crate::runtime::{enqueue_session_runner, Priority, Runtime, RuntimeError, Shared, Slot};
+use crate::runtime::{
+    enqueue_session_runner, execute_span, serve, Handle, Meter, Priority, Runtime, RuntimeError,
+    Shared, Ticket,
+};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
-use kfuse_obs::{ActiveRequest, ArgValue, RequestOutcome};
+use kfuse_sim::Scratch;
 use kfuse_stream::{FrameOutput, StreamPipeline, StreamSession};
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 /// Frames a runner may execute before re-enqueueing itself, so a saturated
 /// session shares its shard's workers with everyone else at queue
@@ -81,10 +93,7 @@ enum Phase {
 /// A frame accepted into a session's FIFO but not yet executed.
 struct PendingFrame {
     inputs: Vec<(ImageId, Image)>,
-    slot: Arc<Slot<FrameOutput>>,
-    submitted: Instant,
-    trace_id: u64,
-    span_id: u64,
+    ticket: Ticket<FrameOutput>,
 }
 
 /// The submit-side half of a session: pending FIFO, lifecycle phase, and
@@ -99,11 +108,19 @@ struct SessionState {
 /// Monotonic per-session counters (relaxed atomics; read by
 /// [`Runtime::session_stats`] without any lock).
 #[derive(Default)]
-struct Counters {
+pub(crate) struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     errored: AtomicU64,
     rejected: AtomicU64,
+}
+
+impl Counters {
+    /// Counts one frame's terminal outcome.
+    pub(crate) fn count(&self, ok: bool) {
+        let counter = if ok { &self.completed } else { &self.errored };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time snapshot of one session's frame accounting.
@@ -124,13 +141,12 @@ pub struct SessionStats {
 /// the shard queue, and the registry; the `Arc` keeps an entry alive for
 /// a runner even after `close_session` removes it from the table.
 pub(crate) struct SessionEntry {
-    id: u64,
-    tenant: String,
-    priority: Priority,
+    pub(crate) tenant: String,
+    pub(crate) priority: Priority,
     /// Shard routing key: the stream fingerprint this session was opened
     /// under (frames must follow the plan to its shard).
     fingerprint: u64,
-    metrics: Arc<PipelineMetrics>,
+    pub(crate) metrics: Arc<PipelineMetrics>,
     stats: Counters,
     state: Mutex<SessionState>,
     /// The temporal state itself. Only a runner locks this, and only one
@@ -139,6 +155,22 @@ pub(crate) struct SessionEntry {
 }
 
 impl SessionEntry {
+    fn meter(&self) -> Meter<'_> {
+        Meter {
+            tenant: &self.tenant,
+            metrics: &self.metrics,
+            frames: Some(&self.stats),
+        }
+    }
+
+    /// Answers frames that will never run with `err`, counting each as an
+    /// error.
+    fn fail(&self, frames: VecDeque<PendingFrame>, err: impl Fn() -> RuntimeError) {
+        for frame in frames {
+            self.meter().answer(&frame.ticket.slot, Err(err()));
+        }
+    }
+
     fn stats_snapshot(&self) -> SessionStats {
         SessionStats {
             frames_submitted: self.stats.submitted.load(Ordering::Relaxed),
@@ -151,37 +183,7 @@ impl SessionEntry {
 
 /// Handle to one submitted frame; resolves to the frame's
 /// [`FrameOutput`] (or the error that stopped it).
-pub struct FrameHandle {
-    slot: Arc<Slot<FrameOutput>>,
-}
-
-impl std::fmt::Debug for FrameHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameHandle").finish_non_exhaustive()
-    }
-}
-
-impl FrameHandle {
-    /// Blocks until the frame completes.
-    pub fn wait(self) -> Result<FrameOutput, RuntimeError> {
-        self.slot.wait()
-    }
-
-    /// Registers a completion watcher — the streaming analogue of
-    /// [`crate::JobHandle::on_ready`], used by the network front end to
-    /// multiplex many in-flight frames onto one reply path.
-    pub fn on_ready(&self, f: impl FnOnce() + Send + 'static) {
-        self.slot.on_ready(f);
-    }
-
-    /// A second handle on the same result slot (for on_ready + wait
-    /// pairs; only one of them may consume the result).
-    pub fn duplicate(&self) -> FrameHandle {
-        FrameHandle {
-            slot: Arc::clone(&self.slot),
-        }
-    }
-}
+pub type FrameHandle = Handle<FrameOutput>;
 
 impl Runtime {
     /// Opens a streaming session for `tenant` over `stream` at
@@ -224,7 +226,6 @@ impl Runtime {
         let metrics = self.registry().handle(tenant);
         let id = self.sessions.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(SessionEntry {
-            id,
             tenant: tenant.to_string(),
             priority,
             fingerprint,
@@ -273,7 +274,6 @@ impl Runtime {
             .ok_or(RuntimeError::UnknownSession(id))?;
         entry.metrics.record_request();
         let shared = self.shard_for(entry.fingerprint);
-        let slot = Arc::new(Slot::default());
         let mut state = entry.state.lock().unwrap_or_else(PoisonError::into_inner);
         match state.phase {
             Phase::Open => {}
@@ -296,21 +296,13 @@ impl Runtime {
             entry.metrics.record_shed();
             return Err(RuntimeError::QueueFull);
         }
+        let (ticket, handle) = Ticket::issue(None, trace_id, span_id);
         state.pending.push_back(PendingFrame {
             inputs: fresh,
-            slot: Arc::clone(&slot),
-            submitted: Instant::now(),
-            trace_id,
-            span_id,
+            ticket,
         });
         if !state.runner_queued {
-            if let Err(e) = enqueue_session_runner(
-                shared,
-                &entry,
-                &entry.tenant,
-                entry.priority,
-                &entry.metrics,
-            ) {
+            if let Err(e) = enqueue_session_runner(shared, &entry) {
                 state.pending.pop_back();
                 entry.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 entry.metrics.record_rejected();
@@ -319,7 +311,7 @@ impl Runtime {
             state.runner_queued = true;
         }
         entry.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(FrameHandle { slot })
+        Ok(handle)
     }
 
     /// Drain fence: frames already accepted still complete in order;
@@ -353,16 +345,12 @@ impl Runtime {
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&id)
             .ok_or(RuntimeError::UnknownSession(id))?;
-        let pending: Vec<PendingFrame> = {
+        let pending = {
             let mut state = entry.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.phase = Phase::Closed;
-            state.pending.drain(..).collect()
+            std::mem::take(&mut state.pending)
         };
-        for frame in pending {
-            entry.stats.errored.fetch_add(1, Ordering::Relaxed);
-            entry.metrics.record_error();
-            frame.slot.fill(Err(RuntimeError::SessionClosed));
-        }
+        entry.fail(pending, || RuntimeError::SessionClosed);
         Ok(entry.stats_snapshot())
     }
 
@@ -385,24 +373,21 @@ impl Runtime {
 }
 
 /// One scheduling turn of a session's frame runner, called from the
-/// worker loop. Drains up to [`TURN_FRAMES`] pending frames in FIFO
-/// order, then either re-enqueues itself (more work waiting) or clears
-/// the runner invariant bit (FIFO empty).
-pub(crate) fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
+/// worker loop with the worker's scratch. Drains up to [`TURN_FRAMES`]
+/// pending frames in FIFO order, each through the worker envelope
+/// ([`serve`]), then either re-enqueues itself (more work waiting) or
+/// clears the runner invariant bit (FIFO empty).
+pub(crate) fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>, scratch: &mut Scratch) {
     for _ in 0..TURN_FRAMES {
-        let frame = {
+        let PendingFrame { inputs, ticket } = {
             let mut state = entry.state.lock().unwrap_or_else(PoisonError::into_inner);
             if state.phase == Phase::Closed {
                 // Closed mid-turn (or by a panic): the session's rings
                 // are gone or untrustworthy; answer everything pending.
-                let pending: Vec<PendingFrame> = state.pending.drain(..).collect();
+                let pending = std::mem::take(&mut state.pending);
                 state.runner_queued = false;
                 drop(state);
-                for f in pending {
-                    entry.stats.errored.fetch_add(1, Ordering::Relaxed);
-                    entry.metrics.record_error();
-                    f.slot.fill(Err(RuntimeError::SessionClosed));
-                }
+                entry.fail(pending, || RuntimeError::SessionClosed);
                 return;
             }
             match state.pending.pop_front() {
@@ -413,7 +398,18 @@ pub(crate) fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
                 }
             }
         };
-        step_one(shared, entry, frame);
+        serve(shared, scratch, entry.meter(), ticket, |scratch, tracer| {
+            // Declared before the session lock so that, on unwind, the
+            // lock is released first and the lock order holds.
+            let _close_on_panic = CloseOnUnwind(entry);
+            let mut session = entry.session.lock().unwrap_or_else(PoisonError::into_inner);
+            // A step refused at validation (bad bindings) leaves the rings
+            // untouched: the session stays usable and only this frame fails.
+            execute_span(tracer, &entry.tenant, || {
+                session.step_with(inputs, scratch, tracer)
+            })
+            .map_err(|e| RuntimeError::Stream(e.to_string()))
+        });
     }
     // Turn budget spent: yield the worker and get back in line, keeping
     // the one-runner invariant (`runner_queued` stays true across the
@@ -423,117 +419,32 @@ pub(crate) fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
         state.runner_queued = false;
         return;
     }
-    if let Err(e) =
-        enqueue_session_runner(shared, entry, &entry.tenant, entry.priority, &entry.metrics)
-    {
+    if enqueue_session_runner(shared, entry).is_err() {
         // Shutting down: the accepted backlog can no longer run, but
-        // every submitter still gets an answer.
-        let pending: Vec<PendingFrame> = state.pending.drain(..).collect();
+        // every submitter still gets an answer — the typed error a submit
+        // refused at shutdown gets.
+        let pending = std::mem::take(&mut state.pending);
         state.runner_queued = false;
         drop(state);
-        let msg = e.to_string();
-        for f in pending {
-            entry.stats.errored.fetch_add(1, Ordering::Relaxed);
-            entry.metrics.record_error();
-            f.slot.fill(Err(RuntimeError::Stream(msg.clone())));
-        }
+        entry.fail(pending, || RuntimeError::ShuttingDown);
     }
 }
 
-/// Executes one pending frame: flight-recorder root, the session step
-/// itself (panic-contained), per-frame metrics, and the slot fill.
-fn step_one(shared: &Shared, entry: &SessionEntry, frame: PendingFrame) {
-    let PendingFrame {
-        inputs,
-        slot,
-        submitted,
-        trace_id,
-        span_id,
-    } = frame;
-    let mut request = shared
-        .cfg
-        .recorder
-        .as_ref()
-        .map(|r| r.begin(trace_id, span_id, &entry.tenant, &shared.cfg.tracer));
-    let span_tracer = match &request {
-        Some(active) => active.tracer().clone(),
-        None if trace_id != 0 => shared.cfg.tracer.scoped(trace_id),
-        None => shared.cfg.tracer.clone(),
-    };
-    if span_tracer.is_enabled() {
-        // Time from submit to execution start: queue wait plus any wait
-        // behind earlier frames of the same session.
-        span_tracer.complete(
-            "frame_wait",
-            "stream",
-            span_tracer.ts_of(submitted),
-            span_tracer.now_us(),
-            vec![
-                ("session", ArgValue::Str(entry.tenant.clone())),
-                ("session_id", ArgValue::Str(entry.id.to_string())),
-            ],
-        );
-    }
-    let exec_start = span_tracer.now_us();
-    let stepped = {
-        let mut session = entry.session.lock().unwrap_or_else(PoisonError::into_inner);
-        catch_unwind(AssertUnwindSafe(|| session.step(inputs)))
-    };
-    if span_tracer.is_enabled() {
-        span_tracer.complete(
-            "frame_execute",
-            "stream",
-            exec_start,
-            span_tracer.now_us(),
-            vec![("session", ArgValue::Str(entry.tenant.clone()))],
-        );
-    }
-    let result = match stepped {
-        Ok(Ok(out)) => Ok(out),
-        // A step refused at validation (bad bindings) leaves the rings
-        // untouched: the session stays usable and only this frame fails.
-        Ok(Err(e)) => Err(RuntimeError::Stream(e.to_string())),
-        Err(panic) => {
-            // The step unwound mid-execution; the state rings may hold a
-            // half-updated frame. Close the session rather than serve
-            // frames whose temporal history is corrupt.
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "frame step panicked".to_string());
-            entry
+/// Closes the session if a frame step unwinds: the state rings may hold a
+/// half-updated frame, and frames whose temporal history is corrupt must
+/// not be served.
+struct CloseOnUnwind<'a>(&'a SessionEntry);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
                 .state
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .phase = Phase::Closed;
-            Err(RuntimeError::Panicked(msg))
-        }
-    };
-    let us = u64::try_from(submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let latency_trace = request
-        .as_ref()
-        .map(ActiveRequest::trace_id)
-        .unwrap_or(trace_id);
-    entry.metrics.record_latency_traced(us, latency_trace);
-    match &result {
-        Ok(_) => {
-            entry.stats.completed.fetch_add(1, Ordering::Relaxed);
-            entry.metrics.record_completed();
-        }
-        Err(_) => {
-            entry.stats.errored.fetch_add(1, Ordering::Relaxed);
-            entry.metrics.record_error();
         }
     }
-    if let (Some(r), Some(active)) = (shared.cfg.recorder.as_ref(), request.take()) {
-        let outcome = match &result {
-            Ok(_) => RequestOutcome::Ok,
-            Err(e) => RequestOutcome::Errored(e.to_string()),
-        };
-        r.finish(active, outcome);
-    }
-    slot.fill(result);
 }
 
 #[cfg(test)]
@@ -728,6 +639,177 @@ mod tests {
         assert_eq!(stats.frames_completed, 2);
         assert_eq!(stats.frames_errored, 1);
         rt.shutdown();
+    }
+
+    /// A session frame goes through the same worker envelope as a
+    /// stateless request, so its flight record holds the same span tree —
+    /// queue_wait, execute and the executor's kernel spans — under the
+    /// propagated trace id.
+    #[test]
+    fn traced_frames_record_the_request_span_tree() {
+        let recorder = Arc::new(kfuse_obs::FlightRecorder::default());
+        let rt = Runtime::new(RuntimeConfig {
+            recorder: Some(Arc::clone(&recorder)),
+            ..RuntimeConfig::default()
+        });
+        let stream = denoise(17, 11);
+        let seq = frames(&stream, 1);
+        let id = rt
+            .open_session("vid", &stream, Schedule::Optimized)
+            .unwrap();
+        rt.submit_frame_with_ctx(id, seq[0].clone(), 0x51, 0x3)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let rec = recorder.record_for(0x51).expect("frame recorded");
+        assert_eq!(rec.outcome, kfuse_obs::RequestOutcome::Ok);
+        assert_eq!(rec.span_id, 0x3);
+        let has = |name: &str| rec.events.iter().any(|e| e.name == name);
+        assert!(has("queue_wait") && has("execute"));
+        assert!(rec.events.iter().any(|e| e.name.starts_with("kernel:")));
+        assert!(rec.events.iter().all(|e| e.trace_id == 0x51));
+        rt.shutdown();
+    }
+
+    /// A runner that cannot re-enqueue itself at shutdown answers the
+    /// frames it strands with the typed [`RuntimeError::ShuttingDown`]
+    /// (`Draining` on the wire), like a submit refused at shutdown.
+    #[test]
+    fn frames_stranded_at_shutdown_are_shutting_down() {
+        let rt = Runtime::without_workers(RuntimeConfig::default());
+        let stream = denoise(9, 7);
+        let id = rt
+            .open_session("vid", &stream, Schedule::Optimized)
+            .unwrap();
+        let handles: Vec<FrameHandle> = frames(&stream, TURN_FRAMES + 4)
+            .into_iter()
+            .map(|fresh| rt.submit_frame(id, fresh).unwrap())
+            .collect();
+        // One worker loop on this thread: the runner executes one turn,
+        // then its re-enqueue meets the stopped queue.
+        rt.drain_for_test();
+        let outcomes: Vec<&str> = handles
+            .into_iter()
+            .map(|h| match h.wait() {
+                Ok(_) => "ok",
+                Err(RuntimeError::ShuttingDown) => "shutting_down",
+                Err(e) => panic!("unexpected frame error: {e}"),
+            })
+            .collect();
+        let mut want = vec!["ok"; TURN_FRAMES];
+        want.extend(["shutting_down"; 4]);
+        assert_eq!(outcomes, want);
+        let stats = rt.session_stats(id).unwrap();
+        assert_eq!(stats.frames_completed, TURN_FRAMES as u64);
+        assert_eq!(stats.frames_errored, 4);
+    }
+
+    /// Conservation over the one job path: with stateless and session
+    /// traffic mixed on one runtime — a full-queue reject, a shed, expired
+    /// deadlines, a bad frame, a drained-session refusal and a close with
+    /// frames still pending — every request of every tenant ends in
+    /// exactly one terminal counter, and the gauges return to rest.
+    #[test]
+    fn every_request_gets_exactly_one_terminal_outcome() {
+        use crate::runtime::Admission;
+        use std::time::{Duration, Instant};
+        let rt = Runtime::without_workers(RuntimeConfig {
+            queue_capacity: 4,
+            admission: Admission::Reject,
+            max_tenant_share: 0.5,
+            ..RuntimeConfig::default()
+        });
+        let stream = denoise(11, 9);
+        let seq = frames(&stream, 4);
+        let p = stream.frame().clone();
+        let inputs: Vec<(ImageId, Image)> = p
+            .inputs()
+            .iter()
+            .map(|&id| (id, synthetic_image(p.image(id).clone(), 3)))
+            .collect();
+        let submit = |tenant: &str, deadline: Option<Instant>| {
+            rt.submit_with_deadline(tenant, &p, inputs.clone(), Schedule::Optimized, deadline)
+        };
+        let mut frames_ok = Vec::new();
+        let mut jobs_ok = Vec::new();
+
+        // Session 1 queues the first runner: good, bad, good.
+        let s1 = rt
+            .open_session("vid", &stream, Schedule::Optimized)
+            .unwrap();
+        frames_ok.push(rt.submit_frame(s1, seq[0].clone()).unwrap());
+        let bad = rt.submit_frame(s1, Vec::new()).unwrap();
+        frames_ok.push(rt.submit_frame(s1, seq[1].clone()).unwrap());
+        // Tenant "a" fills its share (2 of 4 slots); a third is shed.
+        jobs_ok.push(submit("a", None).unwrap());
+        jobs_ok.push(submit("a", None).unwrap());
+        assert!(matches!(submit("a", None), Err(RuntimeError::QueueFull)));
+        // Tenant "b": dead on arrival, then one that expires in the queue.
+        let past = Instant::now() - Duration::from_millis(1);
+        assert!(matches!(
+            submit("b", Some(past)),
+            Err(RuntimeError::DeadlineExceeded)
+        ));
+        let late = submit("b", Some(Instant::now() + Duration::from_millis(20))).unwrap();
+        // The queue is full: tenant "c" is rejected outright.
+        assert!(matches!(submit("c", None), Err(RuntimeError::QueueFull)));
+        // Session 2 drains with one frame in flight; the next is refused.
+        let s2 = rt
+            .open_session("vid", &stream, Schedule::Optimized)
+            .unwrap();
+        frames_ok.push(rt.submit_frame(s2, seq[0].clone()).unwrap());
+        rt.drain_session(s2).unwrap();
+        assert!(matches!(
+            rt.submit_frame(s2, seq[1].clone()),
+            Err(RuntimeError::SessionDraining)
+        ));
+        // Session 3 closes with three frames still pending.
+        let s3 = rt
+            .open_session("cam", &stream, Schedule::Optimized)
+            .unwrap();
+        let closed: Vec<FrameHandle> = seq[..3]
+            .iter()
+            .map(|fresh| rt.submit_frame(s3, fresh.clone()).unwrap())
+            .collect();
+        rt.close_session(s3).unwrap();
+
+        std::thread::sleep(Duration::from_millis(40));
+        rt.drain_for_test();
+        for h in frames_ok {
+            h.wait().unwrap();
+        }
+        for h in jobs_ok {
+            h.wait().unwrap();
+        }
+        assert!(matches!(bad.wait(), Err(RuntimeError::Stream(_))));
+        assert!(matches!(late.wait(), Err(RuntimeError::DeadlineExceeded)));
+        for h in closed {
+            assert!(matches!(h.wait(), Err(RuntimeError::SessionClosed)));
+        }
+        rt.close_session(s1).unwrap();
+        rt.close_session(s2).unwrap();
+
+        let snap = rt.metrics();
+        let tenants: Vec<&str> = snap.pipelines.iter().map(|m| m.name.as_str()).collect();
+        for tenant in ["a", "b", "c", "vid", "cam"] {
+            assert!(tenants.contains(&tenant), "{tenant} not metered");
+        }
+        for m in &snap.pipelines {
+            let terminal = m.completed
+                + m.errors
+                + m.rejected
+                + m.shed
+                + m.deadline_misses
+                + m.admission_timeouts;
+            assert_eq!(m.requests, terminal, "tenant {} leaks requests", m.name);
+        }
+        let vid = snap.pipeline("vid").unwrap();
+        assert_eq!((vid.requests, vid.completed, vid.errors), (5, 3, 1));
+        assert_eq!(vid.rejected, 1);
+        assert_eq!(snap.pipeline("cam").unwrap().errors, 3);
+        assert_eq!(snap.runtime.in_flight, 0);
+        assert_eq!(snap.runtime.queue_depth, 0);
+        assert_eq!(snap.runtime.sessions_open, 0);
     }
 
     #[test]

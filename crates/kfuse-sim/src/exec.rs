@@ -299,49 +299,16 @@ pub(crate) fn prepare_images(
 ) -> Result<Vec<Option<Image>>, ExecError> {
     p.validate()
         .map_err(|e| ExecError::Invalid(e.to_string()))?;
-    bind_inputs(p, inputs)
+    bind_inputs(p, inputs.to_vec())
 }
 
 /// Seeds the image table with the inputs, checking shapes and presence but
 /// *not* re-validating the pipeline (the compiled-plan path validates once
-/// at compile time).
+/// at compile time). Each image is moved into the table, so a plane the
+/// caller handed over stays uniquely owned and a later write to it does
+/// not copy; borrowed callers pass `to_vec()`, which bumps reference
+/// counts and copies no pixels.
 pub(crate) fn bind_inputs(
-    p: &Pipeline,
-    inputs: &[(ImageId, Image)],
-) -> Result<Vec<Option<Image>>, ExecError> {
-    let mut images: Vec<Option<Image>> = vec![None; p.images().len()];
-    for (id, img) in inputs {
-        if id.0 >= images.len() {
-            return Err(ExecError::Invalid(format!(
-                "input image id {} out of range",
-                id.0
-            )));
-        }
-        let desc = p.image(*id);
-        if img.width() != desc.width
-            || img.height() != desc.height
-            || img.channels() != desc.channels
-        {
-            return Err(ExecError::ShapeMismatch {
-                image: desc.name.clone(),
-            });
-        }
-        images[id.0] = Some(img.clone());
-    }
-    for &id in p.inputs() {
-        if images[id.0].is_none() {
-            return Err(ExecError::MissingInput {
-                image: p.image(id).name.clone(),
-            });
-        }
-    }
-    Ok(images)
-}
-
-/// [`bind_inputs`] taking the images by value: each input is moved into
-/// the table instead of cloned — the zero-copy path for streaming
-/// sessions, where state images are recycled frame to frame.
-pub(crate) fn bind_inputs_owned(
     p: &Pipeline,
     inputs: Vec<(ImageId, Image)>,
 ) -> Result<Vec<Option<Image>>, ExecError> {

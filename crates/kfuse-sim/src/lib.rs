@@ -53,7 +53,7 @@ pub use micro::{build_trace, MicroSim, MicroTiming, WarpOp};
 pub use plan::CompiledPlan;
 pub use tape::{compile_stage, Tape};
 pub use tile::{
-    execute_kernel_compiled, execute_kernel_compiled_traced, execute_kernel_tiled, modeled_traffic,
-    CompiledKernel, KernelTraffic, Scratch, TileConfig, BAND_TID_BASE,
+    execute_kernel_compiled, modeled_traffic, CompiledKernel, KernelTraffic, Scratch, TileConfig,
+    BAND_TID_BASE,
 };
 pub use timing::{noisy_runs, KernelTiming, PipelineTiming, RunStats, TimingModel};

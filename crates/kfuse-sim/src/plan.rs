@@ -10,17 +10,18 @@
 //!
 //! [`CompiledPlan`] is the cacheable artifact: the validated pipeline, its
 //! kernel execution order, and one [`CompiledKernel`] (tapes + halo
-//! metadata) per kernel. [`CompiledPlan::execute`] then only binds inputs
-//! — by reference count, an [`Image`] clone copies no pixels — and runs the
-//! tapes; with [`CompiledPlan::execute_with_scratch`] a
-//! long-lived worker additionally reuses its scratch buffers, making the
-//! steady-state allocation cost per request zero on the executor side.
+//! metadata) per kernel. [`CompiledPlan::run`] then only binds inputs —
+//! moved in, so no pixel is copied — and runs the tapes on the caller's
+//! scratch buffers under the caller's tracer; a long-lived worker reuses
+//! one [`Scratch`] for every request, making the steady-state allocation
+//! cost per request zero on the executor side. [`CompiledPlan::execute`]
+//! is the one-shot form: borrowed inputs, fresh scratch, no tracing.
 //! Outputs are bit-identical to [`crate::exec::execute_reference`] — the
 //! plan runs the same strip engine as `execute_fast`, merely skipping the
 //! recompilation.
 
-use crate::exec::{bind_inputs, bind_inputs_owned, ExecError, Execution};
-use crate::tile::{execute_kernel_compiled_traced, CompiledKernel, Scratch, TileConfig};
+use crate::exec::{bind_inputs, ExecError, Execution};
+use crate::tile::{execute_kernel_compiled, CompiledKernel, Scratch, TileConfig};
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_obs::Tracer;
 
@@ -64,76 +65,46 @@ impl CompiledPlan {
         &self.pipeline
     }
 
-    /// Executes the plan with fresh scratch buffers.
+    /// Executes the plan once, on fresh scratch buffers and untraced.
+    /// Inputs are bound by reference count — an [`Image`] clone copies no
+    /// pixels.
     pub fn execute(
         &self,
         inputs: &[(ImageId, Image)],
         cfg: &TileConfig,
     ) -> Result<Execution, ExecError> {
-        self.execute_with_scratch(inputs, cfg, &mut Scratch::default())
+        self.run(
+            inputs.to_vec(),
+            cfg,
+            &mut Scratch::default(),
+            &Tracer::disabled(),
+        )
     }
 
-    /// Executes the plan reusing `scratch` — the serving hot path, where a
-    /// worker thread keeps one [`Scratch`] for its lifetime.
-    pub fn execute_with_scratch(
-        &self,
-        inputs: &[(ImageId, Image)],
-        cfg: &TileConfig,
-        scratch: &mut Scratch,
-    ) -> Result<Execution, ExecError> {
-        self.execute_traced(inputs, cfg, scratch, &Tracer::disabled())
-    }
-
-    /// [`CompiledPlan::execute_with_scratch`] with execution profiling:
-    /// every kernel records a `kernel:<name>` span with its modeled byte
-    /// traffic and per-band timing lanes (see
-    /// [`crate::tile::execute_kernel_compiled_traced`]). With a disabled
-    /// tracer this is bit-for-bit the plain execution path.
-    pub fn execute_traced(
-        &self,
-        inputs: &[(ImageId, Image)],
-        cfg: &TileConfig,
-        scratch: &mut Scratch,
-        tracer: &Tracer,
-    ) -> Result<Execution, ExecError> {
-        let images = bind_inputs(&self.pipeline, inputs)?;
-        self.run(images, cfg, scratch, tracer)
-    }
-
-    /// [`CompiledPlan::execute_with_scratch`] taking inputs by value: every
-    /// image is *moved* into the execution, leaving its plane uniquely
-    /// owned so a later write to it does not copy. This is the
-    /// streaming hot path — a session feeds frame N−1's output planes back
-    /// in as frame N's state inputs without copying a pixel.
-    pub fn execute_owned(
+    /// Executes the plan, the one call every repeated execution goes
+    /// through. `inputs` are *moved* into the execution, so a plane the
+    /// caller hands over stays uniquely owned and a later write to it does
+    /// not copy — a streaming session feeds frame N−1's planes back in as
+    /// frame N's state inputs without copying a pixel. `scratch` is the
+    /// caller's long-lived buffer pool (a serving worker keeps one for its
+    /// lifetime, so the steady state allocates nothing in the executor).
+    /// An enabled `tracer` records a `kernel:<name>` span per kernel with
+    /// its modeled byte traffic and per-band timing lanes (see
+    /// [`crate::tile::execute_kernel_compiled`]); [`Tracer::disabled`]
+    /// runs the same code path at zero cost.
+    pub fn run(
         &self,
         inputs: Vec<(ImageId, Image)>,
-        cfg: &TileConfig,
-        scratch: &mut Scratch,
-    ) -> Result<Execution, ExecError> {
-        let images = bind_inputs_owned(&self.pipeline, inputs)?;
-        self.run(images, cfg, scratch, &Tracer::disabled())
-    }
-
-    fn run(
-        &self,
-        mut images: Vec<Option<Image>>,
         cfg: &TileConfig,
         scratch: &mut Scratch,
         tracer: &Tracer,
     ) -> Result<Execution, ExecError> {
         let p = &self.pipeline;
+        let mut images = bind_inputs(p, inputs)?;
         for &ki in &self.order {
             let k = &p.kernels()[ki];
-            let out = execute_kernel_compiled_traced(
-                p,
-                k,
-                &self.kernels[ki],
-                &images,
-                cfg,
-                scratch,
-                tracer,
-            )?;
+            let out =
+                execute_kernel_compiled(p, k, &self.kernels[ki], &images, cfg, scratch, tracer)?;
             images[k.output.0] = Some(out);
         }
         Ok(Execution::from_images(images))
@@ -182,7 +153,7 @@ mod tests {
             let img = synthetic_image(p.image(input).clone(), seed);
             let reference = execute_reference(&p, &[(input, img.clone())]).unwrap();
             let got = plan
-                .execute_with_scratch(&[(input, img)], &cfg, &mut scratch)
+                .run(vec![(input, img)], &cfg, &mut scratch, &Tracer::disabled())
                 .unwrap();
             assert!(got.expect_image(out).bit_equal(reference.expect_image(out)));
         }

@@ -816,44 +816,18 @@ impl Run<'_> {
     }
 }
 
-/// Executes one kernel against already-materialized images with the strip
-/// engine. Drop-in replacement for [`crate::exec::execute_kernel`] with
-/// bit-identical output.
+/// Executes an already-compiled kernel against already-materialized
+/// images with the strip engine, reusing the caller's scratch buffers —
+/// bit-identical to [`crate::exec::execute_kernel`]. Tape lowering is done
+/// once (in [`CompiledKernel::new`]) and steady-state calls borrow a
+/// long-lived [`Scratch`] instead of allocating.
 ///
-/// Compiles the kernel's tapes on every call; repeat executions should
-/// compile a [`CompiledKernel`] once and use [`execute_kernel_compiled`].
-pub fn execute_kernel_tiled(
-    p: &Pipeline,
-    k: &Kernel,
-    images: &[Option<Image>],
-    cfg: &TileConfig,
-) -> Result<Image, ExecError> {
-    let ck = CompiledKernel::new(k);
-    execute_kernel_compiled(p, k, &ck, images, cfg, &mut Scratch::default())
-}
-
-/// Executes an already-compiled kernel, reusing the caller's scratch
-/// buffers. This is the hot path of plan-reuse serving: tape lowering is
-/// done once (in [`CompiledKernel::new`]) and steady-state requests borrow
-/// the worker's [`Scratch`] instead of allocating.
+/// An enabled `tracer` records one `kernel:<name>` span carrying the
+/// [`modeled_traffic`] byte counts, plus one `band:<name>` span per row
+/// band on its own trace lane ([`BAND_TID_BASE`]` + band`). With
+/// [`Tracer::disabled`] this is the same code path at zero cost — no
+/// clock reads, no allocation.
 pub fn execute_kernel_compiled(
-    p: &Pipeline,
-    k: &Kernel,
-    ck: &CompiledKernel,
-    images: &[Option<Image>],
-    cfg: &TileConfig,
-    scratch: &mut Scratch,
-) -> Result<Image, ExecError> {
-    execute_kernel_compiled_traced(p, k, ck, images, cfg, scratch, &Tracer::disabled())
-}
-
-/// [`execute_kernel_compiled`] with execution profiling: records one
-/// `kernel:<name>` span carrying the [`modeled_traffic`] byte counts, plus
-/// one `band:<name>` span per row band on its own trace lane
-/// ([`BAND_TID_BASE`]` + band`). With a disabled tracer (the default entry
-/// points) this is the exact same code path at zero cost — no clock reads,
-/// no allocation.
-pub fn execute_kernel_compiled_traced(
     p: &Pipeline,
     k: &Kernel,
     ck: &CompiledKernel,
@@ -984,6 +958,18 @@ mod tests {
         k
     }
 
+    /// Compiles `k` and runs it once on fresh scratch, untraced.
+    fn run_kernel(
+        p: &Pipeline,
+        k: &Kernel,
+        images: &[Option<Image>],
+        cfg: &TileConfig,
+    ) -> Result<Image, ExecError> {
+        let ck = CompiledKernel::new(k);
+        let mut scratch = Scratch::default();
+        execute_kernel_compiled(p, k, &ck, images, cfg, &mut scratch, &Tracer::disabled())
+    }
+
     fn tiled_matches_reference(mode: BorderMode, w: usize, h: usize, cfg: &TileConfig) {
         let mut p = Pipeline::new("t");
         let k = fused_kernel(&mut p, mode, w, h);
@@ -991,7 +977,7 @@ mod tests {
         let img = synthetic_image(p.image(input_id).clone(), 7);
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();
         let reference = execute_kernel(&p, &k, &images).unwrap();
-        let tiled = execute_kernel_tiled(&p, &k, &images, cfg).unwrap();
+        let tiled = run_kernel(&p, &k, &images, cfg).unwrap();
         assert!(
             tiled.bit_equal(&reference),
             "mode {mode:?} size {w}x{h} cfg {cfg:?}: max diff {}",
@@ -1091,8 +1077,16 @@ mod tests {
             strip_rows: Some(3),
             threads: Some(1),
         };
-        let got =
-            execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut Scratch::default()).unwrap();
+        let got = execute_kernel_compiled(
+            &p,
+            &k,
+            &ck,
+            &images,
+            &cfg,
+            &mut Scratch::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(got.bit_equal(&reference));
     }
 
@@ -1157,7 +1151,7 @@ mod tests {
             },
             TileConfig::default(),
         ] {
-            let tiled = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
+            let tiled = run_kernel(&p, &k, &images, &cfg).unwrap();
             assert!(
                 tiled.bit_equal(&reference),
                 "mode {mode:?} size {w}x{h} radius {r} cfg {cfg:?}: max diff {}",
@@ -1284,7 +1278,7 @@ mod tests {
             strip_rows: Some(5),
             threads: Some(2),
         };
-        let tiled = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
+        let tiled = run_kernel(&p, &k, &images, &cfg).unwrap();
         assert!(tiled.bit_equal(reference.expect_image(out)));
     }
 
@@ -1356,20 +1350,21 @@ mod tests {
             strip_rows: Some(4),
             threads: Some(3),
         };
-        let plain =
-            execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut Scratch::default()).unwrap();
-
-        let tracer = Tracer::enabled();
-        let traced = execute_kernel_compiled_traced(
+        let plain = execute_kernel_compiled(
             &p,
             &k,
             &ck,
             &images,
             &cfg,
             &mut Scratch::default(),
-            &tracer,
+            &Tracer::disabled(),
         )
         .unwrap();
+
+        let tracer = Tracer::enabled();
+        let traced =
+            execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut Scratch::default(), &tracer)
+                .unwrap();
         assert!(traced.bit_equal(&plain));
 
         let events = tracer.events();
@@ -1439,7 +1434,7 @@ mod tests {
                                 strip_rows,
                                 threads: Some(threads),
                             };
-                            let got = execute_kernel_tiled(&p, &k, &images, &cfg).unwrap();
+                            let got = run_kernel(&p, &k, &images, &cfg).unwrap();
                             assert!(
                                 got.bit_equal(&reference),
                                 "mode {mode:?} size {w}x{h} radius {r} cfg {cfg:?}"
@@ -1514,7 +1509,16 @@ mod tests {
             threads: Some(1),
         };
         let mut scratch = Scratch::default();
-        let got = execute_kernel_compiled(&p, &k, &ck, &images, &cfg, &mut scratch).unwrap();
+        let got = execute_kernel_compiled(
+            &p,
+            &k,
+            &ck,
+            &images,
+            &cfg,
+            &mut scratch,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(got.bit_equal(&reference));
         // The tallest plane of either stage: an interior 4-row strip
         // grown by 3 rows above and below, image-wide.
@@ -1596,8 +1600,16 @@ mod tests {
         let img = synthetic_image(p.image(input_id).clone(), 29);
         let images = prepare_images(&p, &[(input_id, img)]).unwrap();
         let reference = execute_kernel(&p, &k, &images).unwrap();
-        let got =
-            execute_kernel_compiled(&p, &k, &ck, &images, cfg, &mut Scratch::default()).unwrap();
+        let got = execute_kernel_compiled(
+            &p,
+            &k,
+            &ck,
+            &images,
+            cfg,
+            &mut Scratch::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(
             got.bit_equal(&reference),
             "mode {mode:?} size {w}x{h} radius {r} cfg {cfg:?}: max diff {}",

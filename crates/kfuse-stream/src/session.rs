@@ -7,6 +7,7 @@ use std::sync::Arc;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
+use kfuse_obs::Tracer;
 use kfuse_sim::{execute_reference, CompiledPlan, FastConfig, Scratch};
 
 use crate::pipeline::{StreamError, StreamPipeline};
@@ -25,7 +26,7 @@ pub struct FrameOutput {
 ///
 /// State lives in per-binding rings of materialized planes. Stepping frame
 /// N *moves* frame N−k's plane out of the ring and into the execution as
-/// an owned input ([`CompiledPlan::execute_owned`]), and moves the frame's
+/// an owned input ([`CompiledPlan::run`]), and moves the frame's
 /// source plane back out of the finished execution
 /// ([`kfuse_sim::Execution::take_image`]) — the steady-state hot path
 /// copies a state plane only when the same image is simultaneously a
@@ -34,6 +35,8 @@ pub struct StreamSession {
     stream: StreamPipeline,
     plan: Arc<CompiledPlan>,
     cfg: FastConfig,
+    /// Buffers for [`StreamSession::step`]; a session stepped only through
+    /// [`StreamSession::step_with`] never grows them.
     scratch: Scratch,
     /// One ring per state binding, oldest plane at the front. A ring
     /// shorter than its binding's depth is still warming up: taps read
@@ -121,10 +124,27 @@ impl StreamSession {
         self.frame_no = 0;
     }
 
-    /// Executes one frame. `fresh` must bind exactly the stream's
+    /// Executes one frame on the session's own scratch buffers, untraced.
+    /// `fresh` must bind exactly the stream's
     /// [`StreamPipeline::fresh_inputs`] (any order); state taps are bound
     /// internally from the rings.
     pub fn step(&mut self, fresh: Vec<(ImageId, Image)>) -> Result<FrameOutput, StreamError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.step_with(fresh, &mut scratch, &Tracer::disabled());
+        self.scratch = scratch;
+        out
+    }
+
+    /// [`StreamSession::step`] on the caller's `scratch` and under the
+    /// caller's `tracer` — the serving path, where a worker steps whichever
+    /// session it dequeued on its one long-lived [`Scratch`] and the
+    /// frame's `kernel:` spans land in the request's trace.
+    pub fn step_with(
+        &mut self,
+        fresh: Vec<(ImageId, Image)>,
+        scratch: &mut Scratch,
+        tracer: &Tracer,
+    ) -> Result<FrameOutput, StreamError> {
         let expected = self.stream.fresh_inputs();
         if fresh.len() != expected.len() {
             return Err(StreamError::Invalid(format!(
@@ -159,9 +179,7 @@ impl StreamSession {
             inputs.push((s.tap, plane));
         }
 
-        let mut exec = self
-            .plan
-            .execute_owned(inputs, &self.cfg, &mut self.scratch)?;
+        let mut exec = self.plan.run(inputs, &self.cfg, scratch, tracer)?;
 
         // Refill the rings before taking the returned outputs: a source
         // plane that is also a marked output (or feeds several taps) must

@@ -16,6 +16,7 @@ use crate::measure::{measure_paired, measure_until, Paired, Sample};
 use kfuse_core::FusionConfig;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
+use kfuse_obs::Tracer;
 use kfuse_sim::{execute_reference, synthetic_image, CompiledPlan, Execution, FastConfig, Scratch};
 
 /// What the autotuner tunes *for*: one pipeline structure at one
@@ -300,7 +301,12 @@ pub fn autotune(
         }
     }
     let run = |choice: &Choice, plan: &CompiledPlan, scratch: &mut Scratch| {
-        let exec = plan.execute_with_scratch(inputs, &choice.fast_config(), scratch);
+        let exec = plan.run(
+            inputs.to_vec(),
+            &choice.fast_config(),
+            scratch,
+            &Tracer::disabled(),
+        );
         std::hint::black_box(exec.expect("oracle-checked candidate"));
     };
     let plan_of = |choice: &Choice| survivors.iter().find(|(c, _)| c == choice).map(|(_, p)| p);

@@ -86,7 +86,7 @@ fn traced_execution_is_bit_identical_for_all_apps() {
         let plan = CompiledPlan::compile(&fused).unwrap();
         let tracer = Tracer::enabled();
         let traced = plan
-            .execute_traced(&inputs, &cfg, &mut Scratch::default(), &tracer)
+            .run(inputs.clone(), &cfg, &mut Scratch::default(), &tracer)
             .unwrap();
         let untraced = plan.execute(&inputs, &cfg).unwrap();
 
@@ -155,8 +155,8 @@ fn staged_gmean_telemetry_by_hand() {
     let tracer = Tracer::enabled();
     CompiledPlan::compile(&small)
         .unwrap()
-        .execute_traced(
-            &inputs_for(&small, 3),
+        .run(
+            inputs_for(&small, 3),
             &cfg,
             &mut Scratch::default(),
             &tracer,
