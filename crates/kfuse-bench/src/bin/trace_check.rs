@@ -7,7 +7,9 @@
 //! 1. the Chrome `trace_event` JSON round-trips
 //!    [`kfuse_obs::validate_chrome_trace`] and contains at least one
 //!    `kernel:` span per kernel per request plus the
-//!    `queue_wait`/`plan`/`execute` serving spans;
+//!    `queue_wait`/`plan`/`execute` serving spans, and every plan-cache
+//!    miss's `plan` span holds one `fuse`, `lower` and `price` span while
+//!    a hit's holds none;
 //! 2. the traced results are bit-identical to the reference interpreter
 //!    (tracing must be observation, never perturbation);
 //! 3. [`kfuse_runtime::MetricsSnapshot::to_json`] parses with
@@ -47,7 +49,8 @@ use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_net::{Client, ClientError, ErrorCode, Server, ServerConfig};
 use kfuse_obs::{
-    parse_json, to_chrome_json, validate_chrome_trace, validate_prometheus, RequestOutcome, Tracer,
+    parse_json, to_chrome_json, validate_chrome_trace, validate_prometheus, ArgValue, Event,
+    EventKind, RequestOutcome, Tracer,
 };
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{execute_reference, synthetic_image};
@@ -120,6 +123,7 @@ fn main() {
     if stats.counters == 0 {
         fail("expected queue_depth/in_flight counter samples");
     }
+    let (misses, hits) = check_miss_attribution(&tracer.events());
 
     let snapshot = rt.metrics();
     if let Err(e) = parse_json(&snapshot.to_json()) {
@@ -137,7 +141,8 @@ fn main() {
     std::fs::write(&path, &json).expect("write trace JSON");
 
     println!(
-        "trace_check OK: {} events ({} spans, {} kernel spans, {} counters) over {} requests; \
+        "trace_check OK: {} events ({} spans, {} kernel spans, {} counters) over {} requests \
+         ({misses} plan misses with fuse/lower/price, {hits} hits without); \
          {} prometheus samples; trace written to {}",
         stats.events,
         stats.complete_spans,
@@ -149,6 +154,49 @@ fn main() {
     );
 
     net_phase();
+}
+
+/// Checks that each `plan` span with `cache: miss` holds exactly one
+/// `fuse`, one `lower` and one `price` span on its thread, and that each
+/// with `cache: hit` holds none. Returns the (miss, hit) counts; fails
+/// unless both are non-zero.
+fn check_miss_attribution(events: &[Event]) -> (usize, usize) {
+    let interval = |e: &Event| match e.kind {
+        EventKind::Complete { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
+        _ => None,
+    };
+    let miss = ArgValue::Str("miss".into());
+    let (mut misses, mut hits) = (0, 0);
+    for plan in events.iter().filter(|e| e.name == "plan") {
+        let Some((start, end)) = interval(plan) else {
+            continue;
+        };
+        let is_miss = plan.args.iter().any(|(k, v)| *k == "cache" && *v == miss);
+        for phase in ["fuse", "lower", "price"] {
+            let inside = events
+                .iter()
+                .filter(|e| e.name == phase && e.tid == plan.tid)
+                .filter(|e| interval(e).is_some_and(|(s, t)| s >= start && t <= end))
+                .count();
+            if inside != usize::from(is_miss) {
+                let kind = if is_miss { "miss" } else { "hit" };
+                fail(&format!(
+                    "a plan-cache {kind} at {start} us holds {inside} '{phase}' spans"
+                ));
+            }
+        }
+        if is_miss {
+            misses += 1;
+        } else {
+            hits += 1;
+        }
+    }
+    if misses == 0 || hits == 0 {
+        fail(&format!(
+            "expected both plan-cache misses and hits, got {misses} and {hits}"
+        ));
+    }
+    (misses, hits)
 }
 
 /// Plain HTTP/1.0 GET against the metrics sidecar; returns the body.

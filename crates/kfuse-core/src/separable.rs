@@ -212,7 +212,7 @@ mod tests {
                     name: "g".into(),
                     refs: vec![StageRef::Input(0)],
                     borders: vec![BorderMode::Mirror],
-                    body: vec![Expr::convolve(0, 0, &rows)],
+                    body: vec![Expr::convolve(0, 0, &rows)].into(),
                     params: vec![],
                     space: MemSpace::Shared,
                 },
@@ -220,7 +220,7 @@ mod tests {
                     name: "p".into(),
                     refs: vec![StageRef::Stage(0), StageRef::Input(0)],
                     borders: vec![BorderMode::Mirror, BorderMode::Mirror],
-                    body: vec![Expr::load(0) + Expr::load(1)],
+                    body: vec![Expr::load(0) + Expr::load(1)].into(),
                     params: vec![],
                     space: MemSpace::Global,
                 },

@@ -255,21 +255,20 @@ fn transcendental_taps(rng: &mut SplitMix64, mut k: Kernel) -> Kernel {
             Expr::Un(UnOp::Exp, Box::new(-abs * Expr::Const(0.03125)))
         }
     };
-    for e in &mut stage.body {
-        *e = e.map_loads(&|at, dx, dy, ch| {
-            let load = Expr::Load {
-                slot: at,
-                dx,
-                dy,
-                ch,
-            };
-            if at == slot {
-                f(load)
-            } else {
-                load
-            }
-        });
-    }
+    let wrap = |at, dx, dy, ch| {
+        let load = Expr::Load {
+            slot: at,
+            dx,
+            dy,
+            ch,
+        };
+        if at == slot {
+            f(load)
+        } else {
+            load
+        }
+    };
+    stage.body = stage.body.iter().map(|e| e.map_loads(&wrap)).collect();
     k
 }
 
@@ -358,7 +357,7 @@ fn gen_fused_kernel(
         name: format!("k{ki}a"),
         refs: (0..srcs.len()).map(StageRef::Input).collect(),
         borders: srcs.iter().map(|_| pick_border(rng)).collect(),
-        body: prod_body,
+        body: prod_body.into(),
         params: vec![],
         // Placement follows the root's consumption pattern, set below.
         space: MemSpace::Register,
@@ -388,7 +387,7 @@ fn gen_fused_kernel(
         name: format!("k{ki}b"),
         refs: vec![StageRef::Stage(0), StageRef::Input(0)],
         borders: vec![pick_border(rng), pick_border(rng)],
-        body: root_body,
+        body: root_body.into(),
         params: vec![],
         space: MemSpace::Global,
     };

@@ -235,30 +235,34 @@ impl<N, E> DiGraph<N, E> {
     /// `within` connect vertices. Components are returned sorted internally
     /// and ordered by their smallest member.
     pub fn weak_components(&self, within: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut inside = vec![false; self.nodes.len()];
+        for &n in within {
+            inside[n.0] = true;
+        }
+        // Undirected adjacency of the induced subgraph, in one edge pass.
+        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
+        for e in &self.edges {
+            if inside[e.src.0] && inside[e.dst.0] {
+                adj[e.src.0].push(e.dst);
+                adj[e.dst.0].push(e.src);
+            }
+        }
+        let mut visited = vec![false; self.nodes.len()];
         let mut comps: Vec<Vec<NodeId>> = Vec::new();
-        let mut visited: Vec<NodeId> = Vec::new();
-        let inside = |n: NodeId| within.contains(&n);
-        let mut members: Vec<NodeId> = within.to_vec();
-        members.sort_unstable();
-        members.dedup();
-        for &seed in &members {
-            if visited.contains(&seed) {
+        // Seeds in id order, so components come out by smallest member.
+        for seed in 0..self.nodes.len() {
+            if !inside[seed] || visited[seed] {
                 continue;
             }
+            visited[seed] = true;
             let mut comp = Vec::new();
-            let mut stack = vec![seed];
+            let mut stack = vec![NodeId(seed)];
             while let Some(n) = stack.pop() {
-                if visited.contains(&n) {
-                    continue;
-                }
-                visited.push(n);
                 comp.push(n);
-                for (_, e) in self.edges() {
-                    if e.src == n && inside(e.dst) && !visited.contains(&e.dst) {
-                        stack.push(e.dst);
-                    }
-                    if e.dst == n && inside(e.src) && !visited.contains(&e.src) {
-                        stack.push(e.src);
+                for &m in &adj[n.0] {
+                    if !visited[m.0] {
+                        visited[m.0] = true;
+                        stack.push(m);
                     }
                 }
             }

@@ -206,13 +206,16 @@ impl MinCutGraph {
         let at = |a: &Vec<f64>, u: usize, v: usize| a[u * self.n + v];
 
         let mut best: Option<Cut> = None;
+        // Per-phase state, allocated once and reset by each phase.
+        let mut in_a = vec![false; self.n];
+        let mut conn = vec![0.0f64; self.n]; // connectivity to A
+        let mut order = Vec::with_capacity(self.n);
 
         while active.len() > 1 {
             // --- one minimum-cut phase -----------------------------------
             // Maximum adjacency ordering starting from `active[0]`.
-            let mut in_a = vec![false; self.n];
-            let mut conn = vec![0.0f64; self.n]; // connectivity to A
-            let mut order = Vec::with_capacity(active.len());
+            in_a.fill(false);
+            order.clear();
 
             let first = active[0];
             in_a[first] = true;

@@ -203,7 +203,7 @@ fn kernel_body_hash(h: &mut Fnv, k: &Kernel) {
             MemSpace::Register => h.byte(2),
         }
         h.usize(s.body.len());
-        for e in &s.body {
+        for e in s.body.iter() {
             expr_hash(h, e);
         }
     }
@@ -438,7 +438,7 @@ mod tests {
         let b = a.clone();
         // Replace sq's body: load*load → load+load.
         let mut kernels = b.kernels().to_vec();
-        kernels[1].stages[0].body = vec![Expr::load(0) + Expr::load(0)];
+        kernels[1].stages[0].body = vec![Expr::load(0) + Expr::load(0)].into();
         a = a.with_kernels(kernels);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }

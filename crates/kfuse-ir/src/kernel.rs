@@ -18,6 +18,7 @@ use crate::expr::{Expr, OpCounts};
 use crate::image::ImageId;
 use crate::BorderMode;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a kernel within a [`crate::Pipeline`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,6 +51,11 @@ pub enum MemSpace {
 }
 
 /// One stage of a kernel: a complete operator body plus its reference table.
+///
+/// The body is immutable and shared: cloning a stage (or the kernel or
+/// pipeline holding it) bumps a reference count instead of copying the
+/// expression trees, so a rewrite builds a new body rather than editing
+/// one in place.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Stage {
     /// Name of the original kernel this stage came from.
@@ -58,8 +64,8 @@ pub struct Stage {
     pub refs: Vec<StageRef>,
     /// Border mode per load slot, applied on out-of-bounds window accesses.
     pub borders: Vec<BorderMode>,
-    /// Body expressions, one per output channel.
-    pub body: Vec<Expr>,
+    /// Body expressions, one per output channel, shared by every clone.
+    pub body: Arc<[Expr]>,
     /// Bound scalar parameters referenced by `Expr::Param`.
     pub params: Vec<f32>,
     /// Where this stage's result lives. `Global` for root stages.
@@ -76,7 +82,7 @@ impl Stage {
     /// or `None` if the slot is never loaded.
     pub fn extent_of_slot(&self, slot: usize) -> Option<(i32, i32)> {
         let mut extent: Option<(i32, i32)> = None;
-        for b in &self.body {
+        for b in self.body.iter() {
             if let Some((rx, ry)) = b.extent_of_slot(slot) {
                 let e = extent.get_or_insert((0, 0));
                 e.0 = e.0.max(rx);
@@ -121,7 +127,7 @@ impl Stage {
     /// Distinct offsets at which `slot` is loaded, over all channel bodies.
     pub fn offsets_of_slot(&self, slot: usize) -> Vec<(i32, i32)> {
         let mut offs: Vec<(i32, i32)> = Vec::new();
-        for b in &self.body {
+        for b in self.body.iter() {
             for o in b.offsets_of_slot(slot) {
                 if !offs.contains(&o) {
                     offs.push(o);
@@ -193,7 +199,7 @@ impl Kernel {
             name: name.clone(),
             refs,
             borders,
-            body,
+            body: body.into(),
             params,
             space: MemSpace::Global,
         };
@@ -308,7 +314,7 @@ impl Kernel {
                     _ => {}
                 }
             }
-            for b in &s.body {
+            for b in s.body.iter() {
                 let slots = b.loaded_slots();
                 if let Some(&bad) = slots.iter().find(|&&sl| sl >= s.refs.len()) {
                     return Err(format!(
@@ -396,7 +402,7 @@ mod tests {
     #[test]
     fn slot_without_reference_rejected() {
         let mut k = point_kernel();
-        k.stages[0].body = vec![Expr::load(5)];
+        k.stages[0].body = vec![Expr::load(5)].into();
         assert!(k.check().unwrap_err().contains("no reference"));
     }
 
@@ -415,7 +421,7 @@ mod tests {
             name: "p".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load(0) + Expr::Const(1.0)],
+            body: vec![Expr::load(0) + Expr::Const(1.0)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -423,7 +429,7 @@ mod tests {
             name: "c".into(),
             refs: vec![StageRef::Stage(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load_at(0, -1, 0) + Expr::load(0) + Expr::load_at(0, 1, 0)],
+            body: vec![Expr::load_at(0, -1, 0) + Expr::load(0) + Expr::load_at(0, 1, 0)].into(),
             params: vec![],
             space: MemSpace::Global,
         };

@@ -240,7 +240,7 @@ impl Pipeline {
                 });
             }
             for s in &k.stages {
-                for b in &s.body {
+                for b in s.body.iter() {
                     let mut bad = None;
                     b.visit_loads(&mut |slot, _, _, ch| {
                         if bad.is_some() {

@@ -163,7 +163,7 @@ mod tests {
             name: "inc".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load(0) + Expr::Const(1.0)],
+            body: vec![Expr::load(0) + Expr::Const(1.0)].into(),
             params: vec![],
             space: MemSpace::Register,
         };
@@ -171,7 +171,7 @@ mod tests {
             name: "dbl".into(),
             refs: vec![StageRef::Stage(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load(0) * Expr::Const(2.0)],
+            body: vec![Expr::load(0) * Expr::Const(2.0)].into(),
             params: vec![],
             space: MemSpace::Global,
         };

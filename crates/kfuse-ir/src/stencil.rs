@@ -262,7 +262,7 @@ fn extract_chain(e: &Expr, scale: Option<f32>) -> Option<Stencil> {
 pub fn stage_factorization(s: &Stage) -> Option<Vec<(Stencil, Factorization)>> {
     let mut out = Vec::with_capacity(s.body.len());
     let mut border: Option<BorderMode> = None;
-    for b in &s.body {
+    for b in s.body.iter() {
         let st = extract_stencil(b)?;
         let f = st.factor()?;
         let bm = *s.borders.get(st.slot)?;

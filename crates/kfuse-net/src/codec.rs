@@ -218,7 +218,7 @@ fn encode_stage(out: &mut Vec<u8>, s: &Stage) {
         },
     );
     put_usize(out, s.body.len());
-    for e in &s.body {
+    for e in s.body.iter() {
         encode_expr(out, e);
     }
 }
@@ -301,7 +301,7 @@ fn decode_stage(
         name,
         refs,
         borders,
-        body,
+        body: body.into(),
         params,
         space,
     })

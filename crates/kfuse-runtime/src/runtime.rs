@@ -30,8 +30,10 @@
 //! 2. consults the shared LRU [`PlanCache`] under
 //!    `(fingerprint, schedule, exec config)` — reusing a plan only when the
 //!    layout hash also matches (see [`crate::cache`]),
-//! 3. on miss: runs the fusion planner (`kfuse_dsl::compile`) and lowers
-//!    the fused pipeline to a [`CompiledPlan`], caching the result,
+//! 3. on miss: runs the fusion planner (`kfuse_dsl::compile`), lowers
+//!    the fused pipeline to a [`CompiledPlan`] and prices it, caching the
+//!    result; each phase is a `fuse`, `lower` or `price` span inside the
+//!    request's `plan` span,
 //! 4. runs the plan ([`CompiledPlan::run`]) on the job's inputs under the
 //!    request's tracer, reusing the worker's persistent [`Scratch`] so the
 //!    steady state does not allocate.
@@ -1232,13 +1234,16 @@ impl Shared {
     }
 
     /// The cache entry for `key` and whether the cache already had it: on
-    /// a miss `p` is fused, lowered, priced and inserted. `p` is validated
-    /// on a miss only (planning assumes a well-formed DAG); `invalid` turns
-    /// the validation message into the caller's error.
+    /// a miss `p` is fused, lowered, priced and inserted, each phase under
+    /// its own `tracer` span (`fuse`, `lower`, `price`); a hit records
+    /// none. `p` is validated on a miss only (planning assumes a
+    /// well-formed DAG); `invalid` turns the validation message into the
+    /// caller's error.
     pub(crate) fn plan_for(
         &self,
         key: PlanKey,
         p: &Pipeline,
+        tracer: &Tracer,
         invalid: impl FnOnce(String) -> RuntimeError,
     ) -> Result<(CachedPlan, bool), RuntimeError> {
         let layout = p.binding_fingerprint();
@@ -1247,11 +1252,20 @@ impl Shared {
         }
         p.validate().map_err(|e| invalid(e.to_string()))?;
         let fusion = self.cfg.policy.fusion_config();
-        let fused = kfuse_dsl::compile(p, key.schedule, fusion);
-        let plan = Arc::new(CompiledPlan::compile(&fused)?);
+        let fused = {
+            let _span = tracer.span("fuse", "plan");
+            kfuse_dsl::compile(p, key.schedule, fusion)
+        };
+        let plan = {
+            let _span = tracer.span("lower", "plan");
+            Arc::new(CompiledPlan::compile(&fused)?)
+        };
         // Price the fused plan once at compile time; every execution
         // divides its observed time by this for the fidelity ratio.
-        let modeled_us = modeled_execute_us(plan.pipeline(), fusion);
+        let modeled_us = {
+            let _span = tracer.span("price", "plan");
+            modeled_execute_us(plan.pipeline(), fusion)
+        };
         let entry = CachedPlan {
             layout,
             plan,
@@ -1279,7 +1293,7 @@ fn run_job(
         schedule,
         exec: shared.cfg.exec,
     };
-    let planned = shared.plan_for(key, pipeline, |m| ExecError::Invalid(m).into());
+    let planned = shared.plan_for(key, pipeline, tracer, |m| ExecError::Invalid(m).into());
     let hit = matches!(planned, Ok((_, true)));
     if hit {
         meter.metrics.record_cache_hit();

@@ -52,6 +52,7 @@ use crate::runtime::{
 };
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
+use kfuse_obs::Tracer;
 use kfuse_sim::Scratch;
 use kfuse_stream::{FrameOutput, StreamPipeline, StreamSession};
 use std::collections::{HashMap, VecDeque};
@@ -220,7 +221,7 @@ impl Runtime {
             schedule,
             exec: shared.cfg.exec,
         };
-        let (entry, _) = shared.plan_for(key, frame, RuntimeError::Stream)?;
+        let (entry, _) = shared.plan_for(key, frame, &Tracer::disabled(), RuntimeError::Stream)?;
         let session = StreamSession::with_plan(stream.clone(), entry.plan, shared.cfg.exec)
             .map_err(|e| RuntimeError::Stream(e.to_string()))?;
         let metrics = self.registry().handle(tenant);

@@ -152,7 +152,7 @@ pub fn analyze_kernel(p: &Pipeline, k: &Kernel, block: BlockShape) -> LaunchCost
         // Loads: count raw load instructions per slot.
         for (slot, r) in s.refs.iter().enumerate() {
             let mut raw = 0usize;
-            for b in &s.body {
+            for b in s.body.iter() {
                 b.visit_loads(&mut |sl, _, _, _| {
                     if sl == slot {
                         raw += 1;

@@ -236,7 +236,7 @@ pub(crate) fn resolve_kernel_inputs<'a>(
     // Every load must stay within the channels of what it reads — checked
     // against the *materialized* images, not just the descriptors.
     for s in &k.stages {
-        for b in &s.body {
+        for b in s.body.iter() {
             let mut bad: Option<String> = None;
             b.visit_loads(&mut |slot, _, _, ch| {
                 if bad.is_some() {

@@ -42,7 +42,7 @@ use std::collections::HashMap;
 /// kernel is best run as it is.
 pub fn stage_tap_subexpressions(k: &Kernel) -> Option<Kernel> {
     // The allocation-free scan first: most kernels have no transcendental.
-    let mut bodies = k.stages.iter().flat_map(|s| &s.body);
+    let mut bodies = k.stages.iter().flat_map(|s| s.body.iter());
     if !bodies.any(contains_transcendental) || k.check().is_err() {
         return None;
     }
@@ -77,7 +77,8 @@ pub fn stage_tap_subexpressions(k: &Kernel) -> Option<Kernel> {
                             dx: 0,
                             dy: 0,
                             ch,
-                        })],
+                        })]
+                        .into(),
                         params: s.params.clone(),
                         space: MemSpace::Shared,
                     });
@@ -196,8 +197,8 @@ struct Group<'a> {
 struct Taps<'a> {
     nodes: Vec<Node>,
     groups: Vec<Group<'a>>,
-    /// Shape hash, slot, channel → groups with that hash.
-    by_hash: HashMap<(u64, usize, usize), Vec<usize>>,
+    /// Shape hash, slot and channel in one word → groups with that key.
+    by_hash: HashMap<u128, Vec<usize>>,
     /// New load slot per group, for the groups that get a stage.
     slot_of: Vec<Option<usize>>,
 }
@@ -211,7 +212,7 @@ impl<'a> Taps<'a> {
             by_hash: HashMap::new(),
             slot_of: Vec::new(),
         };
-        for e in &s.body {
+        for e in s.body.iter() {
             t.scan(e);
         }
         // Offsets each node's shape recurs at, and the most any shape
@@ -318,7 +319,11 @@ impl<'a> Taps<'a> {
 
     /// The group of shape `e`, created on first sight.
     fn group(&mut self, e: &'a Expr, hash: u64, slot: usize, ch: usize) -> usize {
-        let bucket = self.by_hash.entry((hash, slot, ch)).or_default();
+        // One word, so the keyed hasher takes one write. `same_shape`
+        // compares slot and channel, so the key need not tell every pair
+        // of them apart.
+        let key = u128::from(hash) << 64 | (slot as u128) << 32 | ch as u128;
+        let bucket = self.by_hash.entry(key).or_default();
         if let Some(&g) = bucket
             .iter()
             .find(|&&g| same_shape(self.groups[g].shape, e))
@@ -417,14 +422,14 @@ mod tests {
         assert!(s.check().is_ok());
         assert_eq!(s.stages.len(), 2);
         assert_eq!(s.root, 1);
-        assert_eq!(s.stages[0].body, vec![ln1p(0, 0)]);
+        assert_eq!(*s.stages[0].body, [ln1p(0, 0)]);
         assert_eq!(s.stages[0].refs, vec![StageRef::Input(0)]);
         let root = &s.stages[1];
         assert_eq!(root.refs, vec![StageRef::Input(0), StageRef::Stage(0)]);
         assert_eq!(root.borders, vec![BorderMode::Mirror; 2]);
         assert_eq!(
-            root.body,
-            vec![Expr::load_at(1, -1, 0) + Expr::load_at(1, 0, 0) + Expr::load_at(1, 1, 0)]
+            *root.body,
+            [Expr::load_at(1, -1, 0) + Expr::load_at(1, 0, 0) + Expr::load_at(1, 1, 0)]
         );
     }
 
@@ -447,11 +452,11 @@ mod tests {
         );
         let s = stage_tap_subexpressions(&k).unwrap();
         assert_eq!(s.stages.len(), 2);
-        assert_eq!(s.stages[0].body, vec![ln1p(0, 0)]);
+        assert_eq!(*s.stages[0].body, [ln1p(0, 0)]);
         assert_eq!(s.stages[1].body[0].op_counts().sfu, 0);
         // With one coefficient everywhere the product itself is staged.
         let k = one_stage(two(-1) + two(1), BorderMode::Clamp);
         let s = stage_tap_subexpressions(&k).unwrap();
-        assert_eq!(s.stages[0].body, vec![two(0)]);
+        assert_eq!(*s.stages[0].body, [two(0)]);
     }
 }

@@ -28,6 +28,7 @@
 
 use kfuse_ir::{BinOp, BorderMode, Expr, Stage, StageRef, UnOp};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// One tape instruction. Instruction `i` writes register `i`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -145,7 +146,7 @@ impl Tape {
 /// Hash-cons key: structural identity of a sub-expression. `f32` payloads
 /// are keyed by their bit patterns so that CSE only ever merges *bitwise*
 /// identical computations.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Key {
     Const(u32),
     LoadInput(u16, i32, i32, u16, BorderKey),
@@ -155,12 +156,54 @@ enum Key {
     Select(u32, u32, u32),
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum BorderKey {
     Clamp,
     Mirror,
     Repeat,
     Constant(u32),
+}
+
+impl Key {
+    /// The key's fields in one word: the variant in bits 0..3, then the
+    /// operands. Injective except for a `Constant` border's value, whose
+    /// top 8 bits are folded into its low 24, so at most 256 distinct keys
+    /// share a word — a body cannot be built to make the CSE map
+    /// quadratic.
+    fn packed(self) -> u128 {
+        let load = |tag: u128, at: u16, dx: i32, dy: i32, ch: u16, border: BorderKey| {
+            let (mode, v) = match border {
+                BorderKey::Clamp => (0, 0),
+                BorderKey::Mirror => (1, 0),
+                BorderKey::Repeat => (2, 0),
+                BorderKey::Constant(v) => (3, (v ^ (v >> 24)) & 0xff_ffff),
+            };
+            tag | mode << 3
+                | u128::from(at) << 8
+                | u128::from(ch) << 24
+                | u128::from(dx as u32) << 40
+                | u128::from(dy as u32) << 72
+                | u128::from(v) << 104
+        };
+        match self {
+            Key::Const(bits) => u128::from(bits) << 8,
+            Key::LoadInput(i, dx, dy, ch, b) => load(1, i, dx, dy, ch, b),
+            Key::LoadStage(j, dx, dy, ch, b) => load(2, j, dx, dy, ch, b),
+            Key::Bin(op, a, b) => 3 | (op as u128) << 8 | u128::from(a) << 32 | u128::from(b) << 64,
+            Key::Un(op, a) => 4 | (op as u128) << 8 | u128::from(a) << 32,
+            Key::Select(c, t, f) => {
+                5 | u128::from(c) << 32 | u128::from(t) << 64 | u128::from(f) << 96
+            }
+        }
+    }
+}
+
+impl Hash for Key {
+    /// One `write_u128`: the keyed hasher takes the whole key in one
+    /// write instead of one per field.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.packed());
+    }
 }
 
 impl From<BorderMode> for BorderKey {
@@ -174,7 +217,6 @@ impl From<BorderMode> for BorderKey {
     }
 }
 
-#[derive(Default)]
 struct TapeBuilder {
     instrs: Vec<Instr>,
     cse: HashMap<Key, u32>,
@@ -182,6 +224,18 @@ struct TapeBuilder {
 }
 
 impl TapeBuilder {
+    /// A builder for `stage`, with room for one instruction per body node
+    /// (CSE only ever emits fewer), so neither the tape nor the CSE map
+    /// regrows while lowering.
+    fn for_stage(stage: &Stage) -> Self {
+        let nodes = stage.body.iter().map(Expr::size).sum();
+        TapeBuilder {
+            instrs: Vec::with_capacity(nodes),
+            cse: HashMap::with_capacity(nodes),
+            loads: Vec::new(),
+        }
+    }
+
     fn intern(&mut self, key: Key, instr: Instr) -> u32 {
         if let Some(&r) = self.cse.get(&key) {
             return r;
@@ -403,7 +457,7 @@ pub fn compile_stage(stage: &Stage) -> Tape {
         stage.refs.len() <= u16::MAX as usize,
         "stage reference table too large"
     );
-    let mut b = TapeBuilder::default();
+    let mut b = TapeBuilder::for_stage(stage);
     let roots: Vec<u32> = stage.body.iter().map(|e| b.lower(stage, e)).collect();
 
     // Hoist constants to a prefix so per-pixel evaluation can skip them.
@@ -461,7 +515,7 @@ mod tests {
             name: "s".into(),
             refs,
             borders,
-            body,
+            body: body.into(),
             params: vec![2.5],
             space: MemSpace::Global,
         }
@@ -561,7 +615,7 @@ mod tests {
             name: "s".into(),
             refs: vec![StageRef::Input(0), StageRef::Input(0)],
             borders: vec![BorderMode::Clamp, BorderMode::Constant(0.0)],
-            body: vec![Expr::load_at(0, -1, 0) + Expr::load_at(1, -1, 0)],
+            body: vec![Expr::load_at(0, -1, 0) + Expr::load_at(1, -1, 0)].into(),
             params: vec![],
             space: MemSpace::Global,
         };
@@ -658,6 +712,43 @@ mod tests {
         for &r in &t.roots {
             for i in (r as usize + 1)..t.instrs.len() {
                 assert_ne!(t.slots[i], t.slots[r as usize], "root clobbered");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_keys_tell_every_field_apart() {
+        let clamp = BorderKey::Clamp;
+        let keys = [
+            Key::Const(0),
+            Key::Const(1),
+            Key::LoadInput(0, 0, 0, 0, clamp),
+            Key::LoadStage(0, 0, 0, 0, clamp),
+            Key::LoadInput(1, 0, 0, 0, clamp),
+            Key::LoadInput(0, 1, 0, 0, clamp),
+            Key::LoadInput(0, -1, 0, 0, clamp),
+            Key::LoadInput(0, 0, 1, 0, clamp),
+            Key::LoadInput(0, 0, -1, 0, clamp),
+            Key::LoadInput(0, 0, 0, 1, clamp),
+            Key::LoadInput(0, 0, 0, 0, BorderKey::Mirror),
+            Key::LoadInput(0, 0, 0, 0, BorderKey::Repeat),
+            Key::LoadInput(0, 0, 0, 0, BorderKey::Constant(0)),
+            Key::LoadInput(0, 0, 0, 0, BorderKey::Constant(1.0f32.to_bits())),
+            Key::Bin(BinOp::Add, 0, 0),
+            Key::Bin(BinOp::Sub, 0, 0),
+            Key::Bin(BinOp::Add, 1, 0),
+            Key::Bin(BinOp::Add, 0, 1),
+            Key::Un(UnOp::Neg, 0),
+            Key::Un(UnOp::Abs, 0),
+            Key::Un(UnOp::Neg, 1),
+            Key::Select(0, 0, 0),
+            Key::Select(1, 0, 0),
+            Key::Select(0, 1, 0),
+            Key::Select(0, 0, 1),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a.packed(), b.packed(), "two keys share a word");
             }
         }
     }

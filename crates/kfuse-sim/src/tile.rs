@@ -932,7 +932,7 @@ mod tests {
             name: "sq".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![mode],
-            body: vec![Expr::load(0) * Expr::load(0)],
+            body: vec![Expr::load(0) * Expr::load(0)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -941,7 +941,7 @@ mod tests {
             name: "gauss".into(),
             refs: vec![StageRef::Stage(0)],
             borders: vec![mode],
-            body: vec![Expr::convolve(0, 0, &mask)],
+            body: vec![Expr::convolve(0, 0, &mask)].into(),
             params: vec![],
             space: MemSpace::Global,
         };
@@ -1046,7 +1046,7 @@ mod tests {
             name: "sq".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load(0) * Expr::load(0)],
+            body: vec![Expr::load(0) * Expr::load(0)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -1054,7 +1054,7 @@ mod tests {
             name: "mix".into(),
             refs: vec![StageRef::Stage(0), StageRef::Stage(0)],
             borders: vec![BorderMode::Mirror, BorderMode::Repeat],
-            body: vec![Expr::load_at(0, -1, 0) + Expr::load_at(1, 1, 1)],
+            body: vec![Expr::load_at(0, -1, 0) + Expr::load_at(1, 1, 1)].into(),
             params: vec![],
             space: MemSpace::Global,
         };
@@ -1099,7 +1099,7 @@ mod tests {
             name: "sq".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![mode],
-            body: vec![Expr::load(0) * Expr::load(0) + Expr::Const(0.5)],
+            body: vec![Expr::load(0) * Expr::load(0) + Expr::Const(0.5)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -1116,7 +1116,7 @@ mod tests {
             name: "conv".into(),
             refs: vec![StageRef::Stage(0)],
             borders: vec![mode],
-            body: vec![Expr::convolve(0, 0, &mask)],
+            body: vec![Expr::convolve(0, 0, &mask)].into(),
             params: vec![],
             space: MemSpace::Global,
         };
@@ -1234,7 +1234,7 @@ mod tests {
             name: "sq".into(),
             refs: vec![StageRef::Input(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::load(0) * Expr::load(0)],
+            body: vec![Expr::load(0) * Expr::load(0)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -1242,7 +1242,7 @@ mod tests {
             name: "g1".into(),
             refs: vec![StageRef::Stage(0)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::convolve(0, 0, &mask)],
+            body: vec![Expr::convolve(0, 0, &mask)].into(),
             params: vec![],
             space: MemSpace::Shared,
         };
@@ -1250,7 +1250,7 @@ mod tests {
             name: "g2".into(),
             refs: vec![StageRef::Stage(1)],
             borders: vec![BorderMode::Clamp],
-            body: vec![Expr::convolve(0, 0, &mask)],
+            body: vec![Expr::convolve(0, 0, &mask)].into(),
             params: vec![],
             space: MemSpace::Global,
         };
@@ -1462,7 +1462,7 @@ mod tests {
             name: name.into(),
             refs: vec![on],
             borders: vec![BorderMode::Mirror],
-            body: vec![body],
+            body: vec![body].into(),
             params: vec![],
             space,
         };
