@@ -18,20 +18,14 @@
 //! to draining). Any failure exits non-zero, so CI runs this as the
 //! end-to-end net smoke.
 //!
-//! With `--sweep`, two more phases run against dedicated in-process
-//! servers:
-//!
-//! * an **open-loop overload sweep** — closed-loop calibration finds the
-//!   saturation throughput, then Poisson arrivals at 2× that rate (a
-//!   20/60/20 High/Normal/Low priority mix) drive a QoS-configured
-//!   server past capacity. Arrivals do not wait for completions, so the
-//!   server must *shed* (queue-pressure thresholds, tenant share caps,
-//!   deadline rejection) to protect goodput; the phase reports goodput
-//!   under saturation, shed rate, and per-priority p99, and fails if
-//!   goodput is zero or nothing was shed.
-//! * a **shard-affinity check** — the same warm traffic against a
-//!   1-shard and a 4-shard server; fingerprint-affinity routing must
-//!   keep the warm plan-cache hit rate within 5 points of unsharded.
+//! With `--sweep`, an **open-loop overload sweep** runs against a
+//! dedicated in-process server: closed-loop calibration finds the
+//! saturation throughput, then Poisson arrivals at 2× that rate (a
+//! 20/60/20 High/Normal/Low priority mix) drive a QoS-configured server
+//! past capacity. Arrivals do not wait for completions, so the server
+//! must *shed* (queue-pressure thresholds, deadline rejection) to protect
+//! goodput; the phase reports goodput under saturation, shed rate, and
+//! per-priority p99, and fails if goodput is zero or nothing was shed.
 //!
 //! `--strict-qos` additionally gates goodput ≥ 80% of calibrated peak
 //! and High-priority p99 ≤ Low-priority p99 (off by default: both are
@@ -539,11 +533,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Open-loop overload sweep + shard-affinity check. Both run against
-    // dedicated in-process servers (the main one may be draining by now),
-    // with QoS shedding configured: queue 64, immediate-reject admission,
-    // Normal shed past 75% queue depth, Low past 50%, High never
-    // pressure-shed.
+    // Open-loop overload sweep, against a dedicated in-process server
+    // (the main one may be draining by now) with QoS shedding configured:
+    // queue 64, immediate-reject admission, Normal shed past 75% queue
+    // depth, Low past 50%, High never pressure-shed.
     let mut sweep_json = String::new();
     if sweep {
         use kfuse_runtime::Admission;
@@ -669,51 +662,13 @@ fn main() -> ExitCode {
             }
         }
 
-        // Shard affinity: warm hit rate must survive sharding.
-        let mut affinity_json = "null".to_string();
-        match (
-            shard_affinity_hit_rate(1, scale),
-            shard_affinity_hit_rate(4, scale),
-        ) {
-            (Ok(unsharded), Ok(sharded)) => {
-                println!(
-                    "shard affinity: warm plan-cache hit rate {:.1}% unsharded vs \
-                     {:.1}% with 4 shards",
-                    unsharded * 100.0,
-                    sharded * 100.0
-                );
-                if (unsharded - sharded).abs() > 0.05 {
-                    failures.lock().unwrap().push(format!(
-                        "shard affinity: hit rate {:.3} (4 shards) deviates more than \
-                         5 points from {:.3} (unsharded)",
-                        sharded, unsharded
-                    ));
-                }
-                affinity_json = format!(
-                    "{{\"shards\": 4, \"warm_hit_rate_unsharded\": {unsharded:.4}, \
-                     \"warm_hit_rate_sharded\": {sharded:.4}}}"
-                );
-            }
-            (a, b) => {
-                for r in [a, b] {
-                    if let Err(e) = r {
-                        failures
-                            .lock()
-                            .unwrap()
-                            .push(format!("shard affinity: {e}"));
-                    }
-                }
-            }
-        }
-
         sweep_json = format!(
             "\"overload_sweep\": {{\n    \"calibrated_peak_req_s\": {peak:.1},\n    \
              \"offered_req_s\": {offered:.1},\n    \"duration_s\": {:.1},\n    \
              \"connections\": {sweep_conns},\n    \"deadline_us\": 250000,\n    \
              \"ok\": {ok},\n    \"shed\": {shed},\n    \"errors\": {},\n    \
              \"goodput_req_s\": {goodput:.1},\n    \"shed_rate\": {shed_rate:.4},\n    \
-             \"priorities\": [{prio_json}\n    ]\n  }},\n  \
-             \"shard_affinity\": {affinity_json},\n  ",
+             \"priorities\": [{prio_json}\n    ]\n  }},\n  ",
             sweep_dur.as_secs_f64(),
             agg.errors,
         );
@@ -926,42 +881,6 @@ fn sweep_connection(
     }
     let _ = writer.join();
     Ok(stats)
-}
-
-/// Warm plan-cache hit rate over the wire against a server with
-/// `shards` runtime shards: six distinct fingerprints × 3 calls each, so
-/// a perfect cache (and perfect affinity) warms to 12/18 hits.
-fn shard_affinity_hit_rate(shards: usize, scale: usize) -> Result<f64, String> {
-    let mut cfg = ServerConfig::default();
-    cfg.runtime.workers = 2;
-    cfg.runtime.shards = shards;
-    let server = Server::bind("127.0.0.1:0", cfg).map_err(|e| format!("affinity bind: {e}"))?;
-    let mut client =
-        Client::connect(server.local_addr()).map_err(|e| format!("affinity connect: {e}"))?;
-    for app in paper_apps() {
-        let (w, h) = workload(app.name, scale);
-        let p = (app.build_sized)(w, h);
-        let inputs = inputs_for(&p, 7);
-        client
-            .register(app.name, &p)
-            .map_err(|e| format!("affinity register {}: {e}", app.name))?;
-        for _ in 0..3 {
-            client
-                .call(app.name, inputs.clone(), Schedule::Optimized, None)
-                .map_err(|e| format!("affinity call {}: {e}", app.name))?;
-        }
-    }
-    let metrics = server.runtime_metrics();
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for p in &metrics.pipelines {
-        hits += p.cache_hits;
-        misses += p.cache_misses;
-    }
-    server.shutdown();
-    if hits + misses == 0 {
-        return Err("affinity: no cache activity recorded".into());
-    }
-    Ok(hits as f64 / (hits + misses) as f64)
 }
 
 /// Minimal HTTP/1.0 GET returning `(status, body)`.

@@ -9,7 +9,7 @@
 //! request id. [`Client::call`] is the simple submit-and-wait
 //! composition (one request in flight, so ordering is moot).
 //! [`Client::submit_qos`] attaches a [`Priority`] class that the
-//! server's weighted-fair scheduler honors.
+//! server's priority-class scheduler honors.
 //!
 //! When given an enabled [`Tracer`] ([`Client::set_tracer`]), every
 //! submit generates a fresh [`TraceContext`] that travels on the wire,

@@ -17,11 +17,11 @@
 //!   frames. Decoding is bounded by [`wire::Limits`] before any
 //!   allocation.
 //! * [`server`] — a [`server::Server`] owning a `kfuse_runtime::Runtime`
-//!   (sharded, QoS-aware): per-connection read/write timeouts,
+//!   (QoS-aware): per-connection read/write timeouts,
 //!   slow-loris detection, bounded in-flight pipelining with
 //!   completion-order reply multiplexing (a slow request never
 //!   head-of-line blocks a fast one on the same connection), priority
-//!   and deadline propagation into the weighted-fair worker queue,
+//!   and deadline propagation into the runtime's fair worker queue,
 //!   typed refusals at the connection limit, graceful drain, and an
 //!   HTTP/1.0 sidecar serving Prometheus `/metrics` and `/healthz`.
 //! * [`client`] — a blocking [`client::Client`] with register / submit /

@@ -12,12 +12,13 @@
 //!
 //! Architecture (see `DESIGN.md` §3.8):
 //!
-//! * [`runtime`] — N runtime shards with fingerprint-affinity routing,
-//!   each holding a bounded queue with per-tenant weighted-fair queueing
-//!   and strict [`Priority`] classes, configurable [`Admission`] control
-//!   with early QoS load shedding, a `std::thread` worker pool with
+//! * [`runtime`] — one bounded queue with strict [`Priority`] classes and
+//!   round-robin per-tenant lanes, configurable [`Admission`] control
+//!   with early load shedding, a `std::thread` worker pool with
 //!   per-worker scratch reuse, and graceful draining
 //!   [`Runtime::shutdown`];
+//! * [`session`] — streaming sessions whose frames run in order through
+//!   the same queue and workers;
 //! * [`cache`] — the LRU [`PlanCache`] keyed by [`PlanKey`], guarded by an
 //!   id-layout hash so structural sharing can never bind a tenant's images
 //!   to the wrong slots;

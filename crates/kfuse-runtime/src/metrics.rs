@@ -393,8 +393,8 @@ pub struct PipelineSnapshot {
     pub completed: u64,
     pub errors: u64,
     pub rejected: u64,
-    /// Submissions shed by QoS policy at admission (tenant share cap or
-    /// per-class queue-pressure threshold) — counted apart from
+    /// Submissions shed at admission (per-class queue-pressure threshold
+    /// or a full session backlog) — counted apart from
     /// `rejected` so overload protection is distinguishable from a
     /// genuinely full queue.
     pub shed: u64,
@@ -449,9 +449,6 @@ pub struct RuntimeGauges {
     pub cache_capacity: u64,
     /// Cumulative plans evicted to make room.
     pub cache_evictions: u64,
-    /// Runtime shards serving the process (1 = unsharded). Queue and
-    /// cache gauges above are summed across shards; the HWM is the max.
-    pub shards: u64,
     /// Streaming sessions currently open (state planes pinned).
     pub sessions_open: u64,
 }
@@ -463,8 +460,8 @@ pub struct MetricsSnapshot {
     /// Runtime-wide gauges (queue, in-flight, plan cache).
     pub runtime: RuntimeGauges,
     /// Per-fingerprint plan-cache lookup tallies, most-looked-up first
-    /// (see [`crate::cache::FingerprintStats`]): the signal that makes
-    /// tuning-eligible "hot" fingerprints observable.
+    /// (see [`crate::cache::FingerprintStats`]): a plan-cache diagnostic
+    /// showing which pipeline structures miss, and how often.
     pub fingerprints: Vec<crate::cache::FingerprintStats>,
     /// Per-fingerprint observed-vs-modeled execute-time accounting,
     /// most-executed first.
@@ -531,15 +528,13 @@ impl MetricsSnapshot {
         let g = &self.runtime;
         out.push_str(&format!(
             "{{\"queue_depth\":{},\"queue_depth_hwm\":{},\"in_flight\":{},\"cache_size\":{},\
-             \"cache_capacity\":{},\"cache_evictions\":{},\"shards\":{},\
-             \"sessions_open\":{}}}",
+             \"cache_capacity\":{},\"cache_evictions\":{},\"sessions_open\":{}}}",
             g.queue_depth,
             g.queue_depth_hwm,
             g.in_flight,
             g.cache_size,
             g.cache_capacity,
             g.cache_evictions,
-            g.shards,
             g.sessions_open,
         ));
         out.push_str(",\"fingerprints\":[");
@@ -601,7 +596,7 @@ impl MetricsSnapshot {
             ),
             (
                 "kfuse_requests_shed_total",
-                "Requests shed by QoS policy at admission (tenant share cap or queue pressure).",
+                "Requests shed at admission (queue pressure or a full session backlog).",
                 |p| p.shed,
             ),
             (
@@ -716,7 +711,7 @@ impl MetricsSnapshot {
             }
         }
         let g = &self.runtime;
-        let gauges: [(&str, &str, u64); 7] = [
+        let gauges: [(&str, &str, u64); 6] = [
             (
                 "kfuse_queue_depth",
                 "Jobs queued for a worker.",
@@ -741,11 +736,6 @@ impl MetricsSnapshot {
                 "kfuse_plan_cache_capacity",
                 "Plan cache capacity.",
                 g.cache_capacity,
-            ),
-            (
-                "kfuse_runtime_shards",
-                "Runtime shards serving this process (1 = unsharded).",
-                g.shards,
             ),
             (
                 "kfuse_sessions_open",
@@ -944,14 +934,13 @@ mod tests {
             cache_size: 5,
             cache_capacity: 8,
             cache_evictions: 1,
-            shards: 4,
             sessions_open: 2,
         };
         let json = snap.to_json();
         assert!(
             json.contains("\"runtime\":{\"queue_depth\":3,\"queue_depth_hwm\":7,\"in_flight\":2")
         );
-        assert!(json.contains("\"cache_evictions\":1,\"shards\":4,\"sessions_open\":2}"));
+        assert!(json.contains("\"cache_evictions\":1,\"sessions_open\":2}"));
     }
 
     #[test]
@@ -968,8 +957,8 @@ mod tests {
         let doc = snap.to_prometheus();
         // 9 counter families × 2 pipelines + 3 quantiles × 2 pipelines
         // + 1 mean × 2 pipelines + 2 SLO counters × 2 + 2 SLO gauges × 2
-        // + 8 runtime samples (no exemplars or fidelity rows recorded).
-        assert_eq!(kfuse_obs::validate_prometheus(&doc).unwrap(), 42);
+        // + 7 runtime samples (no exemplars or fidelity rows recorded).
+        assert_eq!(kfuse_obs::validate_prometheus(&doc).unwrap(), 41);
         assert!(doc.contains("# TYPE kfuse_requests_total counter"));
         assert!(doc.contains("kfuse_queue_depth_hwm 9"));
         assert!(doc.contains("kfuse_requests_total{pipeline=\"a\\\"b\\\\c\"} 1"));
@@ -1006,31 +995,28 @@ mod tests {
         kfuse_obs::validate_prometheus(&doc).expect("text format allows NaN samples");
     }
 
-    /// The shed counter and shard-count gauge round-trip both exporters,
-    /// and sheds stay separate from plain rejections.
+    /// The shed counter round-trips both exporters, and sheds stay
+    /// separate from plain rejections.
     #[test]
-    fn shed_and_shards_round_trip_both_exporters() {
+    fn shed_round_trips_both_exporters() {
         let reg = MetricsRegistry::default();
         let m = reg.handle("t");
         m.record_request();
         m.record_shed();
         m.record_shed();
         m.record_rejected();
-        let mut snap = reg.snapshot();
-        snap.runtime.shards = 4;
+        let snap = reg.snapshot();
         let s = snap.pipeline("t").unwrap();
         assert_eq!(s.shed, 2);
         assert_eq!(s.rejected, 1);
 
         let json = snap.to_json();
         assert!(json.contains("\"shed\":2"));
-        assert!(json.contains("\"shards\":4"));
         kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
 
         let doc = snap.to_prometheus();
         assert!(doc.contains("# TYPE kfuse_requests_shed_total counter"));
         assert!(doc.contains("kfuse_requests_shed_total{pipeline=\"t\"} 2"));
-        assert!(doc.contains("kfuse_runtime_shards 4"));
         kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 

@@ -1,24 +1,18 @@
-//! The serving runtime: sharded worker pools, a weighted-fair admission
-//! queue with priority classes, and plan-cached execution.
+//! The serving runtime: one worker pool, one admission queue with
+//! priority classes, and plan-cached execution.
 //!
-//! A [`Runtime`] owns one or more *shards* (`cfg.shards`), each with its
-//! own bounded work queue, plan cache and worker pool.
-//! Submissions are routed to a shard by the pipeline's
-//! structural fingerprint — *fingerprint affinity* — so every repeat of a
-//! pipeline lands on the shard that already compiled its plan and the
-//! plan-cache hit rate survives scale-out. Within a shard, jobs are not a
-//! FIFO: each of the three [`Priority`] classes holds per-tenant lanes
-//! drained by deficit-round-robin (a weighted-fair-queueing
-//! approximation with unit job cost), so one tenant flooding the queue
-//! can no longer head-of-line block everyone else. Each job names a
-//! tenant pipeline, carries its input images and requested fusion
-//! [`Schedule`], and is answered through a one-shot result [`Handle`]
-//! ([`JobHandle`]).
+//! A [`Runtime`] owns one bounded work queue, one plan cache and one
+//! worker pool. Jobs are not a FIFO: each of the three [`Priority`]
+//! classes holds per-tenant lanes drained round-robin, one job per lane
+//! per turn, so one tenant flooding the queue can no longer head-of-line
+//! block everyone else. Each job names a tenant pipeline, carries its
+//! input images and requested fusion [`Schedule`], and is answered
+//! through a one-shot result [`Handle`] ([`JobHandle`]).
 //!
 //! **One job path.** Every admitted unit of work — a stateless job or a
 //! frame of a streaming session ([`crate::session`]) — carries a `Ticket`
 //! (result slot, admission instant, deadline, trace context) through one
-//! push onto the shard queue and, once dequeued, through one worker
+//! push onto the queue and, once dequeued, through one worker
 //! envelope (`serve`): flight-recorder begin, the `queue_wait` span, the
 //! dequeue-side deadline check, the `in_flight` gauge, `catch_unwind`,
 //! latency and SLO accounting, recorder finish, and the counted slot
@@ -51,9 +45,8 @@
 //! rejection costs nothing: a job whose deadline has already expired at
 //! submit time is refused with [`RuntimeError::DeadlineExceeded`] before
 //! it can occupy queue capacity (or park the submitter waiting to admit
-//! provably-dead work); a tenant holding more than its configured share
-//! of the queue is refused with [`RuntimeError::QueueFull`]; and
-//! `Normal`/`Low`-priority work is refused once queue depth crosses its
+//! provably-dead work); and `Normal`/`Low`-priority work is refused with
+//! [`RuntimeError::QueueFull`] once queue depth crosses its
 //! class's pressure threshold, reserving the remaining capacity for
 //! higher classes. Jobs may still carry a deadline that expires *in* the
 //! queue ([`Runtime::submit_with_deadline`]): those are answered with
@@ -93,7 +86,7 @@ pub enum Admission {
 /// Scheduling class of a submitted job. Classes are drained strictly in
 /// order — every queued `High` job is served before any `Normal` job,
 /// and `Normal` before `Low` — while *within* a class tenants share
-/// capacity via weighted round-robin. Sustained `High` load can starve
+/// capacity via round-robin. Sustained `High` load can starve
 /// `Low`; the pressure thresholds in [`RuntimeConfig`] exist to shed
 /// low classes early instead of letting them rot in the queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,26 +124,13 @@ impl Priority {
 /// Configuration of a [`Runtime`].
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Worker threads draining the queue, **per shard**.
+    /// Worker threads draining the queue.
     pub workers: usize,
-    /// Maximum queued (admitted but not yet executing) jobs, per shard.
+    /// Maximum queued (admitted but not yet executing) jobs; also the
+    /// bound on each streaming session's pending-frame backlog.
     pub queue_capacity: usize,
     /// Behavior when the queue is full.
     pub admission: Admission,
-    /// Number of runtime shards, each with its own queue, plan cache,
-    /// and worker pool. Submissions route by pipeline fingerprint, so a
-    /// given pipeline structure always lands on the same shard and its
-    /// cached plan. 0 is treated as 1.
-    pub shards: usize,
-    /// Per-tenant weight for the fair queue: a tenant with weight `w`
-    /// may drain up to `w` consecutive jobs per round-robin turn within
-    /// its priority class. Unlisted tenants get weight 1.
-    pub tenant_weights: Vec<(String, u32)>,
-    /// Largest fraction of one shard's queue a single tenant may occupy
-    /// before further submissions are shed with
-    /// [`RuntimeError::QueueFull`]. `1.0` (the default) disables the
-    /// cap. The floor is one slot — a tenant can always queue *one* job.
-    pub max_tenant_share: f64,
     /// Queue-depth fraction past which `Low`-priority submissions are
     /// shed immediately instead of queued/blocked. `1.0` disables.
     pub shed_low_fraction: f64,
@@ -181,12 +161,10 @@ impl Default for RuntimeConfig {
             workers: 2,
             queue_capacity: 64,
             admission: Admission::Block,
-            shards: 1,
-            tenant_weights: Vec::new(),
-            // QoS shedding is opt-in: embedded uses of the runtime keep
-            // the conservative "queue everything until full" behavior;
-            // the network serving plane turns the thresholds on.
-            max_tenant_share: 1.0,
+            // Pressure shedding is opt-in: by default the runtime queues
+            // everything until full. The network server keeps these
+            // defaults too (it sets only `admission`); `loadgen --sweep`
+            // turns the thresholds on for its overload phase.
             shed_low_fraction: 1.0,
             shed_normal_fraction: 1.0,
             plan_cache_capacity: 32,
@@ -480,23 +458,18 @@ pub(crate) struct PipelineJob {
     ticket: Ticket<Execution>,
 }
 
-/// One tenant's FIFO lane within a priority class. `credit` is the
-/// deficit-round-robin budget: how many more jobs this lane may drain
-/// before the cursor moves on. Lanes are removed the moment they empty,
-/// so the lane vector only ever holds tenants with queued work.
+/// One tenant's FIFO lane within a priority class. Lanes are removed the
+/// moment they empty, so the lane vector only ever holds tenants with
+/// queued work.
 struct TenantLane {
     tenant: String,
-    weight: u32,
-    credit: u32,
     jobs: VecDeque<Job>,
 }
 
-/// One priority class: per-tenant lanes drained by weighted round-robin
-/// (deficit round-robin with unit job cost — the classic O(1)
-/// approximation of weighted-fair queueing). A tenant with weight `w`
-/// gets up to `w` consecutive pops per turn; every active tenant is
-/// visited once per round, so a flooding tenant delays a light tenant by
-/// at most one round, not by its whole backlog.
+/// One priority class: per-tenant lanes drained round-robin, one job per
+/// lane per turn. Every active tenant is visited once per round, so a
+/// flooding tenant delays a light tenant by at most one round, not by its
+/// whole backlog.
 #[derive(Default)]
 struct ClassQueue {
     lanes: Vec<TenantLane>,
@@ -504,21 +477,19 @@ struct ClassQueue {
 }
 
 impl ClassQueue {
-    fn push(&mut self, job: Job, weight: u32) {
+    fn push(&mut self, job: Job) {
         match self.lanes.iter_mut().find(|l| l.tenant == job.tenant) {
             Some(lane) => lane.jobs.push_back(job),
             None => self.lanes.push(TenantLane {
                 tenant: job.tenant.clone(),
-                weight: weight.max(1),
-                credit: weight.max(1),
                 jobs: VecDeque::from([job]),
             }),
         }
     }
 
-    /// Pops the next job under DRR. Invariants: non-current lanes always
-    /// hold a full credit (the cursor recharges a lane when it leaves
-    /// it), and empty lanes are removed immediately.
+    /// Pops the front job of the lane under the cursor and moves the
+    /// cursor on; an emptied lane is removed, which leaves the cursor on
+    /// what was the next lane.
     fn pop(&mut self) -> Option<Job> {
         if self.lanes.is_empty() {
             return None;
@@ -528,30 +499,22 @@ impl ClassQueue {
         }
         let lane = &mut self.lanes[self.cursor];
         let job = lane.jobs.pop_front().expect("lanes are never empty");
-        lane.credit = lane.credit.saturating_sub(1);
         if lane.jobs.is_empty() {
-            // Lane drained: drop it. The cursor now points at what was
-            // the next lane (which, by the invariant, has full credit).
             self.lanes.remove(self.cursor);
-        } else if lane.credit == 0 {
-            // Turn over: recharge for this lane's next visit and move on.
-            lane.credit = lane.weight;
+        } else {
             self.cursor += 1;
         }
         Some(job)
     }
 }
 
-/// The sharded work queue: three strict-priority classes, each a
-/// weighted-fair set of per-tenant lanes, plus the per-tenant depth
-/// table the admission share-cap consults.
+/// The work queue: three strict-priority classes, each a round-robin set
+/// of per-tenant lanes.
 struct QueueState {
     classes: [ClassQueue; 3],
     /// Total queued jobs across all classes (kept so depth checks do not
     /// walk the lanes).
     len: usize,
-    /// Queued jobs per tenant, across classes; entries removed at zero.
-    tenant_depth: std::collections::HashMap<String, usize>,
     accepting: bool,
 }
 
@@ -564,48 +527,30 @@ impl QueueState {
                 ClassQueue::default(),
             ],
             len: 0,
-            tenant_depth: std::collections::HashMap::new(),
             accepting: true,
         }
     }
 
-    fn push(&mut self, job: Job, weight: u32) {
-        *self.tenant_depth.entry(job.tenant.clone()).or_insert(0) += 1;
-        self.classes[job.priority.index()].push(job, weight);
+    fn push(&mut self, job: Job) {
+        self.classes[job.priority.index()].push(job);
         self.len += 1;
     }
 
     fn pop(&mut self) -> Option<Job> {
-        for class in &mut self.classes {
-            if let Some(job) = class.pop() {
-                self.len -= 1;
-                if let Some(d) = self.tenant_depth.get_mut(&job.tenant) {
-                    *d -= 1;
-                    if *d == 0 {
-                        self.tenant_depth.remove(&job.tenant);
-                    }
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn tenant_depth(&self, tenant: &str) -> usize {
-        self.tenant_depth.get(tenant).copied().unwrap_or(0)
+        let job = self.classes.iter_mut().find_map(ClassQueue::pop)?;
+        self.len -= 1;
+        Some(job)
     }
 }
 
-/// Per-shard state shared between the API side and the shard's workers.
-/// The metrics registry alone is shared *across* shards (tenant counters
-/// are global; everything else — queue, cache — is shard-local so shards
-/// never contend on each other's locks).
+/// State shared between the API side and the workers: the queue, the plan
+/// cache and the tenant metrics.
 pub(crate) struct Shared {
     queue: Mutex<QueueState>,
     job_available: Condvar,
     space_available: Condvar,
     pub(crate) cache: Mutex<PlanCache>,
-    metrics: Arc<MetricsRegistry>,
+    pub(crate) metrics: MetricsRegistry,
     /// Jobs currently executing on worker threads (gauge).
     in_flight: AtomicU64,
     /// Deepest the queue has ever been (high-water mark): an instantaneous
@@ -617,86 +562,44 @@ pub(crate) struct Shared {
 
 /// A multi-tenant pipeline-serving runtime. See the [module docs](crate::runtime).
 pub struct Runtime {
-    shards: Vec<Arc<Shared>>,
-    metrics: Arc<MetricsRegistry>,
+    pub(crate) shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Open streaming sessions (see [`crate::session`]).
     pub(crate) sessions: crate::session::SessionTable,
 }
 
-/// SplitMix64 finalizer: decorrelates the shard index from raw
-/// fingerprint bits (structural fingerprints are themselves hashes, but
-/// routing must stay uniform even for adversarially similar ones).
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 impl Runtime {
-    /// Starts a runtime with `cfg.shards` shards of `cfg.workers` worker
-    /// threads each.
+    /// Starts a runtime with `cfg.workers` worker threads.
     pub fn new(cfg: RuntimeConfig) -> Self {
         Self::start(cfg, true)
     }
 
     fn start(cfg: RuntimeConfig, spawn: bool) -> Self {
-        let n_shards = cfg.shards.max(1);
-        let workers_per_shard = cfg.workers.max(1);
-        let metrics = Arc::new(MetricsRegistry::default());
-        let shards: Vec<Arc<Shared>> = (0..n_shards)
-            .map(|_| {
-                Arc::new(Shared {
-                    queue: Mutex::new(QueueState::new()),
-                    job_available: Condvar::new(),
-                    space_available: Condvar::new(),
-                    cache: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
-                    metrics: Arc::clone(&metrics),
-                    in_flight: AtomicU64::new(0),
-                    queue_depth_hwm: AtomicU64::new(0),
-                    cfg: cfg.clone(),
-                })
+        let workers = if spawn { cfg.workers.max(1) } else { 0 };
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(QueueState::new()),
+            job_available: Condvar::new(),
+            space_available: Condvar::new(),
+            cache: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
+            metrics: MetricsRegistry::default(),
+            in_flight: AtomicU64::new(0),
+            queue_depth_hwm: AtomicU64::new(0),
+            cfg,
+        });
+        let handles = (0..workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("kfuse-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning runtime worker")
             })
             .collect();
-        let mut handles = Vec::new();
-        if spawn {
-            for (s, shard) in shards.iter().enumerate() {
-                for i in 0..workers_per_shard {
-                    let shared = Arc::clone(shard);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("kfuse-worker-{s}.{i}"))
-                            .spawn(move || worker_loop(&shared))
-                            .expect("spawning runtime worker"),
-                    );
-                }
-            }
-        }
         Self {
-            shards,
-            metrics,
+            shared,
             workers: Mutex::new(handles),
             sessions: crate::session::SessionTable::default(),
         }
-    }
-
-    /// The shard a given pipeline fingerprint routes to. Pure function of
-    /// the fingerprint and shard count: every submission of the same
-    /// structure reuses the same shard-local plan cache.
-    pub(crate) fn shard_for(&self, fingerprint: u64) -> &Arc<Shared> {
-        let idx = (mix64(fingerprint) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
-    }
-
-    /// Number of shards this runtime is running.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The cross-shard metrics registry (the session layer mints its
-    /// per-session metric handles here).
-    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// A runtime whose queue is never drained — deterministic admission
@@ -758,11 +661,10 @@ impl Runtime {
     /// * a deadline already expired at submit time → immediate
     ///   [`RuntimeError::DeadlineExceeded`] (counted as a deadline miss;
     ///   nothing is queued, no worker ever sees it);
-    /// * tenant over its [`RuntimeConfig::max_tenant_share`] of the shard
-    ///   queue, or queue depth past the class's pressure threshold →
-    ///   immediate [`RuntimeError::QueueFull`] (counted as shed), even
-    ///   under blocking admission — blocking is reserved for work the
-    ///   runtime actually intends to take.
+    /// * queue depth past the class's pressure threshold → immediate
+    ///   [`RuntimeError::QueueFull`] (counted as shed), even under
+    ///   blocking admission — blocking is reserved for work the runtime
+    ///   actually intends to take.
     #[allow(clippy::too_many_arguments)]
     pub fn submit_with_ctx(
         &self,
@@ -775,7 +677,8 @@ impl Runtime {
         trace_id: u64,
         span_id: u64,
     ) -> Result<JobHandle, RuntimeError> {
-        let metrics = self.metrics.handle(name);
+        let shared = &*self.shared;
+        let metrics = shared.metrics.handle(name);
         metrics.record_request();
         // Dead on arrival: the deadline expired before admission. The
         // whole point of early shedding — the reject costs one clock
@@ -786,7 +689,6 @@ impl Runtime {
                 return Err(RuntimeError::DeadlineExceeded);
             }
         }
-        let shared = self.shard_for(pipeline.fingerprint());
         let (ticket, handle) = Ticket::issue(deadline, trace_id, span_id);
         let job = Job {
             tenant: name.to_string(),
@@ -801,10 +703,9 @@ impl Runtime {
         };
         let cfg = &shared.cfg;
         let capacity = cfg.queue_capacity;
-        // Tenant share cap and per-class pressure threshold, in queue
-        // slots. A threshold at or past capacity is disabled (the plain
-        // full-queue admission policy already covers it).
-        let tenant_cap = ((cfg.max_tenant_share * capacity as f64).ceil() as usize).max(1);
+        // Per-class pressure threshold, in queue slots. A threshold at or
+        // past capacity is disabled (the plain full-queue admission policy
+        // already covers it).
         let pressure = match priority {
             Priority::High => capacity,
             Priority::Normal => (cfg.shed_normal_fraction * capacity as f64).ceil() as usize,
@@ -821,10 +722,6 @@ impl Runtime {
             if !queue.accepting {
                 metrics.record_rejected();
                 return Err(RuntimeError::ShuttingDown);
-            }
-            if tenant_cap < capacity && queue.tenant_depth(name) >= tenant_cap {
-                metrics.record_shed();
-                return Err(RuntimeError::QueueFull);
             }
             if pressure < capacity && queue.len >= pressure {
                 metrics.record_shed();
@@ -878,86 +775,46 @@ impl Runtime {
 
     /// A point-in-time snapshot of every tenant's metrics plus the
     /// runtime-wide gauges (queue depth, in-flight jobs, plan-cache
-    /// state), aggregated across shards. Depth-like gauges sum; the
-    /// high-water mark is the deepest any single shard has been;
-    /// per-fingerprint plan-cache stats merge by fingerprint (affinity
-    /// routing means each fingerprint only ever tallies on one shard, so
-    /// the merge is a concatenation in practice).
+    /// state) and the plan cache's per-fingerprint lookup tallies.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut queue_depth = 0u64;
-        let mut queue_depth_hwm = 0u64;
-        let mut in_flight = 0u64;
-        let mut cache_size = 0u64;
-        let mut cache_capacity = 0u64;
-        let mut cache_evictions = 0u64;
-        let mut by_fp: std::collections::HashMap<u64, crate::cache::FingerprintStats> =
-            std::collections::HashMap::new();
-        for shard in &self.shards {
-            queue_depth += shard.queue.lock().unwrap().len as u64;
-            queue_depth_hwm = queue_depth_hwm.max(shard.queue_depth_hwm.load(Ordering::Relaxed));
-            in_flight += shard.in_flight.load(Ordering::Relaxed);
-            let cache = shard.cache.lock().unwrap();
-            cache_size += cache.len() as u64;
-            cache_capacity += cache.capacity() as u64;
-            cache_evictions += cache.evictions();
-            for s in cache.fingerprint_stats() {
-                let e = by_fp
-                    .entry(s.fingerprint)
-                    .or_insert(crate::cache::FingerprintStats {
-                        fingerprint: s.fingerprint,
-                        ..Default::default()
-                    });
-                e.hits += s.hits;
-                e.misses += s.misses;
-            }
-        }
-        let mut fingerprints: Vec<_> = by_fp.into_values().collect();
-        fingerprints.sort_by(|a, b| {
-            b.lookups()
-                .cmp(&a.lookups())
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        let mut snap = self.metrics.snapshot();
+        let shared = &*self.shared;
+        let queue_depth = shared.queue.lock().unwrap().len as u64;
+        let sessions_open = self.session_count() as u64;
+        let mut snap = shared.metrics.snapshot();
+        let cache = shared.cache.lock().unwrap();
         snap.runtime = RuntimeGauges {
             queue_depth,
-            queue_depth_hwm,
-            in_flight,
-            cache_size,
-            cache_capacity,
-            cache_evictions,
-            shards: self.shards.len() as u64,
-            sessions_open: self.session_count() as u64,
+            queue_depth_hwm: shared.queue_depth_hwm.load(Ordering::Relaxed),
+            in_flight: shared.in_flight.load(Ordering::Relaxed),
+            cache_size: cache.len() as u64,
+            cache_capacity: cache.capacity() as u64,
+            cache_evictions: cache.evictions(),
+            sessions_open,
         };
-        snap.fingerprints = fingerprints;
+        snap.fingerprints = cache.fingerprint_stats();
         snap
     }
 
-    /// Number of compiled plans currently cached, across all shards.
+    /// Number of compiled plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.cache.lock().unwrap().len())
-            .sum()
+        self.shared.cache.lock().unwrap().len()
     }
 
     /// The installed flight recorder, if any (the HTTP sidecar's
     /// `/debug/requests` endpoint dumps it).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shards[0].cfg.recorder.as_ref()
+        self.shared.cfg.recorder.as_ref()
     }
 
-    /// Graceful shutdown: stops admission on every shard, drains every
-    /// queued job, and joins the workers. Idempotent; also invoked by
-    /// `Drop`.
+    /// Graceful shutdown: stops admission, drains every queued job, and
+    /// joins the workers. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        for shard in &self.shards {
-            let mut queue = shard.queue.lock().unwrap();
-            queue.accepting = false;
-            // Wake idle workers (to observe the flag and exit) and any
-            // submitters parked on backpressure (to reject).
-            shard.job_available.notify_all();
-            shard.space_available.notify_all();
-        }
+        let shared = &*self.shared;
+        shared.queue.lock().unwrap().accepting = false;
+        // Wake idle workers (to observe the flag and exit) and any
+        // submitters parked on backpressure (to reject).
+        shared.job_available.notify_all();
+        shared.space_available.notify_all();
         for h in std::mem::take(&mut *self.workers.lock().unwrap()) {
             let _ = h.join();
         }
@@ -969,11 +826,9 @@ impl Runtime {
     /// against a [`Runtime::without_workers`] runtime.
     #[cfg(test)]
     pub(crate) fn drain_for_test(&self) {
-        for shard in &self.shards {
-            shard.queue.lock().unwrap().accepting = false;
-            shard.job_available.notify_all();
-            worker_loop(shard);
-        }
+        self.shared.queue.lock().unwrap().accepting = false;
+        self.shared.job_available.notify_all();
+        worker_loop(&self.shared);
     }
 }
 
@@ -983,7 +838,7 @@ impl Drop for Runtime {
     }
 }
 
-/// Queues one turn of a session's frame runner on the session's shard.
+/// Queues one turn of a session's frame runner.
 ///
 /// Runners bypass queue capacity and the QoS shed thresholds on purpose:
 /// at most one runner per open session ever exists, the per-session
@@ -1217,16 +1072,10 @@ fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
 }
 
 impl Shared {
-    /// Pushes `job` onto the locked queue with its tenant's weight, raises
-    /// the high-water mark and wakes one worker; returns the new depth.
+    /// Pushes `job` onto the locked queue, raises the high-water mark and
+    /// wakes one worker; returns the new depth.
     fn push(&self, queue: &mut QueueState, job: Job) -> u64 {
-        let weight = self
-            .cfg
-            .tenant_weights
-            .iter()
-            .find(|(t, _)| *t == job.tenant)
-            .map_or(1, |(_, w)| *w);
-        queue.push(job, weight);
+        queue.push(job);
         let depth = queue.len as u64;
         self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
         self.job_available.notify_one();
@@ -1878,6 +1727,7 @@ mod tests {
         assert_eq!(snap.runtime.cache_evictions, 0);
         let json = snap.to_json();
         assert!(json.contains("\"cache_size\":1"));
+        assert!(json.contains("\"cache_evictions\":0,\"sessions_open\":0}"));
         assert!(kfuse_obs::validate_prometheus(&snap.to_prometheus()).is_ok());
     }
 
@@ -1900,10 +1750,10 @@ mod tests {
         (order, probe)
     }
 
-    /// Satellite regression for cross-tenant fairness: a tenant flooding
-    /// the queue no longer head-of-line blocks a light tenant. Under the
-    /// seed's FIFO the light tenant's jobs sat behind the entire flood
-    /// (positions 13–15); under weighted-fair queueing they interleave
+    /// Regression for cross-tenant fairness: a tenant flooding the queue
+    /// no longer head-of-line blocks a light tenant. Under a plain FIFO
+    /// the light tenant's jobs sat behind the entire flood (positions
+    /// 13–15); under per-tenant round-robin they interleave
     /// one-for-one, so the light tenant's queue wait — and hence its p99
     /// and deadline-miss rate — is bounded by rounds, not by the flood's
     /// backlog.
@@ -1984,72 +1834,6 @@ mod tests {
         );
     }
 
-    /// A tenant with weight w drains up to w consecutive jobs per
-    /// round-robin turn; unlisted tenants get one.
-    #[test]
-    fn tenant_weights_grant_proportional_turns() {
-        let (p, input, _) = blur_pipeline(5, 5);
-        let rt = Runtime::without_workers(RuntimeConfig {
-            queue_capacity: 16,
-            tenant_weights: vec![("paying".to_string(), 2)],
-            ..RuntimeConfig::default()
-        });
-        let img = synthetic_image(p.image(input).clone(), 1);
-        let (order, probe) = order_probe();
-        for i in 0..4 {
-            let h = rt
-                .submit("paying", &p, vec![(input, img.clone())], Schedule::Baseline)
-                .unwrap();
-            probe(h, &format!("p{i}"));
-        }
-        for i in 0..4 {
-            let h = rt
-                .submit("free", &p, vec![(input, img.clone())], Schedule::Baseline)
-                .unwrap();
-            probe(h, &format!("f{i}"));
-        }
-        rt.drain_for_test();
-        let order = order.lock().unwrap();
-        // Weight 2 vs 1: paying drains two per turn, free one.
-        assert_eq!(*order, vec!["p0", "p1", "f0", "p2", "p3", "f1", "f2", "f3"]);
-    }
-
-    /// The per-tenant share cap sheds a flooding tenant's overflow at
-    /// admission with `QueueFull`, leaving the rest of the queue for
-    /// everyone else; the sheds are counted separately from plain
-    /// full-queue rejections.
-    #[test]
-    fn tenant_share_cap_sheds_flood_overflow() {
-        let (p, input, _) = blur_pipeline(5, 5);
-        let rt = Runtime::without_workers(RuntimeConfig {
-            queue_capacity: 16,
-            max_tenant_share: 0.25, // 4 slots
-            admission: Admission::Block,
-            ..RuntimeConfig::default()
-        });
-        let img = synthetic_image(p.image(input).clone(), 1);
-        for _ in 0..4 {
-            rt.submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
-                .unwrap();
-        }
-        for _ in 0..3 {
-            let err = rt
-                .submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
-                .unwrap_err();
-            assert!(matches!(err, RuntimeError::QueueFull));
-        }
-        // Another tenant still has the whole remaining queue.
-        rt.submit("light", &p, vec![(input, img)], Schedule::Baseline)
-            .unwrap();
-        let snap = rt.metrics();
-        let flood = snap.pipeline("flood").unwrap();
-        assert_eq!(flood.requests, 7);
-        assert_eq!(flood.shed, 3);
-        assert_eq!(flood.rejected, 0, "sheds are not plain rejections");
-        assert_eq!(snap.pipeline("light").unwrap().shed, 0);
-        assert_eq!(snap.runtime.queue_depth, 5);
-    }
-
     /// Queue-pressure thresholds shed Low before Normal and never High:
     /// with capacity 8, low sheds at depth ≥ 2, normal at ≥ 4, and High
     /// is only refused by the full queue (here: admission `Reject`).
@@ -2105,49 +1889,6 @@ mod tests {
         assert_eq!(t.shed, 2);
         assert_eq!(t.rejected, 1);
         assert_eq!(m.runtime.queue_depth, 8);
-    }
-
-    /// Sharding routes by fingerprint: the same structure always lands on
-    /// the same shard, so warm traffic keeps exactly the unsharded hit
-    /// pattern (1 miss then hits, per fingerprint) while distinct
-    /// structures spread across shards. Results stay bit-identical to the
-    /// reference interpreter.
-    #[test]
-    fn sharded_runtime_keeps_fingerprint_affinity_and_bit_identity() {
-        let shapes: Vec<(usize, usize)> = vec![(9, 9), (11, 7), (13, 13), (15, 9), (17, 11)];
-        let rt = Runtime::new(RuntimeConfig {
-            shards: 4,
-            workers: 1,
-            ..RuntimeConfig::default()
-        });
-        assert_eq!(rt.shard_count(), 4);
-        for &(w, h) in &shapes {
-            let (p, input, out) = blur_pipeline(w, h);
-            let img = synthetic_image(p.image(input).clone(), 7);
-            let reference = kfuse_sim::execute_reference(&p, &[(input, img.clone())]).unwrap();
-            for _ in 0..3 {
-                let exec = rt
-                    .execute("t", &p, vec![(input, img.clone())], Schedule::Optimized)
-                    .unwrap();
-                assert!(exec
-                    .expect_image(out)
-                    .bit_equal(reference.expect_image(out)));
-            }
-        }
-        let snap = rt.metrics();
-        assert_eq!(snap.runtime.shards, 4);
-        let m = snap.pipeline("t").unwrap();
-        // Affinity: per distinct structure, exactly one cold miss — the
-        // same as an unsharded runtime. Without fingerprint routing the
-        // repeats could land on shards that never compiled the plan.
-        assert_eq!(m.cache_misses, shapes.len() as u64);
-        assert_eq!(m.cache_hits, 2 * shapes.len() as u64);
-        // The merged per-fingerprint stats agree.
-        for s in &snap.fingerprints {
-            assert_eq!(s.misses, 1);
-            assert_eq!(s.hits, 2);
-        }
-        rt.shutdown();
     }
 
     /// `on_ready` fires exactly once with the job's result — on the worker

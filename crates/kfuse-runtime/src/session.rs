@@ -1,14 +1,12 @@
-//! Streaming sessions: stateful frame-by-frame serving on the shared
-//! worker pools.
+//! Streaming sessions: stateful frame-by-frame serving on the runtime's
+//! worker pool.
 //!
-//! A session pins a [`kfuse_stream::StreamSession`] — a compiled plan plus
-//! the temporal state rings it carries between frames — to the shard its
-//! stream fingerprint routes to, so every frame of the session reuses the
-//! plan the shard already compiled and the state planes never cross
-//! shards. Frames are *submitted* ([`Runtime::submit_frame`]) into a
-//! per-session pending FIFO and *executed* by a session runner — a
-//! `Payload::Session` job on the shard's ordinary work
-//! queue. The whole in-order guarantee rests on one invariant:
+//! A session holds a [`kfuse_stream::StreamSession`] — a compiled plan
+//! from the runtime's plan cache plus the temporal state rings it carries
+//! between frames. Frames are *submitted* ([`Runtime::submit_frame`]) into
+//! a per-session pending FIFO and *executed* by a session runner — a
+//! `Payload::Session` job on the runtime's ordinary work queue. The whole
+//! in-order guarantee rests on one invariant:
 //!
 //! > **At most one runner per session is ever queued or running**, and
 //! > `pending` is non-empty only while `runner_queued` holds.
@@ -16,9 +14,9 @@
 //! The single runner drains the FIFO front-to-back, so a session's frames
 //! execute in submission order on *some* worker (frame N−1's state is
 //! always in the rings before frame N steps), while distinct sessions run
-//! concurrently across workers and shards. A runner yields the queue after
-//! a bounded turn (`TURN_FRAMES`) and re-enqueues itself, so one
-//! firehose session cannot starve a shard's stateless traffic.
+//! concurrently across workers. A runner yields the queue after a bounded
+//! turn (`TURN_FRAMES`) and re-enqueues itself, so one firehose session
+//! cannot starve stateless traffic.
 //!
 //! A frame is a unit of work like any stateless job: it is answered
 //! through the same [`Handle`] ([`FrameHandle`]), and the runner hands
@@ -39,8 +37,8 @@
 //! session (its state rings can no longer be trusted) but never kills the
 //! worker.
 //!
-//! Lock order is `state → session → shard queue`; no path takes them in
-//! any other order. Submitters only ever touch `state` (the pending FIFO),
+//! Lock order is `state → session → queue`; no path takes them in any
+//! other order. Submitters only ever touch `state` (the pending FIFO),
 //! never `session` (the rings), so admission stays fast while a frame
 //! executes.
 
@@ -60,13 +58,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Frames a runner may execute before re-enqueueing itself, so a saturated
-/// session shares its shard's workers with everyone else at queue
-/// granularity.
+/// session shares the workers with everyone else at queue granularity.
 const TURN_FRAMES: usize = 16;
 
-/// The open-session registry: id → entry. Lives on the [`Runtime`] (not a
-/// shard) because ids are runtime-global; each entry remembers its own
-/// shard routing via the stream fingerprint.
+/// The open-session registry: id → entry.
 #[derive(Default)]
 pub(crate) struct SessionTable {
     entries: Mutex<HashMap<u64, Arc<SessionEntry>>>,
@@ -139,14 +134,11 @@ pub struct SessionStats {
 }
 
 /// One open session. Shared between the submit path, the runner job on
-/// the shard queue, and the registry; the `Arc` keeps an entry alive for
+/// the queue, and the registry; the `Arc` keeps an entry alive for
 /// a runner even after `close_session` removes it from the table.
 pub(crate) struct SessionEntry {
     pub(crate) tenant: String,
     pub(crate) priority: Priority,
-    /// Shard routing key: the stream fingerprint this session was opened
-    /// under (frames must follow the plan to its shard).
-    fingerprint: u64,
     pub(crate) metrics: Arc<PipelineMetrics>,
     stats: Counters,
     state: Mutex<SessionState>,
@@ -201,8 +193,8 @@ impl Runtime {
     /// Opens a streaming session with an explicit [`Priority`] for its
     /// frame runner.
     ///
-    /// The per-frame plan is obtained through the owning shard's plan
-    /// cache under the same `(fingerprint, schedule, exec)` key the
+    /// The per-frame plan is obtained through the runtime's plan cache
+    /// under the same `(fingerprint, schedule, exec)` key the
     /// stateless path uses, so a session and ordinary submissions of the
     /// same pipeline share one compiled plan, pinned for the session's
     /// lifetime.
@@ -213,8 +205,7 @@ impl Runtime {
         schedule: Schedule,
         priority: Priority,
     ) -> Result<u64, RuntimeError> {
-        let fingerprint = stream.fingerprint();
-        let shared = self.shard_for(fingerprint);
+        let shared = &*self.shared;
         let frame = stream.frame();
         let key = PlanKey {
             fingerprint: frame.fingerprint(),
@@ -224,12 +215,11 @@ impl Runtime {
         let (entry, _) = shared.plan_for(key, frame, &Tracer::disabled(), RuntimeError::Stream)?;
         let session = StreamSession::with_plan(stream.clone(), entry.plan, shared.cfg.exec)
             .map_err(|e| RuntimeError::Stream(e.to_string()))?;
-        let metrics = self.registry().handle(tenant);
+        let metrics = shared.metrics.handle(tenant);
         let id = self.sessions.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(SessionEntry {
             tenant: tenant.to_string(),
             priority,
-            fingerprint,
             metrics,
             stats: Counters::default(),
             state: Mutex::new(SessionState {
@@ -274,7 +264,7 @@ impl Runtime {
             .get(id)
             .ok_or(RuntimeError::UnknownSession(id))?;
         entry.metrics.record_request();
-        let shared = self.shard_for(entry.fingerprint);
+        let shared = &*self.shared;
         let mut state = entry.state.lock().unwrap_or_else(PoisonError::into_inner);
         match state.phase {
             Phase::Open => {}
@@ -289,7 +279,7 @@ impl Runtime {
                 return Err(RuntimeError::SessionClosed);
             }
         }
-        // The per-session backlog is bounded like a shard queue: a client
+        // The per-session backlog is bounded like the queue: a client
         // outrunning its session's throughput is shed, not buffered
         // without limit.
         if state.pending.len() >= shared.cfg.queue_capacity {
@@ -525,8 +515,8 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A session's plan comes from (and lands in) the owning shard's
-    /// plan cache, shared with the stateless submit path.
+    /// A session's plan comes from (and lands in) the runtime's plan
+    /// cache, shared with the stateless submit path.
     #[test]
     fn sessions_share_the_plan_cache() {
         let rt = Runtime::new(RuntimeConfig::default());
@@ -706,9 +696,10 @@ mod tests {
     }
 
     /// Conservation over the one job path: with stateless and session
-    /// traffic mixed on one runtime — a full-queue reject, a shed, expired
-    /// deadlines, a bad frame, a drained-session refusal and a close with
-    /// frames still pending — every request of every tenant ends in
+    /// traffic mixed on one runtime — a full-queue reject, a frame shed at
+    /// its session's backlog bound, expired deadlines, a bad frame, a
+    /// drained-session refusal and a close with frames still pending —
+    /// every request of every tenant ends in
     /// exactly one terminal counter, and the gauges return to rest.
     #[test]
     fn every_request_gets_exactly_one_terminal_outcome() {
@@ -717,7 +708,6 @@ mod tests {
         let rt = Runtime::without_workers(RuntimeConfig {
             queue_capacity: 4,
             admission: Admission::Reject,
-            max_tenant_share: 0.5,
             ..RuntimeConfig::default()
         });
         let stream = denoise(11, 9);
@@ -741,10 +731,9 @@ mod tests {
         frames_ok.push(rt.submit_frame(s1, seq[0].clone()).unwrap());
         let bad = rt.submit_frame(s1, Vec::new()).unwrap();
         frames_ok.push(rt.submit_frame(s1, seq[1].clone()).unwrap());
-        // Tenant "a" fills its share (2 of 4 slots); a third is shed.
+        // Tenant "a" queues two jobs beside the runner.
         jobs_ok.push(submit("a", None).unwrap());
         jobs_ok.push(submit("a", None).unwrap());
-        assert!(matches!(submit("a", None), Err(RuntimeError::QueueFull)));
         // Tenant "b": dead on arrival, then one that expires in the queue.
         let past = Instant::now() - Duration::from_millis(1);
         assert!(matches!(
@@ -764,15 +753,22 @@ mod tests {
             rt.submit_frame(s2, seq[1].clone()),
             Err(RuntimeError::SessionDraining)
         ));
-        // Session 3 closes with three frames still pending.
+        // Session 3 fills its backlog (queue_capacity frames), so the next
+        // frame is shed; it then closes with all four still pending.
         let s3 = rt
             .open_session("cam", &stream, Schedule::Optimized)
             .unwrap();
-        let closed: Vec<FrameHandle> = seq[..3]
+        let closed: Vec<FrameHandle> = seq
             .iter()
             .map(|fresh| rt.submit_frame(s3, fresh.clone()).unwrap())
             .collect();
-        rt.close_session(s3).unwrap();
+        assert!(matches!(
+            rt.submit_frame(s3, seq[0].clone()),
+            Err(RuntimeError::QueueFull)
+        ));
+        let cam_stats = rt.close_session(s3).unwrap();
+        assert_eq!(cam_stats.frames_submitted, 4);
+        assert_eq!(cam_stats.frames_rejected, 1);
 
         std::thread::sleep(Duration::from_millis(40));
         rt.drain_for_test();
@@ -807,7 +803,8 @@ mod tests {
         let vid = snap.pipeline("vid").unwrap();
         assert_eq!((vid.requests, vid.completed, vid.errors), (5, 3, 1));
         assert_eq!(vid.rejected, 1);
-        assert_eq!(snap.pipeline("cam").unwrap().errors, 3);
+        let cam = snap.pipeline("cam").unwrap();
+        assert_eq!((cam.requests, cam.errors, cam.shed), (5, 4, 1));
         assert_eq!(snap.runtime.in_flight, 0);
         assert_eq!(snap.runtime.queue_depth, 0);
         assert_eq!(snap.runtime.sessions_open, 0);
