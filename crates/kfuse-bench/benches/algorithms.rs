@@ -18,7 +18,8 @@ use kfuse_dsl::{c, v, Mask, PipelineBuilder};
 use kfuse_graph::MinCutGraph;
 use kfuse_ir::{BorderMode, Pipeline};
 use kfuse_model::{BenefitModel, BlockShape, GpuSpec};
-use kfuse_sim::{analyze_pipeline, execute, synthetic_image};
+use kfuse_paper::analyze_pipeline;
+use kfuse_sim::{execute, synthetic_image};
 use std::hint::black_box;
 use std::time::Instant;
 

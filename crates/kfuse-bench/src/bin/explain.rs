@@ -18,9 +18,8 @@
 //! Run with `cargo run --release -p kfuse-bench --bin explain -- harris`
 //! (app name is case-insensitive; default is `all`).
 
-use kfuse_bench::eval_config;
-use kfuse_core::{plan_optimized, PlanTrace};
-use kfuse_model::GpuSpec;
+use kfuse_core::{plan_optimized, FusionConfig, PlanTrace};
+use kfuse_model::{BenefitModel, GpuSpec};
 
 fn main() {
     let mut separable = false;
@@ -49,7 +48,7 @@ fn main() {
         found
     };
 
-    let mut cfg = eval_config(&GpuSpec::gtx680());
+    let mut cfg = FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()));
     if separable {
         cfg = cfg.with_separable();
         println!("separable φ: recompute priced at the factored 1-D tap cost\n");

@@ -8,8 +8,8 @@
 //!    [`kfuse_obs::validate_chrome_trace`] and contains at least one
 //!    `kernel:` span per kernel per request plus the
 //!    `queue_wait`/`plan`/`execute` serving spans, and every plan-cache
-//!    miss's `plan` span holds one `fuse`, `lower` and `price` span while
-//!    a hit's holds none;
+//!    miss's `plan` span holds one `fuse` and one `lower` span while a
+//!    hit's holds none;
 //! 2. the traced results are bit-identical to the reference interpreter
 //!    (tracing must be observation, never perturbation);
 //! 3. [`kfuse_runtime::MetricsSnapshot::to_json`] parses with
@@ -142,7 +142,7 @@ fn main() {
 
     println!(
         "trace_check OK: {} events ({} spans, {} kernel spans, {} counters) over {} requests \
-         ({misses} plan misses with fuse/lower/price, {hits} hits without); \
+         ({misses} plan misses with fuse/lower, {hits} hits without); \
          {} prometheus samples; trace written to {}",
         stats.events,
         stats.complete_spans,
@@ -157,7 +157,7 @@ fn main() {
 }
 
 /// Checks that each `plan` span with `cache: miss` holds exactly one
-/// `fuse`, one `lower` and one `price` span on its thread, and that each
+/// `fuse` and one `lower` span on its thread, and that each
 /// with `cache: hit` holds none. Returns the (miss, hit) counts; fails
 /// unless both are non-zero.
 fn check_miss_attribution(events: &[Event]) -> (usize, usize) {
@@ -172,7 +172,7 @@ fn check_miss_attribution(events: &[Event]) -> (usize, usize) {
             continue;
         };
         let is_miss = plan.args.iter().any(|(k, v)| *k == "cache" && *v == miss);
-        for phase in ["fuse", "lower", "price"] {
+        for phase in ["fuse", "lower"] {
             let inside = events
                 .iter()
                 .filter(|e| e.name == phase && e.tid == plan.tid)

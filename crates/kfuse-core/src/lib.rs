@@ -22,8 +22,6 @@
 //!   or a Graphviz DOT graph.
 //! * [`basic`] — the pair-wise greedy baseline of previous work
 //!   (SCOPES 2018, reference \[12\]), used as the evaluation comparator.
-//! * [`greedy`] — a PolyMage/Halide-style heaviest-edge-first grouping
-//!   comparator for the ablation benches.
 //!
 //! # Quick start
 //!
@@ -55,7 +53,6 @@
 
 pub mod basic;
 pub mod explain;
-pub mod greedy;
 pub mod legality;
 pub mod planner;
 pub mod policy;
@@ -65,7 +62,6 @@ pub mod synthesis;
 
 pub use basic::{basic_edge_is_fusible, fuse_basic, plan_basic};
 pub use explain::{EdgeExplain, PlanTrace};
-pub use greedy::{fuse_greedy, plan_greedy};
 pub use legality::{check_block, edge_is_legal, BlockInfo, Illegal};
 pub use planner::{
     apply_partition, apply_plan, block_legality, compute_edge_weights, fuse_optimized, objective,

@@ -22,7 +22,7 @@
 //! functions read their external inputs through bordered *global* loads
 //! rather than through the tile (device functions cannot capture
 //! `__shared__` arrays without threading pointers through every call); the
-//! traffic difference is what `kfuse-sim`'s cost model charges, and the
+//! traffic difference is what the [`crate::cost`] model charges, and the
 //! values are identical.
 
 use crate::expr::{emit_expr, float_lit, LoadEmitter};

@@ -7,11 +7,11 @@
 //! as the paper's appendix prescribes ("the gains in Table 1 and Table 2
 //! can be derived from the median value of the obtained statistics").
 
+use crate::timing::{noisy_runs, RunStats, TimingModel};
 use kfuse_apps::{paper_apps, App};
 use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{noisy_runs, RunStats, TimingModel};
 
 /// One cell of the evaluation matrix.
 #[derive(Clone, Debug)]

@@ -18,8 +18,9 @@
 //! to merges bottom-up and cannot "see" that cutting a cheap edge frees a
 //! large legal block.
 
-use crate::planner::{
-    compute_edge_weights, objective, FusionConfig, FusionPlan, Trace, TraceEvent,
+use kfuse_core::{
+    apply_partition, block_legality, compute_edge_weights, objective, FusionConfig, FusionPlan,
+    FusionResult, Trace, TraceEvent,
 };
 use kfuse_graph::{Block, NodeId, Partition};
 use kfuse_ir::{KernelId, Pipeline};
@@ -57,7 +58,7 @@ pub fn plan_greedy(p: &Pipeline, cfg: &FusionConfig) -> FusionPlan {
             let mut candidate = blocks[bi].clone();
             candidate.extend(blocks[bj].iter().copied());
             candidate.sort_unstable();
-            if crate::planner::block_legality(p, &candidate, &edges, cfg).is_ok() {
+            if block_legality(p, &candidate, &edges, cfg).is_ok() {
                 trace.events.push(TraceEvent::Ready {
                     members: candidate
                         .iter()
@@ -94,10 +95,10 @@ pub fn plan_greedy(p: &Pipeline, cfg: &FusionConfig) -> FusionPlan {
 }
 
 /// One-call greedy fusion (optimized codegen, like Algorithm 1's output).
-pub fn fuse_greedy(p: &Pipeline, cfg: &FusionConfig) -> crate::planner::FusionResult {
+pub fn fuse_greedy(p: &Pipeline, cfg: &FusionConfig) -> FusionResult {
     let plan = plan_greedy(p, cfg);
-    let pipeline = crate::planner::apply_partition(p, &plan.partition, true);
-    crate::planner::FusionResult { pipeline, plan }
+    let pipeline = apply_partition(p, &plan.partition, true);
+    FusionResult { pipeline, plan }
 }
 
 #[cfg(test)]
@@ -190,7 +191,7 @@ mod tests {
 
         let config = cfg();
         let greedy = fuse_greedy(&p, &config);
-        let mincut = crate::planner::fuse_optimized(&p, &config);
+        let mincut = kfuse_core::fuse_optimized(&p, &config);
         // Algorithm 1 fuses the whole diamond; greedy fuses nothing.
         assert_eq!(mincut.pipeline.kernels().len(), 1);
         assert_eq!(greedy.pipeline.kernels().len(), 4);

@@ -37,11 +37,6 @@ pub struct CachedPlan {
     pub layout: u64,
     /// The compiled plan, shared with any in-flight executions.
     pub plan: Arc<CompiledPlan>,
-    /// Modeled execute time (µs) of one run of this plan under the
-    /// planning policy's cost model, priced at compile time. Divided into
-    /// observed execute times it yields the per-fingerprint model-fidelity
-    /// ratio the metrics export (0 = not priced).
-    pub modeled_us: f64,
 }
 
 /// Hit/miss tallies for one structural fingerprint, across every
@@ -243,7 +238,6 @@ mod tests {
         CachedPlan {
             layout: p.binding_fingerprint(),
             plan: Arc::new(CompiledPlan::compile(&p).unwrap()),
-            modeled_us: 0.0,
         }
     }
 
@@ -333,7 +327,6 @@ mod tests {
         let foreign = CachedPlan {
             layout: layout.wrapping_add(1),
             plan,
-            modeled_us: 0.0,
         };
         c.insert(key(1), foreign);
         assert_eq!(c.len(), 1);

@@ -67,8 +67,8 @@ pub mod session;
 
 pub use cache::{CachedPlan, FingerprintStats, PlanCache, PlanKey};
 pub use metrics::{
-    FidelitySnapshot, LatencyExemplar, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
-    PipelineMetrics, PipelineSnapshot, RuntimeGauges,
+    LatencyExemplar, LatencyHistogram, MetricsRegistry, MetricsSnapshot, PipelineMetrics,
+    PipelineSnapshot, RuntimeGauges,
 };
 pub use runtime::{Admission, Handle, JobHandle, Priority, Runtime, RuntimeConfig, RuntimeError};
 pub use session::{FrameHandle, SessionStats};

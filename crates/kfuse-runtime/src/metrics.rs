@@ -286,25 +286,11 @@ impl PipelineMetrics {
     }
 }
 
-/// Distinct fingerprints tracked for model fidelity; same bound rationale
-/// as the plan cache's stats table — at the cap, new fingerprints go
-/// untracked while existing accumulators keep counting.
-const MAX_FIDELITY_FINGERPRINTS: usize = 64;
-
-/// Running observed-vs-modeled execute-time sums for one fingerprint.
-#[derive(Clone, Copy, Debug, Default)]
-struct FidelityAccum {
-    jobs: u64,
-    observed_us: u64,
-    modeled_us: f64,
-}
-
 /// Registry of per-pipeline metrics, keyed by the caller-supplied
-/// pipeline (tenant) name, plus the per-fingerprint model-fidelity table.
+/// pipeline (tenant) name.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<HashMap<String, Arc<PipelineMetrics>>>,
-    fidelity: Mutex<HashMap<u64, FidelityAccum>>,
 }
 
 impl MetricsRegistry {
@@ -315,71 +301,18 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// Accumulates one executed job into the per-fingerprint fidelity
-    /// table: `observed_us` measured on this host, `modeled_us` priced by
-    /// the planning policy's cost model at plan-compile time. Unpriced
-    /// plans (`modeled_us` non-positive or non-finite) record nothing — a
-    /// ratio against a meaningless denominator is worse than no ratio.
-    pub fn record_fidelity(&self, fingerprint: u64, observed_us: u64, modeled_us: f64) {
-        if !(modeled_us.is_finite() && modeled_us > 0.0) {
-            return;
-        }
-        let mut map = self.fidelity.lock().unwrap();
-        if map.len() >= MAX_FIDELITY_FINGERPRINTS && !map.contains_key(&fingerprint) {
-            return;
-        }
-        let acc = map.entry(fingerprint).or_default();
-        acc.jobs += 1;
-        acc.observed_us = acc.observed_us.saturating_add(observed_us);
-        acc.modeled_us += modeled_us;
-    }
-
     /// A point-in-time snapshot of every pipeline, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.inner.lock().unwrap();
         let mut pipelines: Vec<PipelineSnapshot> = map.iter().map(|(n, m)| m.snapshot(n)).collect();
         drop(map);
         pipelines.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut fidelity: Vec<FidelitySnapshot> = self
-            .fidelity
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&fingerprint, acc)| FidelitySnapshot {
-                fingerprint,
-                jobs: acc.jobs,
-                observed_us: acc.observed_us,
-                modeled_us: acc.modeled_us,
-                ratio: acc.observed_us as f64 / acc.modeled_us,
-            })
-            .collect();
-        fidelity.sort_by(|a, b| b.jobs.cmp(&a.jobs).then(a.fingerprint.cmp(&b.fingerprint)));
         MetricsSnapshot {
             pipelines,
             runtime: RuntimeGauges::default(),
             fingerprints: Vec::new(),
-            fidelity,
         }
     }
-}
-
-/// Frozen observed-vs-modeled execute-time accounting for one structural
-/// fingerprint: does the cost model the planner prices fusion decisions
-/// with still track what executions actually cost on this host? The
-/// absolute ratio is scale-arbitrary (model cycles vs host wall time);
-/// its *drift across fingerprints and over time* is the fidelity signal.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FidelitySnapshot {
-    /// Structural pipeline fingerprint.
-    pub fingerprint: u64,
-    /// Executed jobs accumulated.
-    pub jobs: u64,
-    /// Sum of observed execute wall time (µs).
-    pub observed_us: u64,
-    /// Sum of modeled execute time (µs) under the planning cost model.
-    pub modeled_us: f64,
-    /// `observed_us / modeled_us`.
-    pub ratio: f64,
 }
 
 /// Frozen metrics for one pipeline.
@@ -435,7 +368,8 @@ pub struct PipelineSnapshot {
 /// counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeGauges {
-    /// Jobs admitted but not yet picked up by a worker.
+    /// Stateless jobs admitted but not yet picked up by a worker. Queued
+    /// session runners are not counted (at most one per open session).
     pub queue_depth: u64,
     /// Deepest the queue has ever been since startup (high-water mark):
     /// instantaneous depth sampled at scrape time misses bursts between
@@ -463,9 +397,6 @@ pub struct MetricsSnapshot {
     /// (see [`crate::cache::FingerprintStats`]): a plan-cache diagnostic
     /// showing which pipeline structures miss, and how often.
     pub fingerprints: Vec<crate::cache::FingerprintStats>,
-    /// Per-fingerprint observed-vs-modeled execute-time accounting,
-    /// most-executed first.
-    pub fidelity: Vec<FidelitySnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -547,21 +478,6 @@ impl MetricsSnapshot {
             out.push_str(&format!(
                 "{{\"fingerprint\":\"{:016x}\",\"hits\":{},\"misses\":{}}}",
                 s.fingerprint, s.hits, s.misses
-            ));
-        }
-        out.push_str("],\"fidelity\":[");
-        for (i, f) in self.fidelity.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fingerprint\":\"{:016x}\",\"jobs\":{},\"observed_us\":{},\
-                 \"modeled_us\":{},\"ratio\":{}}}",
-                f.fingerprint,
-                f.jobs,
-                f.observed_us,
-                fmt_json_f64(f.modeled_us),
-                fmt_json_f64(f.ratio),
             ));
         }
         out.push_str("]}");
@@ -779,35 +695,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        if !self.fidelity.is_empty() {
-            w.family(
-                "kfuse_execute_fidelity_ratio",
-                "gauge",
-                "Observed over modeled execute time per structural fingerprint; \
-                 drift flags pipelines the planner's cost model mis-prices.",
-            );
-            for f in &self.fidelity {
-                let fp = format!("{:016x}", f.fingerprint);
-                w.sample(
-                    "kfuse_execute_fidelity_ratio",
-                    &[("fingerprint", &fp)],
-                    f.ratio,
-                );
-            }
-            w.family(
-                "kfuse_execute_observed_us_total",
-                "counter",
-                "Observed execute wall time (µs) per structural fingerprint.",
-            );
-            for f in &self.fidelity {
-                let fp = format!("{:016x}", f.fingerprint);
-                w.sample(
-                    "kfuse_execute_observed_us_total",
-                    &[("fingerprint", &fp)],
-                    f.observed_us as f64,
-                );
-            }
-        }
         w.finish()
     }
 }
@@ -957,7 +844,7 @@ mod tests {
         let doc = snap.to_prometheus();
         // 9 counter families × 2 pipelines + 3 quantiles × 2 pipelines
         // + 1 mean × 2 pipelines + 2 SLO counters × 2 + 2 SLO gauges × 2
-        // + 7 runtime samples (no exemplars or fidelity rows recorded).
+        // + 7 runtime samples (no exemplars recorded).
         assert_eq!(kfuse_obs::validate_prometheus(&doc).unwrap(), 41);
         assert!(doc.contains("# TYPE kfuse_requests_total counter"));
         assert!(doc.contains("kfuse_queue_depth_hwm 9"));
@@ -1178,54 +1065,5 @@ mod tests {
             "kfuse_request_latency_exemplar_us{pipeline=\"t\",trace_id=\"000000000000feed\"} 111"
         ));
         kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
-    }
-
-    /// Per-fingerprint observed-vs-modeled accounting: ratios accumulate,
-    /// unpriced plans are skipped, the table is bounded, and both
-    /// exporters round-trip.
-    #[test]
-    fn fidelity_accounting_round_trips_and_is_bounded() {
-        let reg = MetricsRegistry::default();
-        reg.handle("t").record_request();
-        reg.record_fidelity(0xbeef, 200, 100.0);
-        reg.record_fidelity(0xbeef, 400, 100.0);
-        reg.record_fidelity(0x1, 50, 0.0); // unpriced: ignored
-        reg.record_fidelity(0x1, 50, f64::NAN); // insane: ignored
-        let snap = reg.snapshot();
-        assert_eq!(snap.fidelity.len(), 1);
-        let f = &snap.fidelity[0];
-        assert_eq!(f.fingerprint, 0xbeef);
-        assert_eq!(f.jobs, 2);
-        assert_eq!(f.observed_us, 600);
-        assert_eq!(f.ratio, 3.0); // 600 observed / 200 modeled
-
-        let json = snap.to_json();
-        assert!(json.contains(
-            "\"fidelity\":[{\"fingerprint\":\"000000000000beef\",\"jobs\":2,\
-             \"observed_us\":600,\"modeled_us\":200.0,\"ratio\":3.0}]"
-        ));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
-
-        let doc = snap.to_prometheus();
-        assert!(doc.contains("kfuse_execute_fidelity_ratio{fingerprint=\"000000000000beef\"} 3"));
-        assert!(
-            doc.contains("kfuse_execute_observed_us_total{fingerprint=\"000000000000beef\"} 600")
-        );
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
-
-        // Bounded table: past the cap, new fingerprints go untracked while
-        // tracked ones keep accumulating.
-        for fp in 0..(MAX_FIDELITY_FINGERPRINTS as u64 + 8) {
-            reg.record_fidelity(fp.wrapping_add(0x1000), 10, 10.0);
-        }
-        reg.record_fidelity(0xbeef, 100, 100.0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.fidelity.len(), MAX_FIDELITY_FINGERPRINTS);
-        let f = snap
-            .fidelity
-            .iter()
-            .find(|f| f.fingerprint == 0xbeef)
-            .unwrap();
-        assert_eq!(f.jobs, 3);
     }
 }

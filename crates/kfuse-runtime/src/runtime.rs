@@ -24,10 +24,9 @@
 //! 2. consults the shared LRU [`PlanCache`] under
 //!    `(fingerprint, schedule, exec config)` — reusing a plan only when the
 //!    layout hash also matches (see [`crate::cache`]),
-//! 3. on miss: runs the fusion planner (`kfuse_dsl::compile`), lowers
-//!    the fused pipeline to a [`CompiledPlan`] and prices it, caching the
-//!    result; each phase is a `fuse`, `lower` or `price` span inside the
-//!    request's `plan` span,
+//! 3. on miss: runs the fusion planner (`kfuse_dsl::compile`) and lowers
+//!    the fused pipeline to a [`CompiledPlan`], caching the result; each
+//!    phase is a `fuse` or `lower` span inside the request's `plan` span,
 //! 4. runs the plan ([`CompiledPlan::run`]) on the job's inputs under the
 //!    request's tracer, reusing the worker's persistent [`Scratch`] so the
 //!    steady state does not allocate.
@@ -57,7 +56,7 @@
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, PipelineMetrics, RuntimeGauges};
-use kfuse_core::{FusionConfig, PlanPolicy, StaticModelPolicy};
+use kfuse_core::{PlanPolicy, StaticModelPolicy};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_obs::{ActiveRequest, ArgValue, FlightRecorder, RequestOutcome, Tracer};
@@ -440,6 +439,14 @@ pub(crate) struct Job {
     payload: Payload,
 }
 
+impl Job {
+    /// A stateless job, as opposed to a session runner: only these count
+    /// toward the queue depth (see [`QueueState::len`]).
+    fn is_stateless(&self) -> bool {
+        matches!(self.payload, Payload::Pipeline(_))
+    }
+}
+
 pub(crate) enum Payload {
     /// A single stateless pipeline execution (the classic request path).
     Pipeline(PipelineJob),
@@ -512,8 +519,11 @@ impl ClassQueue {
 /// of per-tenant lanes.
 struct QueueState {
     classes: [ClassQueue; 3],
-    /// Total queued jobs across all classes (kept so depth checks do not
-    /// walk the lanes).
+    /// Queued stateless jobs across all classes (kept so depth checks do
+    /// not walk the lanes): what capacity, the pressure thresholds and the
+    /// `queue_depth` gauge count. Session runners stay out of it; they
+    /// bypass capacity, and at most one per open session is ever queued
+    /// (`sessions_open`).
     len: usize,
     accepting: bool,
 }
@@ -532,13 +542,13 @@ impl QueueState {
     }
 
     fn push(&mut self, job: Job) {
+        self.len += usize::from(job.is_stateless());
         self.classes[job.priority.index()].push(job);
-        self.len += 1;
     }
 
     fn pop(&mut self) -> Option<Job> {
         let job = self.classes.iter_mut().find_map(ClassQueue::pop)?;
-        self.len -= 1;
+        self.len -= usize::from(job.is_stateless());
         Some(job)
     }
 }
@@ -840,11 +850,12 @@ impl Drop for Runtime {
 
 /// Queues one turn of a session's frame runner.
 ///
-/// Runners bypass queue capacity and the QoS shed thresholds on purpose:
-/// at most one runner per open session ever exists, the per-session
-/// pending FIFO is bounded separately (see [`crate::session`]), and a
-/// runner that cannot be queued would strand already-accepted frames.
-/// Only a shut-down runtime refuses.
+/// Runners bypass queue capacity and the QoS shed thresholds on purpose,
+/// and are not counted in the queue depth: at most one runner per open
+/// session ever exists, the per-session pending FIFO is bounded
+/// separately (see [`crate::session`]), and a runner that cannot be
+/// queued would strand already-accepted frames. Only a shut-down runtime
+/// refuses.
 pub(crate) fn enqueue_session_runner(
     shared: &Shared,
     entry: &Arc<crate::session::SessionEntry>,
@@ -875,7 +886,10 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.queue.lock().unwrap();
             loop {
                 if let Some(job) = queue.pop() {
-                    shared.space_available.notify_one();
+                    // Only a stateless job held a slot a submitter waits for.
+                    if job.is_stateless() {
+                        shared.space_available.notify_one();
+                    }
                     break Some((job, queue.len));
                 }
                 if !queue.accepting {
@@ -1050,27 +1064,6 @@ fn fail_point_after_dequeue(tenant: &str) {
     );
 }
 
-/// Modeled wall time (µs) of one execution of `p` under the policy's cost
-/// model: per-launch thread costs priced with the model's constants plus
-/// launch overhead, converted through the modeled core clock. The absolute
-/// scale is the model GPU's, not this host's — what the metrics track is
-/// the per-fingerprint observed/modeled *ratio*, whose drift flags
-/// pipelines where the planner's cost model stopped tracking reality.
-fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
-    let model = &cfg.model;
-    let c = &model.gpu;
-    let mut cycles = 0.0;
-    for lc in kfuse_sim::analyze_pipeline(p, model.block) {
-        let t = &lc.per_thread;
-        let per_thread = t.alu * c.c_alu
-            + t.sfu * c.c_sfu
-            + t.shared_access * c.t_shared
-            + (t.dram_ld + t.dram_st) * c.t_global;
-        cycles += lc.threads as f64 * per_thread + model.gpu.launch_overhead_cycles();
-    }
-    cycles / (model.gpu.core_clock_hz() / 1e6)
-}
-
 impl Shared {
     /// Pushes `job` onto the locked queue, raises the high-water mark and
     /// wakes one worker; returns the new depth.
@@ -1083,8 +1076,8 @@ impl Shared {
     }
 
     /// The cache entry for `key` and whether the cache already had it: on
-    /// a miss `p` is fused, lowered, priced and inserted, each phase under
-    /// its own `tracer` span (`fuse`, `lower`, `price`); a hit records
+    /// a miss `p` is fused, lowered and inserted, each phase under its own
+    /// `tracer` span (`fuse`, `lower`); a hit records
     /// none. `p` is validated on a miss only (planning assumes a
     /// well-formed DAG); `invalid` turns the validation message into the
     /// caller's error.
@@ -1100,26 +1093,15 @@ impl Shared {
             return Ok((entry, true));
         }
         p.validate().map_err(|e| invalid(e.to_string()))?;
-        let fusion = self.cfg.policy.fusion_config();
         let fused = {
             let _span = tracer.span("fuse", "plan");
-            kfuse_dsl::compile(p, key.schedule, fusion)
+            kfuse_dsl::compile(p, key.schedule, self.cfg.policy.fusion_config())
         };
         let plan = {
             let _span = tracer.span("lower", "plan");
             Arc::new(CompiledPlan::compile(&fused)?)
         };
-        // Price the fused plan once at compile time; every execution
-        // divides its observed time by this for the fidelity ratio.
-        let modeled_us = {
-            let _span = tracer.span("price", "plan");
-            modeled_execute_us(plan.pipeline(), fusion)
-        };
-        let entry = CachedPlan {
-            layout,
-            plan,
-            modeled_us,
-        };
+        let entry = CachedPlan { layout, plan };
         self.cache.lock().unwrap().insert(key, entry.clone());
         Ok((entry, false))
     }
@@ -1136,9 +1118,8 @@ fn run_job(
     tracer: &Tracer,
 ) -> Result<Execution, RuntimeError> {
     let plan_start = tracer.now_us();
-    let fingerprint = pipeline.fingerprint();
     let key = PlanKey {
-        fingerprint,
+        fingerprint: pipeline.fingerprint(),
         schedule,
         exec: shared.cfg.exec,
     };
@@ -1149,9 +1130,7 @@ fn run_job(
     } else {
         meter.metrics.record_cache_miss();
     }
-    let CachedPlan {
-        plan, modeled_us, ..
-    } = planned?.0;
+    let plan = planned?.0.plan;
     if tracer.is_enabled() {
         tracer.complete(
             "plan",
@@ -1167,17 +1146,10 @@ fn run_job(
             ],
         );
     }
-    let exec_t0 = Instant::now();
-    let result = execute_span(tracer, meter.tenant, || {
+    execute_span(tracer, meter.tenant, || {
         plan.run(inputs, &shared.cfg.exec, scratch, tracer)
     })
-    .map_err(RuntimeError::Exec);
-    if result.is_ok() {
-        shared
-            .metrics
-            .record_fidelity(fingerprint, micros(exec_t0.elapsed()), modeled_us);
-    }
-    result
+    .map_err(RuntimeError::Exec)
 }
 
 #[cfg(test)]
@@ -1682,31 +1654,6 @@ mod tests {
         assert_eq!(m.slo_miss_rate, 1.0);
         // The latency histogram holds the trace id as a bucket exemplar.
         assert!(m.exemplars.iter().any(|e| e.trace_id == 0xdead));
-    }
-
-    /// Executed jobs feed the per-fingerprint model-fidelity table: the
-    /// plan is priced once at compile time and every execution divides
-    /// observed wall time by it.
-    #[test]
-    fn executions_accumulate_model_fidelity() {
-        let (p, input, _) = blur_pipeline(33, 27);
-        let rt = Runtime::new(small_cfg());
-        let img = synthetic_image(p.image(input).clone(), 5);
-        for _ in 0..3 {
-            rt.execute("t", &p, vec![(input, img.clone())], Schedule::Optimized)
-                .unwrap();
-        }
-        let snap = rt.metrics();
-        assert_eq!(snap.fidelity.len(), 1);
-        let f = &snap.fidelity[0];
-        assert_eq!(f.fingerprint, p.fingerprint());
-        assert_eq!(f.jobs, 3);
-        assert!(f.modeled_us > 0.0);
-        assert!(f.ratio.is_finite() && f.ratio >= 0.0);
-        assert!(snap.to_json().contains("\"fidelity\":[{\"fingerprint\":"));
-        assert!(snap
-            .to_prometheus()
-            .contains("kfuse_execute_fidelity_ratio"));
     }
 
     #[test]

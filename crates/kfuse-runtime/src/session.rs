@@ -731,9 +731,11 @@ mod tests {
         frames_ok.push(rt.submit_frame(s1, seq[0].clone()).unwrap());
         let bad = rt.submit_frame(s1, Vec::new()).unwrap();
         frames_ok.push(rt.submit_frame(s1, seq[1].clone()).unwrap());
-        // Tenant "a" queues two jobs beside the runner.
-        jobs_ok.push(submit("a", None).unwrap());
-        jobs_ok.push(submit("a", None).unwrap());
+        // Tenant "a" queues three jobs beside the runner, which takes no
+        // queue slot.
+        for _ in 0..3 {
+            jobs_ok.push(submit("a", None).unwrap());
+        }
         // Tenant "b": dead on arrival, then one that expires in the queue.
         let past = Instant::now() - Duration::from_millis(1);
         assert!(matches!(
@@ -808,6 +810,55 @@ mod tests {
         assert_eq!(snap.runtime.in_flight, 0);
         assert_eq!(snap.runtime.queue_depth, 0);
         assert_eq!(snap.runtime.sessions_open, 0);
+    }
+
+    /// Session runners take no queue slot: with three sessions holding
+    /// pending frames, a `Reject` queue still admits `queue_capacity`
+    /// stateless jobs, and neither the depth gauge nor its high-water
+    /// mark passes the capacity.
+    #[test]
+    fn session_runners_take_no_queue_slot() {
+        use crate::runtime::Admission;
+        const CAPACITY: usize = 4;
+        let rt = Runtime::without_workers(RuntimeConfig {
+            queue_capacity: CAPACITY,
+            admission: Admission::Reject,
+            ..RuntimeConfig::default()
+        });
+        let stream = denoise(11, 9);
+        let seq = frames(&stream, 1);
+        let frame_handles: Vec<FrameHandle> = (0..3)
+            .map(|_| {
+                let id = rt
+                    .open_session("vid", &stream, Schedule::Optimized)
+                    .unwrap();
+                rt.submit_frame(id, seq[0].clone()).unwrap()
+            })
+            .collect();
+        let p = stream.frame().clone();
+        let inputs: Vec<(ImageId, Image)> = p
+            .inputs()
+            .iter()
+            .map(|&id| (id, synthetic_image(p.image(id).clone(), 3)))
+            .collect();
+        let submit = || rt.submit("a", &p, inputs.clone(), Schedule::Optimized);
+        let jobs: Vec<_> = (1..=CAPACITY)
+            .map(|n| submit().unwrap_or_else(|e| panic!("stateless submit {n} refused: {e}")))
+            .collect();
+        assert!(matches!(submit(), Err(RuntimeError::QueueFull)));
+        let snap = rt.metrics();
+        assert_eq!(snap.runtime.queue_depth, CAPACITY as u64);
+        assert!(snap.runtime.queue_depth_hwm <= CAPACITY as u64);
+        assert_eq!(snap.runtime.sessions_open, 3);
+
+        rt.drain_for_test();
+        for h in frame_handles {
+            h.wait().unwrap();
+        }
+        for h in jobs {
+            h.wait().unwrap();
+        }
+        assert_eq!(rt.metrics().runtime.queue_depth, 0);
     }
 
     #[test]

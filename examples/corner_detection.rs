@@ -10,7 +10,8 @@ use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_ir::{Image, ImageDesc};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{execute, TimingModel};
+use kfuse_paper::TimingModel;
+use kfuse_sim::execute;
 
 /// A checkerboard image: strong corner responses at the cell junctions.
 fn checkerboard(size: usize, cell: usize) -> Image {

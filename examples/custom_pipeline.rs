@@ -9,7 +9,8 @@ use kfuse_core::{plan_optimized, FusionConfig, TraceEvent};
 use kfuse_dsl::{c, clamp, compile, select, v, Mask, PipelineBuilder, Schedule};
 use kfuse_ir::BorderMode;
 use kfuse_model::{BenefitModel, FusionScenario, GpuSpec};
-use kfuse_sim::{execute, synthetic_image, TimingModel};
+use kfuse_paper::TimingModel;
+use kfuse_sim::{execute, synthetic_image};
 
 fn main() {
     // Emboss mask: directional derivative plus identity.

@@ -8,10 +8,10 @@
 //! Run with `cargo run --release -p kfuse-examples --bin emit_cuda [app]`.
 
 use kfuse_apps::paper_apps;
-use kfuse_codegen::emit_module;
 use kfuse_core::FusionConfig;
 use kfuse_dsl::{compile, Schedule};
 use kfuse_model::{BenefitModel, BlockShape, GpuSpec};
+use kfuse_paper::emit_module;
 use std::fs;
 use std::path::PathBuf;
 

@@ -8,7 +8,8 @@ use kfuse_core::{fuse_optimized, FusionConfig};
 use kfuse_dsl::{c, sqrt, v, Mask, PipelineBuilder};
 use kfuse_ir::{print::pipeline_to_string, BorderMode};
 use kfuse_model::{BenefitModel, GpuSpec};
-use kfuse_sim::{execute, synthetic_image, TimingModel};
+use kfuse_paper::TimingModel;
+use kfuse_sim::{execute, synthetic_image};
 
 fn main() {
     // 1. Build a pipeline: blur → gradient magnitude → normalize.

@@ -3,9 +3,9 @@
 //! index-exchange machinery the paper's Section IV describes.
 
 use kfuse_apps::{harris, night, sobel, unsharp};
-use kfuse_codegen::{emit_kernel, emit_module};
 use kfuse_core::{fuse_optimized, FusionConfig};
 use kfuse_model::{BenefitModel, BlockShape, GpuSpec};
+use kfuse_paper::{emit_kernel, emit_module};
 
 fn cfg() -> FusionConfig {
     FusionConfig::new(BenefitModel::new(GpuSpec::gtx680()))

@@ -242,7 +242,6 @@ fn plan_cache_counts_layout_thrash() {
     let entry = |layout| CachedPlan {
         layout,
         plan: Arc::clone(&plan),
-        modeled_us: 0.0,
     };
     cache.insert(key, entry(layout));
     cache.insert(key, entry(layout)); // idempotent: not counted

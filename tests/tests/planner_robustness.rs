@@ -3,11 +3,12 @@
 //! on disconnected graphs, wide fan-outs, deep chains, multi-output
 //! pipelines and single-kernel programs.
 
-use kfuse_core::{fuse_basic, fuse_greedy, fuse_optimized, FusionConfig};
+use kfuse_core::{fuse_basic, fuse_optimized, FusionConfig};
 use kfuse_dsl::{c, v, Mask, PipelineBuilder};
 use kfuse_graph::NodeId;
 use kfuse_ir::{BorderMode, Pipeline};
 use kfuse_model::{BenefitModel, GpuSpec};
+use kfuse_paper::fuse_greedy;
 use kfuse_sim::{execute, synthetic_image};
 
 fn cfg() -> FusionConfig {

@@ -223,8 +223,9 @@ fn partition_invariants() {
 fn fusion_never_increases_traffic() {
     for_random_pipelines(0xd00f, 64, 32, 32, |p, _| {
         let result = fuse_optimized(p, &cfg());
-        let before = kfuse_sim::total_dram_bytes(p, kfuse_model::BlockShape::DEFAULT);
-        let after = kfuse_sim::total_dram_bytes(&result.pipeline, kfuse_model::BlockShape::DEFAULT);
+        let before = kfuse_paper::total_dram_bytes(p, kfuse_model::BlockShape::DEFAULT);
+        let after =
+            kfuse_paper::total_dram_bytes(&result.pipeline, kfuse_model::BlockShape::DEFAULT);
         assert!(after <= before * 1.0001, "traffic grew: {after} > {before}");
     });
 }
