@@ -161,7 +161,7 @@ fn main() {
          \"warm_above_cold_on_all_apps\": {all_warm_above_cold},\n  \
          \"apps\": [{json_apps}\n  ],\n  \
          \"warm_runtime_metrics\": {}\n}}\n",
-        snapshot.to_json()
+        kfuse_obs::render_json(&snapshot.families())
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(path, json).expect("write BENCH_serve.json");

@@ -12,10 +12,11 @@
 //!    hit's holds none;
 //! 2. the traced results are bit-identical to the reference interpreter
 //!    (tracing must be observation, never perturbation);
-//! 3. [`kfuse_runtime::MetricsSnapshot::to_json`] parses with
+//! 3. the snapshot's [`kfuse_runtime::MetricsSnapshot::families`],
+//!    rendered by [`kfuse_obs::render_json`], parses with
 //!    [`kfuse_obs::parse_json`];
-//! 4. [`kfuse_runtime::MetricsSnapshot::to_prometheus`] passes
-//!    [`kfuse_obs::validate_prometheus`].
+//! 4. the same families, rendered by [`kfuse_obs::render_prometheus`],
+//!    pass [`kfuse_obs::validate_prometheus`].
 //!
 //! The combined trace is written to `results/trace_serve.json` (openable
 //! in `chrome://tracing` / Perfetto). Exits non-zero on any failure, so CI
@@ -37,6 +38,13 @@
 //! sidecar's `/debug/requests` endpoint as a validated Chrome trace. The
 //! single-request trace is written to `results/trace_request.json`.
 //!
+//! Last, it checks conservation from the outside: it polls the sidecar's
+//! `/metrics` (bounded wait) until `kfuse_in_flight_requests`,
+//! `kfuse_queue_depth` and `kfuse_sessions_open` read 0, then asserts for
+//! every `pipeline` label that `requests = completed + errors + rejected +
+//! shed + deadline_misses + admission_timeouts`: every request the server
+//! counted reached exactly one terminal outcome.
+//!
 //! Run with `cargo run --release -p kfuse-bench --bin trace_check`.
 
 use std::collections::HashSet;
@@ -49,8 +57,9 @@ use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_net::{Client, ClientError, ErrorCode, Server, ServerConfig};
 use kfuse_obs::{
-    parse_json, to_chrome_json, validate_chrome_trace, validate_prometheus, ArgValue, Event,
-    EventKind, RequestOutcome, Tracer,
+    parse_json, parse_prometheus, render_json, render_prometheus, to_chrome_json,
+    validate_chrome_trace, validate_prometheus, ArgValue, Event, EventKind, PromSample,
+    RequestOutcome, Tracer,
 };
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{execute_reference, synthetic_image};
@@ -126,10 +135,11 @@ fn main() {
     let (misses, hits) = check_miss_attribution(&tracer.events());
 
     let snapshot = rt.metrics();
-    if let Err(e) = parse_json(&snapshot.to_json()) {
+    let families = snapshot.families();
+    if let Err(e) = parse_json(&render_json(&families)) {
         fail(&format!("metrics JSON does not parse: {e}"));
     }
-    let samples = validate_prometheus(&snapshot.to_prometheus())
+    let samples = validate_prometheus(&render_prometheus(&families))
         .unwrap_or_else(|e| fail(&format!("prometheus exposition: {e}")));
     if snapshot.runtime.cache_size == 0 {
         fail("plan cache should hold the served plans");
@@ -467,11 +477,14 @@ fn net_phase() {
     let path = std::path::Path::new("results").join("trace_request.json");
     std::fs::write(&path, &single_json).expect("write single-request trace");
 
+    let tenants = check_conservation(server.metrics_addr());
+
     server.shutdown();
     println!(
         "trace_check net OK: request {:016x} chained {} spans across {} threads; \
          session frame {:016x} chained {} spans; flight dump retained missed request {:016x} through {} churn requests \
-         ({} dump events); single-request trace written to {}",
+         ({} dump events); single-request trace written to {}; \
+         {tenants} pipelines conserve requests at rest",
         trace.trace_id,
         single_stats.complete_spans,
         tids.len(),
@@ -482,4 +495,77 @@ fn net_phase() {
         dump_stats.events,
         path.display()
     );
+}
+
+/// Scrapes `/metrics` until the server is at rest (nothing queued,
+/// executing or open), then checks that every pipeline's requests equal
+/// the sum of its six terminal outcomes. Returns the number of pipelines.
+fn check_conservation(addr: SocketAddr) -> usize {
+    const AT_REST: [&str; 3] = [
+        "kfuse_in_flight_requests",
+        "kfuse_queue_depth",
+        "kfuse_sessions_open",
+    ];
+    const OUTCOMES: [&str; 6] = [
+        "kfuse_requests_completed_total",
+        "kfuse_requests_errors_total",
+        "kfuse_requests_rejected_total",
+        "kfuse_requests_shed_total",
+        "kfuse_deadline_misses_total",
+        "kfuse_admission_timeouts_total",
+    ];
+    let give_up = Instant::now() + Duration::from_secs(10);
+    let doc = loop {
+        let doc = http_get(addr, "/metrics");
+        let samples = scrape(&doc);
+        let busy: Vec<String> = AT_REST
+            .iter()
+            .map(|family| (family, value(&samples, family, "")))
+            .filter(|&(_, v)| v != 0.0)
+            .map(|(family, v)| format!("{family} {v}"))
+            .collect();
+        if busy.is_empty() {
+            break doc;
+        }
+        if Instant::now() >= give_up {
+            fail(&format!(
+                "gauges not back to 0 after 10 s at rest: {busy:?}"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let samples = scrape(&doc);
+    let requests: Vec<_> = samples
+        .iter()
+        .filter(|s| s.name == "kfuse_requests_total")
+        .collect();
+    for r in &requests {
+        let ended: f64 = OUTCOMES.iter().map(|f| value(&samples, f, r.labels)).sum();
+        if ended != r.value {
+            fail(&format!(
+                "{{{}}}: {} requests but {ended} terminal outcomes",
+                r.labels, r.value
+            ));
+        }
+    }
+    if requests.is_empty() {
+        fail("/metrics has no kfuse_requests_total samples");
+    }
+    requests.len()
+}
+
+/// The value of the sample of `family` whose label block is `labels`;
+/// fails the check if `/metrics` has no such sample.
+fn value(samples: &[PromSample], family: &str, labels: &str) -> f64 {
+    let sample = samples
+        .iter()
+        .find(|s| s.name == family && s.labels == labels);
+    sample.map_or_else(
+        || fail(&format!("/metrics has no {family}{{{labels}}}")),
+        |s| s.value,
+    )
+}
+
+fn scrape(doc: &str) -> Vec<PromSample<'_>> {
+    parse_prometheus(doc).unwrap_or_else(|e| fail(&format!("/metrics: {e}")))
 }

@@ -3,10 +3,10 @@
 //!
 //! Deliberately tiny: one poll-accept loop on its own thread, one request
 //! per connection, `Connection: close` semantics. The `/metrics` body is
-//! the concatenation of the runtime's Prometheus exposition
-//! (`MetricsSnapshot::to_prometheus`) and the transport counters
-//! (`NetSnapshot::to_prometheus`) — the family names are disjoint, so the
-//! combined document still passes `kfuse_obs::validate_prometheus`.
+//! one `kfuse_obs::render_prometheus` of the runtime's families
+//! (`MetricsSnapshot::families`) followed by the transport's
+//! (`NetSnapshot::families`); `kfuse_obs::validate_prometheus` would
+//! refuse the document if the two lists shared a family name.
 //! `/healthz` answers `200 ok` while serving and `503 draining` once a
 //! drain has begun, which is what a load balancer needs to rotate the
 //! instance out before shutdown. `/debug/requests` dumps the always-on
@@ -51,8 +51,9 @@ fn handle_request(inner: &Arc<Inner>, mut stream: TcpStream) {
     };
     match path.as_str() {
         "/metrics" => {
-            let mut body = inner.runtime.metrics().to_prometheus();
-            body.push_str(&inner.net.snapshot().to_prometheus());
+            let mut families = inner.runtime.metrics().families();
+            families.extend(inner.net.snapshot().families());
+            let body = kfuse_obs::render_prometheus(&families);
             let _ = respond(&mut stream, 200, "text/plain; version=0.0.4", &body);
         }
         "/healthz" => {

@@ -23,11 +23,12 @@
 //!   head-of-line blocks a fast one on the same connection), priority
 //!   and deadline propagation into the runtime's fair worker queue,
 //!   typed refusals at the connection limit, graceful drain, and an
-//!   HTTP/1.0 sidecar serving Prometheus `/metrics` and `/healthz`.
+//!   HTTP/1.0 sidecar serving Prometheus `/metrics`, `/healthz` and
+//!   `/debug/requests`.
 //! * [`client`] — a blocking [`client::Client`] with register / submit /
 //!   pipelined receive / ping / drain.
-//! * [`metrics`] — transport counters (`kfuse_net_*` families) exported
-//!   next to the runtime's serving metrics.
+//! * [`metrics`] — transport counters (`kfuse_net_*` families), rendered
+//!   after the runtime's serving metrics in one `/metrics` exposition.
 //!
 //! Frames survive the wire bit-exactly — images travel as raw IEEE-754
 //! bit patterns — so a served result can be compared with

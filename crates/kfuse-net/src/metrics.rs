@@ -1,15 +1,16 @@
 //! Network-layer counters, exported alongside the runtime's metrics.
 //!
-//! The runtime already meters *jobs* (`kfuse_requests_total`, latency
+//! The runtime already meters *jobs* (request outcomes, latency
 //! histograms, queue gauges — see `kfuse-runtime::metrics`); this module
 //! meters the *transport*: connections, frames, bytes, protocol errors,
-//! and the drain/slow-loris events only the server can see. Families are
-//! prefixed `kfuse_net_` so the two Prometheus documents concatenate into
-//! one valid exposition on the `/metrics` sidecar.
+//! and the drain/slow-loris events only the server can see.
+//! [`NetSnapshot::families`] declares them once, prefixed `kfuse_net_`;
+//! the `/metrics` sidecar renders them after the runtime's families in
+//! one exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kfuse_obs::PromWriter;
+use kfuse_obs::{Family, Sample};
 
 use crate::wire::ErrorCode;
 
@@ -200,124 +201,107 @@ pub struct NetSnapshot {
 }
 
 impl NetSnapshot {
-    /// Prometheus text exposition of the transport counters. Families are
-    /// disjoint from the runtime's (`kfuse_net_*` vs `kfuse_*`), so the
-    /// two documents concatenate into one valid scrape body.
-    pub fn to_prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        let counters: [(&str, &str, u64); 8] = [
-            (
+    /// Every exported transport metric family, each declared once. Names
+    /// are prefixed `kfuse_net_`, apart from the runtime's families. The
+    /// by-type and by-code families are sparse: a label value appears once
+    /// its counter is nonzero, and a family with none is left out.
+    pub fn families(&self) -> Vec<Family> {
+        let one = |value: u64| {
+            vec![Sample {
+                labels: Vec::new(),
+                value: value as f64,
+            }]
+        };
+        // One sample per nonzero count, labeled `key = label(index)`.
+        let sparse = |key, counts: &[u64], label: fn(usize) -> &'static str| {
+            let nonzero = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            let sample = |(i, &c): (usize, &u64)| Sample {
+                labels: vec![(key, label(i).to_string())],
+                value: c as f64,
+            };
+            nonzero.map(sample).collect::<Vec<_>>()
+        };
+        let mut families = vec![
+            Family::counter(
                 "kfuse_net_connections_total",
                 "Connections ever accepted",
-                self.connections_total,
+                one(self.connections_total),
             ),
-            (
+            Family::counter(
                 "kfuse_net_connections_refused_total",
                 "Connections dropped at accept (server full)",
-                self.connections_refused,
+                one(self.connections_refused),
             ),
-            (
+            Family::counter(
                 "kfuse_net_frames_received_total",
                 "Frames successfully decoded",
-                self.frames_received,
+                one(self.frames_received),
             ),
-            (
+            Family::counter(
                 "kfuse_net_frames_sent_total",
                 "Frames written to clients",
-                self.frames_sent,
+                one(self.frames_sent),
             ),
-            (
+            Family::counter(
                 "kfuse_net_bytes_received_total",
                 "Wire bytes of decoded frames",
-                self.bytes_received,
+                one(self.bytes_received),
             ),
-            (
+            Family::counter(
                 "kfuse_net_bytes_sent_total",
                 "Wire bytes written",
-                self.bytes_sent,
+                one(self.bytes_sent),
             ),
-            (
+            Family::counter(
                 "kfuse_net_protocol_errors_total",
                 "Frames rejected as malformed",
-                self.protocol_errors,
+                one(self.protocol_errors),
             ),
-            (
+            Family::counter(
                 "kfuse_net_refused_draining_total",
                 "Submissions refused while draining",
-                self.refused_draining,
+                one(self.refused_draining),
+            ),
+            Family::counter(
+                "kfuse_net_stalled_connections_total",
+                "Connections dropped for stalling mid-frame",
+                one(self.stalled_connections),
+            ),
+            Family::gauge(
+                "kfuse_net_connections_active",
+                "Connections currently open",
+                one(self.connections_active),
             ),
         ];
-        for (name, help, value) in counters {
-            w.family(name, "counter", help);
-            w.sample(name, &[], value as f64);
-        }
-        w.family(
-            "kfuse_net_stalled_connections_total",
-            "counter",
-            "Connections dropped for stalling mid-frame",
-        );
-        w.sample(
-            "kfuse_net_stalled_connections_total",
-            &[],
-            self.stalled_connections as f64,
-        );
-        w.family(
-            "kfuse_net_connections_active",
-            "gauge",
-            "Connections currently open",
-        );
-        w.sample(
-            "kfuse_net_connections_active",
-            &[],
-            self.connections_active as f64,
-        );
-        // Labeled per-frame-type and per-error-code families. Samples are
-        // sparse — a label value appears once its counter is nonzero —
-        // which is the Prometheus convention for labeled counters.
-        let by_type: [(&str, &str, &[u64]); 2] = [
-            (
+        let frame_type = |i: usize| frame_type_label(i as u8 + 1);
+        let by_type = [
+            Family::counter(
                 "kfuse_net_frames_received_by_type_total",
                 "Frames decoded, by frame type",
-                &self.frames_received_by_type,
+                sparse("type", &self.frames_received_by_type, frame_type),
             ),
-            (
+            Family::counter(
                 "kfuse_net_frames_sent_by_type_total",
                 "Frames written, by frame type",
-                &self.frames_sent_by_type,
+                sparse("type", &self.frames_sent_by_type, frame_type),
+            ),
+            Family::counter(
+                "kfuse_net_errors_sent_total",
+                "Error frames sent, by error code",
+                sparse("code", &self.errors_sent_by_code, |i| {
+                    error_code_label(i as u16 + 1)
+                }),
             ),
         ];
-        for (name, help, counts) in by_type {
-            if counts.iter().any(|&c| c > 0) {
-                w.family(name, "counter", help);
-                for (i, &c) in counts.iter().enumerate() {
-                    if c > 0 {
-                        let label = frame_type_label(i as u8 + 1);
-                        w.sample(name, &[("type", label)], c as f64);
-                    }
-                }
-            }
-        }
-        if self.errors_sent_by_code.iter().any(|&c| c > 0) {
-            w.family(
-                "kfuse_net_errors_sent_total",
-                "counter",
-                "Error frames sent, by error code",
-            );
-            for (i, &c) in self.errors_sent_by_code.iter().enumerate() {
-                if c > 0 {
-                    let label = error_code_label(i as u16 + 1);
-                    w.sample("kfuse_net_errors_sent_total", &[("code", label)], c as f64);
-                }
-            }
-        }
-        w.finish()
+        families.extend(by_type.into_iter().filter(|f| !f.samples.is_empty()));
+        families
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kfuse_obs::validate_prometheus;
+    use kfuse_obs::{render_prometheus, validate_prometheus};
 
     #[test]
     fn prometheus_export_validates() {
@@ -334,7 +318,7 @@ mod tests {
         assert_eq!(snap.connections_active, 1);
         assert_eq!(snap.bytes_received, 64);
         assert_eq!(snap.bytes_sent, 1024);
-        let doc = snap.to_prometheus();
+        let doc = render_prometheus(&snap.families());
         let samples = validate_prometheus(&doc).expect("valid exposition");
         assert_eq!(samples, 10);
         assert!(doc.contains("kfuse_net_connections_total 1"));
@@ -365,7 +349,7 @@ mod tests {
         assert_eq!(snap.frames_sent_by_type[3], 1);
         assert_eq!(snap.errors_sent_by_code[0], 2);
         assert_eq!(snap.errors_sent_by_code[4], 1);
-        let doc = snap.to_prometheus();
+        let doc = render_prometheus(&snap.families());
         let samples = validate_prometheus(&doc).expect("valid exposition");
         // 10 flat samples + 2 received types + 2 sent types + 2 codes.
         assert_eq!(samples, 16);
@@ -374,6 +358,77 @@ mod tests {
         assert!(doc.contains("kfuse_net_errors_sent_total{code=\"malformed\"} 2"));
         assert!(doc.contains("kfuse_net_errors_sent_total{code=\"deadline_exceeded\"} 1"));
     }
+
+    /// The exposition text of a snapshot with every flat counter, both
+    /// by-type families and the by-code family, byte for byte.
+    #[test]
+    fn prometheus_exposition_is_pinned() {
+        let m = NetMetrics::default();
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
+        m.connection_refused();
+        m.frame_received(64);
+        m.frame_received(36);
+        m.frame_sent(1024);
+        m.protocol_error();
+        m.connection_stalled();
+        m.refused_draining();
+        m.frame_type_received(1);
+        m.frame_type_received(3);
+        m.frame_type_received(3);
+        m.frame_type_sent(4);
+        m.frame_type_sent(14);
+        m.error_sent(ErrorCode::Malformed);
+        m.error_sent(ErrorCode::SessionClosed);
+        m.error_sent(ErrorCode::SessionClosed);
+        let doc = render_prometheus(&m.snapshot().families());
+        assert_eq!(doc, PINNED_EXPOSITION);
+    }
+
+    const PINNED_EXPOSITION: &str = r#"# HELP kfuse_net_connections_total Connections ever accepted
+# TYPE kfuse_net_connections_total counter
+kfuse_net_connections_total 2
+# HELP kfuse_net_connections_refused_total Connections dropped at accept (server full)
+# TYPE kfuse_net_connections_refused_total counter
+kfuse_net_connections_refused_total 1
+# HELP kfuse_net_frames_received_total Frames successfully decoded
+# TYPE kfuse_net_frames_received_total counter
+kfuse_net_frames_received_total 2
+# HELP kfuse_net_frames_sent_total Frames written to clients
+# TYPE kfuse_net_frames_sent_total counter
+kfuse_net_frames_sent_total 1
+# HELP kfuse_net_bytes_received_total Wire bytes of decoded frames
+# TYPE kfuse_net_bytes_received_total counter
+kfuse_net_bytes_received_total 100
+# HELP kfuse_net_bytes_sent_total Wire bytes written
+# TYPE kfuse_net_bytes_sent_total counter
+kfuse_net_bytes_sent_total 1024
+# HELP kfuse_net_protocol_errors_total Frames rejected as malformed
+# TYPE kfuse_net_protocol_errors_total counter
+kfuse_net_protocol_errors_total 1
+# HELP kfuse_net_refused_draining_total Submissions refused while draining
+# TYPE kfuse_net_refused_draining_total counter
+kfuse_net_refused_draining_total 1
+# HELP kfuse_net_stalled_connections_total Connections dropped for stalling mid-frame
+# TYPE kfuse_net_stalled_connections_total counter
+kfuse_net_stalled_connections_total 1
+# HELP kfuse_net_connections_active Connections currently open
+# TYPE kfuse_net_connections_active gauge
+kfuse_net_connections_active 1
+# HELP kfuse_net_frames_received_by_type_total Frames decoded, by frame type
+# TYPE kfuse_net_frames_received_by_type_total counter
+kfuse_net_frames_received_by_type_total{type="register_pipeline"} 1
+kfuse_net_frames_received_by_type_total{type="submit"} 2
+# HELP kfuse_net_frames_sent_by_type_total Frames written, by frame type
+# TYPE kfuse_net_frames_sent_by_type_total counter
+kfuse_net_frames_sent_by_type_total{type="result_ok"} 1
+kfuse_net_frames_sent_by_type_total{type="close_session_ack"} 1
+# HELP kfuse_net_errors_sent_total Error frames sent, by error code
+# TYPE kfuse_net_errors_sent_total counter
+kfuse_net_errors_sent_total{code="malformed"} 1
+kfuse_net_errors_sent_total{code="session_closed"} 2
+"#;
 
     #[test]
     fn every_label_is_unique_and_stable() {

@@ -57,6 +57,32 @@ impl Json {
             _ => None,
         }
     }
+
+    /// In a metric-families document ([`crate::json::render_json`]), the
+    /// value of family `name`'s sample whose labels are exactly `labels`,
+    /// in any order.
+    pub fn sample(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Json> {
+        let families = self.get("families")?.as_arr()?;
+        let family = families
+            .iter()
+            .find(|f| f.get("name").and_then(Json::as_str) == Some(name))?;
+        let has_labels = |s: &&Json| match s.get("labels") {
+            Some(Json::Obj(have)) => {
+                have.len() == labels.len()
+                    && labels.iter().all(|&(k, v)| {
+                        have.iter()
+                            .any(|(hk, hv)| hk == k && hv.as_str() == Some(v))
+                    })
+            }
+            _ => false,
+        };
+        family
+            .get("samples")?
+            .as_arr()?
+            .iter()
+            .find(has_labels)?
+            .get("value")
+    }
 }
 
 struct Parser<'a> {

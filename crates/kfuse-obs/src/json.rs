@@ -1,10 +1,12 @@
 //! Minimal JSON string utilities shared by every hand-rolled serializer in
-//! the workspace (the runtime metrics snapshot, the Chrome trace exporter).
+//! the workspace (the metric families, the Chrome trace exporter).
 //!
 //! The workspace has no external dependencies, so each exporter writes its
 //! JSON by hand; this module is the single place where string escaping and
 //! float formatting live, so no serializer can drift out of RFC 8259
 //! conformance on its own.
+
+use crate::prom::{Family, Sample};
 
 /// Escapes `s` for inclusion inside a JSON string literal (RFC 8259 §7):
 /// `"` and `\` are escaped, the two-character forms are used for the
@@ -55,6 +57,31 @@ pub fn fmt_json_f64(v: f64) -> String {
     }
 }
 
+/// Renders metric families as one JSON document, the same list
+/// [`crate::prom::render_prometheus`] renders as text:
+/// `{"families":[{"name","type","help","samples":[{"labels":{…},"value":…}]}]}`.
+/// Non-finite values render as `null` (see [`fmt_json_f64`]).
+pub fn render_json(families: &[Family]) -> String {
+    let quote = |s: &str| format!("\"{}\"", escape_json(s));
+    let family = |f: &Family| {
+        let sample = |s: &Sample| {
+            let labels: Vec<String> = s
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{}:{}", quote(k), quote(v)))
+                .collect();
+            let value = fmt_json_f64(s.value);
+            format!("{{\"labels\":{{{}}},\"value\":{value}}}", labels.join(","))
+        };
+        let samples: Vec<String> = f.samples.iter().map(sample).collect();
+        let (name, kind, help) = (quote(f.name), f.kind.as_str(), quote(f.help));
+        let samples = samples.join(",");
+        format!("{{\"name\":{name},\"type\":\"{kind}\",\"help\":{help},\"samples\":[{samples}]}}")
+    };
+    let families: Vec<String> = families.iter().map(family).collect();
+    format!("{{\"families\":[{}]}}", families.join(","))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +108,46 @@ mod tests {
         let mut out = String::new();
         push_json_string(&mut out, "x\"y");
         assert_eq!(out, "\"x\\\"y\"");
+    }
+
+    #[test]
+    fn families_render_as_one_document() {
+        use crate::prom::Kind;
+        let doc = render_json(&[
+            Family {
+                name: "m",
+                kind: Kind::Gauge,
+                help: "A \"gauge\".",
+                samples: vec![
+                    Sample {
+                        labels: vec![("a", "x\"y".into()), ("b", "2".into())],
+                        value: 1.5,
+                    },
+                    Sample {
+                        labels: vec![],
+                        value: f64::NAN,
+                    },
+                ],
+            },
+            Family {
+                name: "c",
+                kind: Kind::Counter,
+                help: "",
+                samples: vec![],
+            },
+        ]);
+        assert_eq!(
+            doc,
+            r#"{"families":[{"name":"m","type":"gauge","help":"A \"gauge\".","samples":[{"labels":{"a":"x\"y","b":"2"},"value":1.5},{"labels":{},"value":null}]},{"name":"c","type":"counter","help":"","samples":[]}]}"#
+        );
+        let parsed = crate::parse_json(&doc).unwrap();
+        assert_eq!(
+            parsed.sample("m", &[("b", "2"), ("a", "x\"y")]),
+            Some(&crate::Json::Num(1.5))
+        );
+        assert_eq!(parsed.sample("m", &[]), Some(&crate::Json::Null));
+        assert_eq!(parsed.sample("m", &[("a", "x\"y")]), None);
+        assert_eq!(parsed.sample("c", &[]), None);
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! * [`chrome`] — renders recorded events in the Chrome `trace_event`
 //!   JSON format, loadable in `chrome://tracing` and Perfetto.
 //! * [`json`] — the single JSON string-escape/number-format helper shared
-//!   by every hand-rolled serializer in the workspace (runtime metrics
-//!   snapshot, trace exporter).
+//!   by every hand-rolled serializer in the workspace, and
+//!   [`render_json`], the JSON view of a list of metric [`Family`] values.
 //! * [`recorder`] — [`FlightRecorder`], the always-on bounded ring of
 //!   completed request span trees with tail-based retention (deadline
 //!   misses, errors, and the slow tail survive eviction).
-//! * [`prom`] — Prometheus text-exposition writer and validator.
+//! * [`prom`] — the metric-family model ([`Family`], [`Sample`]) that
+//!   every exporter declares its metrics in once, its Prometheus text
+//!   renderer [`render_prometheus`], and the exposition parser and
+//!   validator.
 //! * [`check`] — std-only strict JSON parser and Chrome-trace validator;
 //!   CI round-trips every emitted artifact through these.
 //!
@@ -52,8 +55,11 @@ pub mod tracer;
 
 pub use check::{parse_json, validate_chrome_trace, ChromeTraceStats, Json};
 pub use chrome::to_chrome_json;
-pub use json::{escape_json, fmt_json_f64, push_json_escaped, push_json_string};
-pub use prom::{escape_label_value, is_valid_metric_name, validate_prometheus, PromWriter};
+pub use json::{escape_json, fmt_json_f64, push_json_escaped, push_json_string, render_json};
+pub use prom::{
+    escape_label_value, is_valid_metric_name, parse_prometheus, render_prometheus,
+    validate_prometheus, Family, Kind, PromSample, Sample,
+};
 pub use recorder::{
     ActiveRequest, FlightRecorder, RecorderConfig, RecorderStats, RequestOutcome, RequestRecord,
 };

@@ -1,10 +1,79 @@
-//! Prometheus text-exposition helpers and validator.
+//! Prometheus text exposition: the metric-family model every exporter
+//! fills, its text renderer, and the parser that validates a scrape.
 //!
-//! The runtime renders its [`MetricsSnapshot`](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//! counterpart by hand; this module owns the format rules so the renderer
-//! and the CI validator agree on one definition: metric names match
-//! `[a-zA-Z_:][a-zA-Z0-9_:]*`, label names match `[a-zA-Z_][a-zA-Z0-9_]*`,
-//! and label values escape `\`, `"` and newlines.
+//! An exporter declares what it exports once, as a list of [`Family`]
+//! values. [`render_prometheus`] and [`crate::json::render_json`] are two
+//! views of that one list, so the formats cannot drift apart. This module
+//! owns the [format rules](https://prometheus.io/docs/instrumenting/exposition_formats/)
+//! so the renderer and the validator agree on one definition: metric
+//! names match `[a-zA-Z_:][a-zA-Z0-9_:]*`, label names match
+//! `[a-zA-Z_][a-zA-Z0-9_]*`, label values escape `\`, `"` and newlines,
+//! and each family is one contiguous group under one `# TYPE` line.
+
+use std::fmt::Write;
+
+/// The exposition type of a metric family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// A count that only goes up.
+    Counter,
+    /// A value that can go up and down.
+    Gauge,
+}
+
+impl Kind {
+    /// The type's name on a `# TYPE` line.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One exported metric family. A family without samples still renders
+/// its `# HELP` and `# TYPE` lines.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Family {
+    /// A valid Prometheus metric name.
+    pub name: &'static str,
+    pub kind: Kind,
+    /// One line of help text.
+    pub help: &'static str,
+    pub samples: Vec<Sample>,
+}
+
+impl Family {
+    /// A [`Kind::Counter`] family.
+    pub fn counter(name: &'static str, help: &'static str, samples: Vec<Sample>) -> Family {
+        let kind = Kind::Counter;
+        Family {
+            name,
+            kind,
+            help,
+            samples,
+        }
+    }
+
+    /// A [`Kind::Gauge`] family.
+    pub fn gauge(name: &'static str, help: &'static str, samples: Vec<Sample>) -> Family {
+        let kind = Kind::Gauge;
+        Family {
+            name,
+            kind,
+            help,
+            samples,
+        }
+    }
+}
+
+/// One sample of a [`Family`]: `(label name, label value)` pairs in
+/// export order, and the value (NaN and the infinities allowed).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sample {
+    pub labels: Vec<(&'static str, String)>,
+    pub value: f64,
+}
 
 /// Whether `name` is a valid Prometheus metric name.
 pub fn is_valid_metric_name(name: &str) -> bool {
@@ -16,14 +85,10 @@ pub fn is_valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Whether `name` is a valid Prometheus label name.
+/// Whether `name` is a valid Prometheus label name: a valid metric name
+/// without colons.
 pub fn is_valid_label_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+    is_valid_metric_name(name) && !name.contains(':')
 }
 
 /// Escapes a label value per the exposition format (`\` → `\\`,
@@ -41,70 +106,48 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
-/// Incremental writer for one exposition document. Enforces valid names
-/// at write time (debug assertions) and handles label escaping.
-#[derive(Debug, Default)]
-pub struct PromWriter {
-    buf: String,
+/// Renders `families`, in order, as one text-exposition document: a
+/// `# HELP` and a `# TYPE` line per family, then one line per sample.
+/// Non-finite values use the format's `NaN`, `+Inf` and `-Inf` tokens.
+pub fn render_prometheus(families: &[Family]) -> String {
+    let mut out = String::new();
+    for f in families {
+        debug_assert!(is_valid_metric_name(f.name), "bad metric name {}", f.name);
+        // HELP text escapes backslash and newline only (format rule).
+        let help = f.help.replace('\\', "\\\\").replace('\n', "\\n");
+        let (name, kind) = (f.name, f.kind.as_str());
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        for s in &f.samples {
+            out.push_str(name);
+            for (i, (k, v)) in s.labels.iter().enumerate() {
+                debug_assert!(is_valid_label_name(k), "bad label name {k}");
+                let sep = if i == 0 { '{' } else { ',' };
+                let _ = write!(out, "{sep}{k}=\"{}\"", escape_label_value(v));
+            }
+            if !s.labels.is_empty() {
+                out.push('}');
+            }
+            let _ = match s.value {
+                v if v.is_nan() => writeln!(out, " NaN"),
+                v if v == f64::INFINITY => writeln!(out, " +Inf"),
+                v if v == f64::NEG_INFINITY => writeln!(out, " -Inf"),
+                v => writeln!(out, " {v}"),
+            };
+        }
+    }
+    out
 }
 
-impl PromWriter {
-    /// A fresh, empty document.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writes `# HELP` and `# TYPE` headers for a metric family.
-    /// `kind` must be one of the exposition types
-    /// (`counter`/`gauge`/`histogram`/`summary`/`untyped`).
-    pub fn family(&mut self, name: &str, kind: &str, help: &str) {
-        debug_assert!(is_valid_metric_name(name), "bad metric name {name}");
-        debug_assert!(
-            matches!(
-                kind,
-                "counter" | "gauge" | "histogram" | "summary" | "untyped"
-            ),
-            "bad metric type {kind}"
-        );
-        // HELP text escapes backslash and newline only (format rule).
-        let help = help.replace('\\', "\\\\").replace('\n', "\\n");
-        self.buf.push_str(&format!("# HELP {name} {help}\n"));
-        self.buf.push_str(&format!("# TYPE {name} {kind}\n"));
-    }
-
-    /// Writes one sample line with the given labels.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        debug_assert!(is_valid_metric_name(name), "bad metric name {name}");
-        self.buf.push_str(name);
-        if !labels.is_empty() {
-            self.buf.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                debug_assert!(is_valid_label_name(k), "bad label name {k}");
-                if i > 0 {
-                    self.buf.push(',');
-                }
-                self.buf
-                    .push_str(&format!("{k}=\"{}\"", escape_label_value(v)));
-            }
-            self.buf.push('}');
-        }
-        // Prometheus renders non-finite values as +Inf/-Inf/NaN tokens.
-        let rendered = if value.is_nan() {
-            "NaN".to_string()
-        } else if value == f64::INFINITY {
-            "+Inf".to_string()
-        } else if value == f64::NEG_INFINITY {
-            "-Inf".to_string()
-        } else {
-            format!("{value}")
-        };
-        self.buf.push_str(&format!(" {rendered}\n"));
-    }
-
-    /// The finished document.
-    pub fn finish(self) -> String {
-        self.buf
-    }
+/// One sample line of a parsed exposition document.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PromSample<'a> {
+    /// The metric name as written, a histogram's `_bucket`, `_sum` or
+    /// `_count` suffix included.
+    pub name: &'a str,
+    /// The label block between the braces, still escaped (`""` when the
+    /// sample has no labels).
+    pub labels: &'a str,
+    pub value: f64,
 }
 
 /// Parses one sample line's label block; returns the byte offset just past
@@ -147,19 +190,23 @@ fn check_labels(line: &str, open: usize) -> Result<usize, String> {
     }
 }
 
-/// Validates a Prometheus text-exposition document. Checks comment/header
-/// syntax, metric and label names, quoting, and that every sample's
-/// metric family was declared with a `# TYPE` line. Returns the number of
-/// sample lines.
-pub fn validate_prometheus(doc: &str) -> Result<usize, String> {
-    let mut typed: Vec<String> = Vec::new();
-    let mut samples = 0usize;
+/// Parses and validates a Prometheus text-exposition document. Checks
+/// comment/header syntax, metric and label names, quoting and values;
+/// that every sample's family was declared by a `# TYPE` line, and by
+/// only one; and that each family's lines form one contiguous group.
+/// Returns the sample lines in document order.
+pub fn parse_prometheus(doc: &str) -> Result<Vec<PromSample<'_>>, String> {
+    let mut typed: Vec<&str> = Vec::new();
+    // Families in the order their groups began; the last is still open.
+    let mut groups: Vec<&str> = Vec::new();
+    let mut samples = Vec::new();
     for line in doc.lines() {
         let line = line.trim_end();
-        if line.is_empty() {
+        // Bare comments (no keyword) are allowed by the format.
+        if line.is_empty() || (line.starts_with('#') && !line.starts_with("# ")) {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("# ") {
+        let family = if let Some(rest) = line.strip_prefix("# ") {
             let mut parts = rest.splitn(3, ' ');
             let keyword = parts.next().unwrap_or_default();
             let name = parts.next().unwrap_or_default();
@@ -180,50 +227,72 @@ pub fn validate_prometheus(doc: &str) -> Result<usize, String> {
                     ) {
                         return Err(format!("unknown metric type '{kind}': {line}"));
                     }
-                    typed.push(name.to_string());
+                    if typed.contains(&name) {
+                        return Err(format!("second TYPE line for {name}: {line}"));
+                    }
+                    typed.push(name);
                 }
                 _ => return Err(format!("unknown comment keyword: {line}")),
             }
-            continue;
-        }
-        if line.starts_with('#') {
-            // Bare comment (no keyword) — allowed by the format.
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (name_end, rest_start) = match line.find('{') {
-            Some(open) => (open, check_labels(line, open)?),
-            None => {
-                let sp = line
-                    .find(' ')
-                    .ok_or_else(|| format!("sample without value: {line}"))?;
-                (sp, sp)
+            name
+        } else {
+            // Sample line: name[{labels}] value
+            let (name_end, rest_start) = match line.find('{') {
+                Some(open) => (open, check_labels(line, open)?),
+                None => {
+                    let sp = line
+                        .find(' ')
+                        .ok_or_else(|| format!("sample without value: {line}"))?;
+                    (sp, sp)
+                }
+            };
+            let name = &line[..name_end];
+            if !is_valid_metric_name(name) {
+                return Err(format!("invalid metric name '{name}' in: {line}"));
             }
+            // A histogram/summary family declares the base name; its
+            // samples may carry _bucket/_sum/_count suffixes.
+            let base = name
+                .strip_suffix("_bucket")
+                .or_else(|| name.strip_suffix("_sum"))
+                .or_else(|| name.strip_suffix("_count"))
+                .unwrap_or(name);
+            let family = [name, base]
+                .into_iter()
+                .find(|f| typed.contains(f))
+                .ok_or_else(|| format!("sample for undeclared metric family: {line}"))?;
+            // Value, optionally followed by a timestamp (we never emit one,
+            // but the format allows it). `NaN`, `+Inf` and `-Inf` parse.
+            let value = line[rest_start..].trim();
+            let value = value.split(' ').next().unwrap_or_default();
+            let value = value
+                .parse::<f64>()
+                .map_err(|_| format!("bad sample value '{value}' in: {line}"))?;
+            let labels = line[name_end..rest_start]
+                .strip_prefix('{')
+                .map_or("", |l| &l[..l.len() - 1]);
+            samples.push(PromSample {
+                name,
+                labels,
+                value,
+            });
+            family
         };
-        let name = &line[..name_end];
-        if !is_valid_metric_name(name) {
-            return Err(format!("invalid metric name '{name}' in: {line}"));
+        if groups.last() != Some(&family) {
+            if groups.contains(&family) {
+                return Err(format!(
+                    "lines of family {family} are not contiguous: {line}"
+                ));
+            }
+            groups.push(family);
         }
-        // A histogram/summary family declares the base name; its samples
-        // may carry _bucket/_sum/_count suffixes.
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .unwrap_or(name);
-        if !typed.iter().any(|t| t == name || t == base) {
-            return Err(format!("sample for undeclared metric family: {line}"));
-        }
-        let value = line[rest_start..].trim();
-        // Value, optionally followed by a timestamp (we never emit one,
-        // but the format allows it).
-        let value = value.split(' ').next().unwrap_or_default();
-        if !matches!(value, "+Inf" | "-Inf" | "NaN") && value.parse::<f64>().is_err() {
-            return Err(format!("bad sample value '{value}' in: {line}"));
-        }
-        samples += 1;
     }
     Ok(samples)
+}
+
+/// [`parse_prometheus`], keeping only the number of sample lines.
+pub fn validate_prometheus(doc: &str) -> Result<usize, String> {
+    parse_prometheus(doc).map(|samples| samples.len())
 }
 
 #[cfg(test)]
@@ -248,13 +317,40 @@ mod tests {
 
     #[test]
     fn writer_roundtrips_through_validator() {
-        let mut w = PromWriter::new();
-        w.family("kfuse_requests_total", "counter", "Total requests.");
-        w.sample("kfuse_requests_total", &[("pipeline", "a\"b\\c")], 3.0);
-        w.family("kfuse_queue_depth", "gauge", "Queued jobs.");
-        w.sample("kfuse_queue_depth", &[], 0.0);
-        let doc = w.finish();
-        assert_eq!(validate_prometheus(&doc).unwrap(), 2);
+        let doc = render_prometheus(&[
+            Family {
+                name: "kfuse_requests_total",
+                kind: Kind::Counter,
+                help: "Total requests.",
+                samples: vec![Sample {
+                    labels: vec![("pipeline", "a\"b\\c".into()), ("q", "0.5".into())],
+                    value: 3.0,
+                }],
+            },
+            Family {
+                name: "kfuse_queue_depth",
+                kind: Kind::Gauge,
+                help: "Queued jobs.",
+                samples: vec![Sample {
+                    labels: vec![],
+                    value: f64::NEG_INFINITY,
+                }],
+            },
+        ]);
+        assert_eq!(
+            doc,
+            "# HELP kfuse_requests_total Total requests.\n\
+             # TYPE kfuse_requests_total counter\n\
+             kfuse_requests_total{pipeline=\"a\\\"b\\\\c\",q=\"0.5\"} 3\n\
+             # HELP kfuse_queue_depth Queued jobs.\n\
+             # TYPE kfuse_queue_depth gauge\n\
+             kfuse_queue_depth -Inf\n"
+        );
+        let samples = parse_prometheus(&doc).unwrap();
+        assert_eq!(samples.len(), 2);
+        assert_eq!(samples[0].labels, "pipeline=\"a\\\"b\\\\c\",q=\"0.5\"");
+        assert_eq!(samples[1].labels, "");
+        assert_eq!(samples[1].value, f64::NEG_INFINITY);
     }
 
     #[test]
@@ -286,5 +382,35 @@ mod tests {
     fn accepts_special_values() {
         let doc = "# TYPE m gauge\nm +Inf\nm NaN\n";
         assert_eq!(validate_prometheus(doc).unwrap(), 2);
+    }
+
+    /// Two documents that each declare a family concatenate into one that
+    /// declares it twice; the format allows one `# TYPE` line per family.
+    #[test]
+    fn rejects_second_type_line() {
+        let doc = "# TYPE m gauge\nm 1\n# TYPE m gauge\nm 2\n";
+        assert!(validate_prometheus(doc)
+            .unwrap_err()
+            .contains("second TYPE"));
+    }
+
+    /// A family's lines must form one group: a sample of `a` after `b`'s
+    /// group began is refused, as is a HELP line that reopens `a`.
+    #[test]
+    fn rejects_interleaved_families() {
+        for doc in [
+            "# TYPE a gauge\n# TYPE b gauge\na 1\n",
+            "# TYPE a gauge\na 1\n# TYPE b gauge\nb 1\na 2\n",
+            "# TYPE a gauge\na 1\n# TYPE b gauge\n# HELP a late help\n",
+        ] {
+            assert!(
+                validate_prometheus(doc)
+                    .unwrap_err()
+                    .contains("not contiguous"),
+                "{doc}"
+            );
+        }
+        let ok = "# HELP a x\n# TYPE a gauge\na 1\n# TYPE b gauge\nb 1\n";
+        assert_eq!(validate_prometheus(ok).unwrap(), 2);
     }
 }

@@ -23,8 +23,9 @@
 //!   id-layout hash so structural sharing can never bind a tenant's images
 //!   to the wrong slots;
 //! * [`metrics`] — per-tenant atomic counters and log-linear latency histograms,
-//!   exported as a [`MetricsSnapshot`] with hand-rolled JSON and
-//!   Prometheus text exposition (the workspace is zero-external-crate).
+//!   frozen as a [`MetricsSnapshot`] whose `families()` declares every
+//!   exported metric once, for `kfuse_obs` to render as Prometheus text or
+//!   JSON (the workspace is zero-external-crate).
 //!
 //! Serving is traceable end to end: set a recording
 //! [`kfuse_obs::Tracer`] in [`RuntimeConfig`] and every request emits

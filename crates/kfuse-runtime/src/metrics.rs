@@ -1,5 +1,5 @@
 //! Per-pipeline serving metrics: atomic counters, latency histograms,
-//! SLO accounting, and a hand-serialized JSON snapshot.
+//! SLO accounting, and the metric families a snapshot exports.
 //!
 //! Counters are lock-free (`AtomicU64` with relaxed ordering — they are
 //! statistics, not synchronization), so the execution hot path never takes
@@ -13,13 +13,16 @@
 //! that turns "p99 regressed" into "open this exact trace in the flight
 //! recorder".
 //!
-//! Snapshots export two ways: [`MetricsSnapshot::to_json`] (hand-rolled,
-//! escaping via [`kfuse_obs::escape_json`] — the same helper the Chrome
-//! trace exporter uses) and [`MetricsSnapshot::to_prometheus`]
-//! (text-exposition format via [`kfuse_obs::PromWriter`], validated in CI
-//! by `kfuse_obs::validate_prometheus`).
+//! [`MetricsSnapshot::families`] declares every exported family once (name,
+//! type, help, values); [`kfuse_obs::render_prometheus`] and
+//! [`kfuse_obs::render_json`] render that one list as text exposition
+//! (validated in CI by `kfuse_obs::validate_prometheus`) or as JSON.
+//!
+//! The registry keeps at most [`MAX_PIPELINES`] pipeline names apart:
+//! names arrive from the wire, and each costs memory and scrape lines.
 
-use kfuse_obs::{escape_json, fmt_json_f64, PromWriter};
+use crate::cache::FingerprintStats;
+use kfuse_obs::{Family, Sample};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,16 +206,16 @@ impl PipelineMetrics {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a submission shed by QoS policy at admission (tenant over
-    /// its queue share, or queue pressure past the class threshold) —
+    /// Counts a submission shed at admission (queue pressure past its
+    /// priority class's threshold, or a session's full frame backlog) —
     /// deliberate overload protection, tallied apart from plain
     /// full-queue rejections so operators can tell policy from capacity.
     pub fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a job whose deadline expired in the queue: answered with
-    /// `DeadlineExceeded` at dequeue, never executed.
+    /// Counts a job answered with `DeadlineExceeded`, never executed: its
+    /// deadline expired before admission or in the queue.
     pub fn record_deadline_miss(&self) {
         self.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -286,6 +289,15 @@ impl PipelineMetrics {
     }
 }
 
+/// Most pipeline (tenant) names a [`MetricsRegistry`] keeps apart. Each
+/// name holds about 4 KiB of counters and adds at least 17 lines to every
+/// scrape, and a client picks the names, so they are bounded.
+pub const MAX_PIPELINES: usize = 256;
+
+/// The pipeline name that every name past [`MAX_PIPELINES`] is counted
+/// under, together.
+pub const OVERFLOW_PIPELINE: &str = "_overflow";
+
 /// Registry of per-pipeline metrics, keyed by the caller-supplied
 /// pipeline (tenant) name.
 #[derive(Debug, Default)]
@@ -294,10 +306,20 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// The metrics handle for `name`, created on first use. The returned
-    /// `Arc` lets the hot path update counters without re-locking the map.
+    /// The metrics handle for `name`, created on first use; once
+    /// [`MAX_PIPELINES`] names exist, a new name gets the shared
+    /// [`OVERFLOW_PIPELINE`] handle. The returned `Arc` lets the hot path
+    /// update counters without re-locking the map.
     pub fn handle(&self, name: &str) -> Arc<PipelineMetrics> {
         let mut map = self.inner.lock().unwrap();
+        if let Some(metrics) = map.get(name) {
+            return Arc::clone(metrics);
+        }
+        let name = if map.len() < MAX_PIPELINES {
+            name
+        } else {
+            OVERFLOW_PIPELINE
+        };
         map.entry(name.to_string()).or_default().clone()
     }
 
@@ -405,303 +427,197 @@ impl MetricsSnapshot {
         self.pipelines.iter().find(|p| p.name == name)
     }
 
-    /// Serializes the snapshot to JSON. Hand-rolled (the workspace has no
-    /// external dependencies); the only strings are pipeline names, which
-    /// are escaped per RFC 8259. `mean_us` goes through
-    /// [`kfuse_obs::fmt_json_f64`], so a NaN mean (pipeline with no
-    /// latencies yet) renders as `null` instead of an invalid token.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"pipelines\":[");
-        for (i, p) in self.pipelines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"requests\":{},\"completed\":{},\"errors\":{},\
-                 \"rejected\":{},\"shed\":{},\"deadline_misses\":{},\"admission_timeouts\":{},\
-                 \"cache_hits\":{},\"cache_misses\":{},\
-                 \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"mean_us\":{},\
-                 \"slo_jobs\":{},\"slo_misses\":{},\"budget_burn\":{},\"slo_miss_rate\":{}",
-                escape_json(&p.name),
-                p.requests,
-                p.completed,
-                p.errors,
-                p.rejected,
-                p.shed,
-                p.deadline_misses,
-                p.admission_timeouts,
-                p.cache_hits,
-                p.cache_misses,
-                p.p50_us,
-                p.p95_us,
-                p.p99_us,
-                fmt_json_f64(p.mean_us),
-                p.slo_jobs,
-                p.slo_misses,
-                fmt_json_f64(p.budget_burn),
-                fmt_json_f64(p.slo_miss_rate),
-            ));
-            out.push_str(",\"exemplars\":[");
-            for (j, e) in p.exemplars.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                // Trace ids are identifiers, not quantities: hex strings
-                // keep them exact and match the Chrome-trace rendering.
-                out.push_str(&format!(
-                    "{{\"le_us\":{},\"trace_id\":\"{:016x}\"}}",
-                    e.le_us, e.trace_id
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"runtime\":");
-        let g = &self.runtime;
-        out.push_str(&format!(
-            "{{\"queue_depth\":{},\"queue_depth_hwm\":{},\"in_flight\":{},\"cache_size\":{},\
-             \"cache_capacity\":{},\"cache_evictions\":{},\"sessions_open\":{}}}",
-            g.queue_depth,
-            g.queue_depth_hwm,
-            g.in_flight,
-            g.cache_size,
-            g.cache_capacity,
-            g.cache_evictions,
-            g.sessions_open,
-        ));
-        out.push_str(",\"fingerprints\":[");
-        for (i, s) in self.fingerprints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // Fingerprints are hashes, not quantities: hex strings keep
-            // them exact (u64 exceeds JSON's interoperable integer range).
-            out.push_str(&format!(
-                "{{\"fingerprint\":\"{:016x}\",\"hits\":{},\"misses\":{}}}",
-                s.fingerprint, s.hits, s.misses
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Serializes the snapshot in Prometheus text-exposition format.
-    /// Per-pipeline counters carry a `pipeline` label; latency quantiles
-    /// are gauges labeled `pipeline` + `quantile` (bucket-upper-bound
-    /// values, matching the JSON export); runtime gauges are unlabeled.
-    pub fn to_prometheus(&self) -> String {
-        type Field = fn(&PipelineSnapshot) -> u64;
-        let mut w = PromWriter::new();
-        let counters: [(&str, &str, Field); 9] = [
-            ("kfuse_requests_total", "Requests submitted.", |p| {
-                p.requests
-            }),
-            (
+    /// Every exported runtime metric family, each declared once: name,
+    /// type, help, and the values it reads from this snapshot. Per-pipeline
+    /// families carry a `pipeline` label; latency quantiles are gauges
+    /// labeled `pipeline` + `quantile` (bucket upper bounds); runtime
+    /// gauges are unlabeled. The exemplar family appears only when some
+    /// pipeline has an exemplar, the per-fingerprint counters only when
+    /// fingerprints were tallied. Render the list with
+    /// [`kfuse_obs::render_prometheus`] or [`kfuse_obs::render_json`].
+    pub fn families(&self) -> Vec<Family> {
+        let per_pipeline = |get: fn(&PipelineSnapshot) -> f64| {
+            let sample = |p: &PipelineSnapshot| Sample {
+                labels: vec![("pipeline", p.name.clone())],
+                value: get(p),
+            };
+            self.pipelines.iter().map(sample).collect()
+        };
+        let quantiles = self.pipelines.iter().flat_map(|p| {
+            [("0.5", p.p50_us), ("0.95", p.p95_us), ("0.99", p.p99_us)].map(|(q, v)| Sample {
+                labels: vec![("pipeline", p.name.clone()), ("quantile", q.to_string())],
+                value: v as f64,
+            })
+        });
+        let mut families = vec![
+            Family::counter(
+                "kfuse_requests_total",
+                "Requests submitted.",
+                per_pipeline(|p| p.requests as f64),
+            ),
+            Family::counter(
                 "kfuse_requests_completed_total",
                 "Requests completed successfully.",
-                |p| p.completed,
+                per_pipeline(|p| p.completed as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_requests_errors_total",
                 "Requests failed in execution.",
-                |p| p.errors,
+                per_pipeline(|p| p.errors as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_requests_rejected_total",
                 "Requests rejected at admission.",
-                |p| p.rejected,
+                per_pipeline(|p| p.rejected as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_requests_shed_total",
                 "Requests shed at admission (queue pressure or a full session backlog).",
-                |p| p.shed,
+                per_pipeline(|p| p.shed as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_deadline_misses_total",
-                "Jobs whose deadline expired in the queue (dropped unexecuted).",
-                |p| p.deadline_misses,
+                "Jobs whose deadline expired at admission or in the queue (never executed).",
+                per_pipeline(|p| p.deadline_misses as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_admission_timeouts_total",
                 "Submissions that timed out waiting for queue space.",
-                |p| p.admission_timeouts,
+                per_pipeline(|p| p.admission_timeouts as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_plan_cache_hits_total",
                 "Jobs served from a cached compiled plan.",
-                |p| p.cache_hits,
+                per_pipeline(|p| p.cache_hits as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_plan_cache_misses_total",
                 "Jobs that compiled a new plan.",
-                |p| p.cache_misses,
+                per_pipeline(|p| p.cache_misses as f64),
             ),
-        ];
-        for (name, help, get) in counters {
-            w.family(name, "counter", help);
-            for p in &self.pipelines {
-                w.sample(name, &[("pipeline", &p.name)], get(p) as f64);
-            }
-        }
-        w.family(
-            "kfuse_request_latency_us",
-            "gauge",
-            "Request latency quantiles (µs, upper bounds of log-linear buckets, four per power of two).",
-        );
-        for p in &self.pipelines {
-            for (q, v) in [("0.5", p.p50_us), ("0.95", p.p95_us), ("0.99", p.p99_us)] {
-                w.sample(
-                    "kfuse_request_latency_us",
-                    &[("pipeline", &p.name), ("quantile", q)],
-                    v as f64,
-                );
-            }
-        }
-        w.family(
-            "kfuse_request_latency_mean_us",
-            "gauge",
-            "Mean request latency (µs); NaN until a latency is recorded.",
-        );
-        for p in &self.pipelines {
-            // PromWriter renders non-finite values with the text-format
-            // NaN/+Inf/-Inf tokens, so an idle pipeline exports cleanly.
-            w.sample(
+            Family::gauge(
+                "kfuse_request_latency_us",
+                "Request latency quantiles (µs, upper bounds of log-linear buckets, \
+                 four per power of two).",
+                quantiles.collect(),
+            ),
+            Family::gauge(
                 "kfuse_request_latency_mean_us",
-                &[("pipeline", &p.name)],
-                p.mean_us,
-            );
-        }
-        let slo_counters: [(&str, &str, Field); 2] = [
-            (
+                "Mean request latency (µs); NaN until a latency is recorded.",
+                per_pipeline(|p| p.mean_us),
+            ),
+            Family::counter(
                 "kfuse_slo_jobs_total",
                 "Jobs submitted with a deadline (the SLO population).",
-                |p| p.slo_jobs,
+                per_pipeline(|p| p.slo_jobs as f64),
             ),
-            (
+            Family::counter(
                 "kfuse_slo_misses_total",
                 "Deadlined jobs that burned past their budget.",
-                |p| p.slo_misses,
+                per_pipeline(|p| p.slo_misses as f64),
             ),
-        ];
-        for (name, help, get) in slo_counters {
-            w.family(name, "counter", help);
-            for p in &self.pipelines {
-                w.sample(name, &[("pipeline", &p.name)], get(p) as f64);
-            }
-        }
-        type GaugeGet = fn(&PipelineSnapshot) -> f64;
-        let slo_gauges: [(&str, &str, GaugeGet); 2] = [
-            (
+            Family::gauge(
                 "kfuse_slo_budget_burn_ratio",
                 "Spent µs over granted deadline budget µs; NaN with no deadlined jobs.",
-                |p| p.budget_burn,
+                per_pipeline(|p| p.budget_burn),
             ),
-            (
+            Family::gauge(
                 "kfuse_slo_miss_rate",
                 "Fraction of deadlined jobs that missed; NaN with no deadlined jobs.",
-                |p| p.slo_miss_rate,
+                per_pipeline(|p| p.slo_miss_rate),
             ),
         ];
-        for (name, help, get) in slo_gauges {
-            w.family(name, "gauge", help);
-            for p in &self.pipelines {
-                w.sample(name, &[("pipeline", &p.name)], get(p));
-            }
-        }
         if self.pipelines.iter().any(|p| !p.exemplars.is_empty()) {
-            w.family(
+            let exemplars = self.pipelines.iter().flat_map(|p| {
+                p.exemplars.iter().map(|e| Sample {
+                    labels: vec![
+                        ("pipeline", p.name.clone()),
+                        ("trace_id", format!("{:016x}", e.trace_id)),
+                    ],
+                    value: e.le_us as f64,
+                })
+            });
+            families.push(Family::gauge(
                 "kfuse_request_latency_exemplar_us",
-                "gauge",
                 "Latency-histogram bucket exemplars: sample value is the bucket's \
                  inclusive upper bound (µs); the trace_id label links to the \
                  flight-recorder trace of the last request in the bucket.",
-            );
-            for p in &self.pipelines {
-                for e in &p.exemplars {
-                    let trace_id = format!("{:016x}", e.trace_id);
-                    w.sample(
-                        "kfuse_request_latency_exemplar_us",
-                        &[("pipeline", &p.name), ("trace_id", &trace_id)],
-                        e.le_us as f64,
-                    );
-                }
-            }
+                exemplars.collect(),
+            ));
         }
         let g = &self.runtime;
-        let gauges: [(&str, &str, u64); 6] = [
-            (
+        let one = |value: u64| {
+            vec![Sample {
+                labels: Vec::new(),
+                value: value as f64,
+            }]
+        };
+        families.extend([
+            Family::gauge(
                 "kfuse_queue_depth",
-                "Jobs queued for a worker.",
-                g.queue_depth,
+                "Stateless jobs queued for a worker (session runners not counted).",
+                one(g.queue_depth),
             ),
-            (
+            Family::gauge(
                 "kfuse_queue_depth_hwm",
                 "Deepest the queue has ever been (high-water mark).",
-                g.queue_depth_hwm,
+                one(g.queue_depth_hwm),
             ),
-            (
+            Family::gauge(
                 "kfuse_in_flight_requests",
                 "Jobs currently executing.",
-                g.in_flight,
+                one(g.in_flight),
             ),
-            (
+            Family::gauge(
                 "kfuse_plan_cache_size",
                 "Compiled plans currently cached.",
-                g.cache_size,
+                one(g.cache_size),
             ),
-            (
+            Family::gauge(
                 "kfuse_plan_cache_capacity",
                 "Plan cache capacity.",
-                g.cache_capacity,
+                one(g.cache_capacity),
             ),
-            (
+            Family::gauge(
                 "kfuse_sessions_open",
                 "Streaming sessions currently open.",
-                g.sessions_open,
+                one(g.sessions_open),
             ),
-        ];
-        for (name, help, v) in gauges {
-            w.family(name, "gauge", help);
-            w.sample(name, &[], v as f64);
-        }
-        w.family(
-            "kfuse_plan_cache_evictions_total",
-            "counter",
-            "Plans evicted from the cache.",
-        );
-        w.sample(
-            "kfuse_plan_cache_evictions_total",
-            &[],
-            g.cache_evictions as f64,
-        );
+            Family::counter(
+                "kfuse_plan_cache_evictions_total",
+                "Plans evicted from the cache.",
+                one(g.cache_evictions),
+            ),
+        ]);
         if !self.fingerprints.is_empty() {
-            type FpField = fn(&crate::cache::FingerprintStats) -> u64;
-            let fp_counters: [(&str, &str, FpField); 2] = [
-                (
+            let per_fingerprint = |get: fn(&FingerprintStats) -> u64| {
+                let sample = |s: &FingerprintStats| Sample {
+                    labels: vec![("fingerprint", format!("{:016x}", s.fingerprint))],
+                    value: get(s) as f64,
+                };
+                self.fingerprints.iter().map(sample).collect()
+            };
+            families.extend([
+                Family::counter(
                     "kfuse_plan_cache_fingerprint_hits_total",
                     "Plan-cache hits per structural pipeline fingerprint.",
-                    |s| s.hits,
+                    per_fingerprint(|s| s.hits),
                 ),
-                (
+                Family::counter(
                     "kfuse_plan_cache_fingerprint_misses_total",
                     "Plan-cache misses per structural pipeline fingerprint.",
-                    |s| s.misses,
+                    per_fingerprint(|s| s.misses),
                 ),
-            ];
-            for (name, help, get) in fp_counters {
-                w.family(name, "counter", help);
-                for s in &self.fingerprints {
-                    let fp = format!("{:016x}", s.fingerprint);
-                    w.sample(name, &[("fingerprint", &fp)], get(s) as f64);
-                }
-            }
+            ]);
         }
-        w.finish()
+        families
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfuse_obs::Json;
 
     #[test]
     fn histogram_quantiles_bucketized() {
@@ -791,6 +707,21 @@ mod tests {
         );
     }
 
+    fn prometheus(snap: &MetricsSnapshot) -> String {
+        let doc = kfuse_obs::render_prometheus(&snap.families());
+        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
+        doc
+    }
+
+    fn json(snap: &MetricsSnapshot) -> Json {
+        let doc = kfuse_obs::render_json(&snap.families());
+        kfuse_obs::parse_json(&doc).expect("strict parser accepts the snapshot")
+    }
+
+    fn num(doc: &Json, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        doc.sample(family, labels).and_then(Json::as_num)
+    }
+
     #[test]
     fn snapshot_sorted_and_json_escaped() {
         let reg = MetricsRegistry::default();
@@ -801,12 +732,15 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.pipelines.len(), 2);
         assert_eq!(snap.pipelines[0].name, "a\"b\\c");
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"pipelines\":["));
-        assert!(json.contains("\"name\":\"a\\\"b\\\\c\""));
-        assert!(json.contains("\"requests\":1"));
+        let text = kfuse_obs::render_json(&snap.families());
+        assert!(text.starts_with("{\"families\":[{\"name\":\"kfuse_requests_total\""));
+        assert!(text.contains("{\"pipeline\":\"a\\\"b\\\\c\"}"));
+        let doc = json(&snap);
+        let weird = [("pipeline", "a\"b\\c")];
+        assert_eq!(num(&doc, "kfuse_requests_total", &weird), Some(1.0));
         // 100 µs lands in the log-linear bucket [96, 112) → upper 111.
-        assert!(json.contains("\"p50_us\":111"));
+        let p50 = [("pipeline", "a\"b\\c"), ("quantile", "0.5")];
+        assert_eq!(num(&doc, "kfuse_request_latency_us", &p50), Some(111.0));
     }
 
     #[test]
@@ -823,11 +757,18 @@ mod tests {
             cache_evictions: 1,
             sessions_open: 2,
         };
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"runtime\":{\"queue_depth\":3,\"queue_depth_hwm\":7,\"in_flight\":2")
-        );
-        assert!(json.contains("\"cache_evictions\":1,\"sessions_open\":2}"));
+        let doc = json(&snap);
+        for (family, value) in [
+            ("kfuse_queue_depth", 3.0),
+            ("kfuse_queue_depth_hwm", 7.0),
+            ("kfuse_in_flight_requests", 2.0),
+            ("kfuse_plan_cache_size", 5.0),
+            ("kfuse_plan_cache_capacity", 8.0),
+            ("kfuse_plan_cache_evictions_total", 1.0),
+            ("kfuse_sessions_open", 2.0),
+        ] {
+            assert_eq!(num(&doc, family, &[]), Some(value), "{family}");
+        }
     }
 
     #[test]
@@ -841,7 +782,7 @@ mod tests {
         let mut snap = reg.snapshot();
         snap.runtime.queue_depth = 4;
         snap.runtime.queue_depth_hwm = 9;
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         // 9 counter families × 2 pipelines + 3 quantiles × 2 pipelines
         // + 1 mean × 2 pipelines + 2 SLO counters × 2 + 2 SLO gauges × 2
         // + 7 runtime samples (no exemplars recorded).
@@ -871,15 +812,14 @@ mod tests {
         assert!(snap.pipeline("idle").unwrap().mean_us.is_nan());
         assert_eq!(snap.pipeline("busy").unwrap().mean_us, 20.0);
 
-        let json = snap.to_json();
-        assert!(json.contains("\"mean_us\":null"));
-        assert!(json.contains("\"mean_us\":20"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the redacted mean");
+        let doc = json(&snap);
+        let mean = |p| doc.sample("kfuse_request_latency_mean_us", &[("pipeline", p)]);
+        assert_eq!(mean("idle"), Some(&Json::Null));
+        assert_eq!(mean("busy"), Some(&Json::Num(20.0)));
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains("kfuse_request_latency_mean_us{pipeline=\"idle\"} NaN"));
         assert!(doc.contains("kfuse_request_latency_mean_us{pipeline=\"busy\"} 20"));
-        kfuse_obs::validate_prometheus(&doc).expect("text format allows NaN samples");
     }
 
     /// The shed counter round-trips both exporters, and sheds stay
@@ -897,14 +837,15 @@ mod tests {
         assert_eq!(s.shed, 2);
         assert_eq!(s.rejected, 1);
 
-        let json = snap.to_json();
-        assert!(json.contains("\"shed\":2"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
+        let t = [("pipeline", "t")];
+        assert_eq!(
+            num(&json(&snap), "kfuse_requests_shed_total", &t),
+            Some(2.0)
+        );
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains("# TYPE kfuse_requests_shed_total counter"));
         assert!(doc.contains("kfuse_requests_shed_total{pipeline=\"t\"} 2"));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 
     #[test]
@@ -942,16 +883,15 @@ mod tests {
         assert_eq!(s.deadline_misses, 2);
         assert_eq!(s.admission_timeouts, 1);
 
-        let json = snap.to_json();
-        assert!(json.contains("\"deadline_misses\":2"));
-        assert!(json.contains("\"admission_timeouts\":1"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
+        let doc = json(&snap);
+        let t = [("pipeline", "t")];
+        assert_eq!(num(&doc, "kfuse_deadline_misses_total", &t), Some(2.0));
+        assert_eq!(num(&doc, "kfuse_admission_timeouts_total", &t), Some(1.0));
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains("# TYPE kfuse_deadline_misses_total counter"));
         assert!(doc.contains("kfuse_deadline_misses_total{pipeline=\"t\"} 2"));
         assert!(doc.contains("kfuse_admission_timeouts_total{pipeline=\"t\"} 1"));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 
     /// The queue-depth high-water mark renders in both exporters and is
@@ -963,47 +903,51 @@ mod tests {
         let mut snap = reg.snapshot();
         snap.runtime.queue_depth = 0;
         snap.runtime.queue_depth_hwm = 12;
-        let json = snap.to_json();
-        assert!(json.contains("\"queue_depth\":0"));
-        assert!(json.contains("\"queue_depth_hwm\":12"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
-        let doc = snap.to_prometheus();
+        let doc = json(&snap);
+        assert_eq!(num(&doc, "kfuse_queue_depth", &[]), Some(0.0));
+        assert_eq!(num(&doc, "kfuse_queue_depth_hwm", &[]), Some(12.0));
+        let doc = prometheus(&snap);
         assert!(doc.contains("# TYPE kfuse_queue_depth_hwm gauge"));
         assert!(doc.contains("kfuse_queue_depth_hwm 12"));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 
-    /// Per-fingerprint plan-cache tallies render as hex-keyed JSON objects
-    /// and labeled Prometheus counter families; both stay validator-clean.
+    /// Per-fingerprint plan-cache tallies render as hex-labeled counter
+    /// families in both exporters.
     #[test]
     fn fingerprint_stats_round_trip_both_exporters() {
         let reg = MetricsRegistry::default();
         reg.handle("t").record_request();
         let mut snap = reg.snapshot();
         snap.fingerprints = vec![
-            crate::cache::FingerprintStats {
+            FingerprintStats {
                 fingerprint: 0xdead_beef,
                 hits: 9,
                 misses: 1,
             },
-            crate::cache::FingerprintStats {
+            FingerprintStats {
                 fingerprint: 0x1,
                 hits: 0,
                 misses: 3,
             },
         ];
-        let json = snap.to_json();
-        assert!(json.contains("\"fingerprint\":\"00000000deadbeef\",\"hits\":9,\"misses\":1"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
+        let doc = json(&snap);
+        let fp = [("fingerprint", "00000000deadbeef")];
+        assert_eq!(
+            num(&doc, "kfuse_plan_cache_fingerprint_hits_total", &fp),
+            Some(9.0)
+        );
+        assert_eq!(
+            num(&doc, "kfuse_plan_cache_fingerprint_misses_total", &fp),
+            Some(1.0)
+        );
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains(
             "kfuse_plan_cache_fingerprint_hits_total{fingerprint=\"00000000deadbeef\"} 9"
         ));
         assert!(doc.contains(
             "kfuse_plan_cache_fingerprint_misses_total{fingerprint=\"0000000000000001\"} 3"
         ));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 
     /// SLO accounting: budget-burn and miss-rate aggregate per tenant and
@@ -1024,19 +968,18 @@ mod tests {
         assert_eq!(s.slo_miss_rate, 0.5);
         assert!(snap.pipeline("free").unwrap().budget_burn.is_nan());
 
-        let json = snap.to_json();
-        assert!(json.contains("\"slo_jobs\":2"));
-        assert!(json.contains("\"budget_burn\":1"));
-        assert!(json.contains("\"slo_miss_rate\":0.5"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
+        let doc = json(&snap);
+        let t = [("pipeline", "t")];
+        assert_eq!(num(&doc, "kfuse_slo_jobs_total", &t), Some(2.0));
+        assert_eq!(num(&doc, "kfuse_slo_budget_burn_ratio", &t), Some(1.0));
+        assert_eq!(num(&doc, "kfuse_slo_miss_rate", &t), Some(0.5));
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains("kfuse_slo_jobs_total{pipeline=\"t\"} 2"));
         assert!(doc.contains("kfuse_slo_misses_total{pipeline=\"t\"} 1"));
         assert!(doc.contains("kfuse_slo_budget_burn_ratio{pipeline=\"t\"} 1"));
         assert!(doc.contains("kfuse_slo_miss_rate{pipeline=\"t\"} 0.5"));
         assert!(doc.contains("kfuse_slo_miss_rate{pipeline=\"free\"} NaN"));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
     }
 
     /// Histogram exemplars surface in both exporters: hex trace ids keyed
@@ -1056,14 +999,232 @@ mod tests {
             }]
         );
 
-        let json = snap.to_json();
-        assert!(json.contains("\"exemplars\":[{\"le_us\":111,\"trace_id\":\"000000000000feed\"}]"));
-        kfuse_obs::parse_json(&json).expect("strict parser accepts the snapshot");
+        let labels = [("pipeline", "t"), ("trace_id", "000000000000feed")];
+        let doc = json(&snap);
+        assert_eq!(
+            num(&doc, "kfuse_request_latency_exemplar_us", &labels),
+            Some(111.0)
+        );
 
-        let doc = snap.to_prometheus();
+        let doc = prometheus(&snap);
         assert!(doc.contains(
             "kfuse_request_latency_exemplar_us{pipeline=\"t\",trace_id=\"000000000000feed\"} 111"
         ));
-        kfuse_obs::validate_prometheus(&doc).expect("exposition validates");
+    }
+
+    /// A snapshot that exercises every family: two pipelines (one with a
+    /// name that needs escaping, one idle with NaN gauges), latencies with
+    /// exemplars, SLO data, every runtime gauge and two fingerprints.
+    fn rich_snapshot() -> MetricsSnapshot {
+        let reg = MetricsRegistry::default();
+        let weird = reg.handle("a\"b\\c\nd");
+        for _ in 0..5 {
+            weird.record_request();
+        }
+        weird.record_completed();
+        weird.record_completed();
+        weird.record_error();
+        weird.record_rejected();
+        weird.record_shed();
+        weird.record_deadline_miss();
+        weird.record_admission_timeout();
+        weird.record_cache_miss();
+        weird.record_cache_hit();
+        weird.record_cache_hit();
+        weird.record_latency_us(8);
+        weird.record_latency_traced(100, 0xfeed);
+        weird.record_latency_traced(1000, 0xbeef);
+        weird.record_slo(1000, 500);
+        weird.record_slo(1000, 2000);
+        weird.record_slo(4000, 1500);
+        reg.handle("idle").record_request();
+        let mut snap = reg.snapshot();
+        snap.runtime = RuntimeGauges {
+            queue_depth: 3,
+            queue_depth_hwm: 7,
+            in_flight: 2,
+            cache_size: 5,
+            cache_capacity: 8,
+            cache_evictions: 1,
+            sessions_open: 4,
+        };
+        snap.fingerprints = vec![
+            FingerprintStats {
+                fingerprint: 0xdead_beef,
+                hits: 9,
+                misses: 1,
+            },
+            FingerprintStats {
+                fingerprint: 0x1,
+                hits: 0,
+                misses: 3,
+            },
+        ];
+        snap
+    }
+
+    /// The exposition text of [`rich_snapshot`], byte for byte: every
+    /// family, its order, help, type, labels, escaping and value format.
+    #[test]
+    fn prometheus_exposition_is_pinned() {
+        assert_eq!(prometheus(&rich_snapshot()), PINNED_EXPOSITION);
+    }
+
+    const PINNED_EXPOSITION: &str = r#"# HELP kfuse_requests_total Requests submitted.
+# TYPE kfuse_requests_total counter
+kfuse_requests_total{pipeline="a\"b\\c\nd"} 5
+kfuse_requests_total{pipeline="idle"} 1
+# HELP kfuse_requests_completed_total Requests completed successfully.
+# TYPE kfuse_requests_completed_total counter
+kfuse_requests_completed_total{pipeline="a\"b\\c\nd"} 2
+kfuse_requests_completed_total{pipeline="idle"} 0
+# HELP kfuse_requests_errors_total Requests failed in execution.
+# TYPE kfuse_requests_errors_total counter
+kfuse_requests_errors_total{pipeline="a\"b\\c\nd"} 1
+kfuse_requests_errors_total{pipeline="idle"} 0
+# HELP kfuse_requests_rejected_total Requests rejected at admission.
+# TYPE kfuse_requests_rejected_total counter
+kfuse_requests_rejected_total{pipeline="a\"b\\c\nd"} 1
+kfuse_requests_rejected_total{pipeline="idle"} 0
+# HELP kfuse_requests_shed_total Requests shed at admission (queue pressure or a full session backlog).
+# TYPE kfuse_requests_shed_total counter
+kfuse_requests_shed_total{pipeline="a\"b\\c\nd"} 1
+kfuse_requests_shed_total{pipeline="idle"} 0
+# HELP kfuse_deadline_misses_total Jobs whose deadline expired at admission or in the queue (never executed).
+# TYPE kfuse_deadline_misses_total counter
+kfuse_deadline_misses_total{pipeline="a\"b\\c\nd"} 1
+kfuse_deadline_misses_total{pipeline="idle"} 0
+# HELP kfuse_admission_timeouts_total Submissions that timed out waiting for queue space.
+# TYPE kfuse_admission_timeouts_total counter
+kfuse_admission_timeouts_total{pipeline="a\"b\\c\nd"} 1
+kfuse_admission_timeouts_total{pipeline="idle"} 0
+# HELP kfuse_plan_cache_hits_total Jobs served from a cached compiled plan.
+# TYPE kfuse_plan_cache_hits_total counter
+kfuse_plan_cache_hits_total{pipeline="a\"b\\c\nd"} 2
+kfuse_plan_cache_hits_total{pipeline="idle"} 0
+# HELP kfuse_plan_cache_misses_total Jobs that compiled a new plan.
+# TYPE kfuse_plan_cache_misses_total counter
+kfuse_plan_cache_misses_total{pipeline="a\"b\\c\nd"} 1
+kfuse_plan_cache_misses_total{pipeline="idle"} 0
+# HELP kfuse_request_latency_us Request latency quantiles (µs, upper bounds of log-linear buckets, four per power of two).
+# TYPE kfuse_request_latency_us gauge
+kfuse_request_latency_us{pipeline="a\"b\\c\nd",quantile="0.5"} 111
+kfuse_request_latency_us{pipeline="a\"b\\c\nd",quantile="0.95"} 1023
+kfuse_request_latency_us{pipeline="a\"b\\c\nd",quantile="0.99"} 1023
+kfuse_request_latency_us{pipeline="idle",quantile="0.5"} 0
+kfuse_request_latency_us{pipeline="idle",quantile="0.95"} 0
+kfuse_request_latency_us{pipeline="idle",quantile="0.99"} 0
+# HELP kfuse_request_latency_mean_us Mean request latency (µs); NaN until a latency is recorded.
+# TYPE kfuse_request_latency_mean_us gauge
+kfuse_request_latency_mean_us{pipeline="a\"b\\c\nd"} 369.3333333333333
+kfuse_request_latency_mean_us{pipeline="idle"} NaN
+# HELP kfuse_slo_jobs_total Jobs submitted with a deadline (the SLO population).
+# TYPE kfuse_slo_jobs_total counter
+kfuse_slo_jobs_total{pipeline="a\"b\\c\nd"} 3
+kfuse_slo_jobs_total{pipeline="idle"} 0
+# HELP kfuse_slo_misses_total Deadlined jobs that burned past their budget.
+# TYPE kfuse_slo_misses_total counter
+kfuse_slo_misses_total{pipeline="a\"b\\c\nd"} 1
+kfuse_slo_misses_total{pipeline="idle"} 0
+# HELP kfuse_slo_budget_burn_ratio Spent µs over granted deadline budget µs; NaN with no deadlined jobs.
+# TYPE kfuse_slo_budget_burn_ratio gauge
+kfuse_slo_budget_burn_ratio{pipeline="a\"b\\c\nd"} 0.6666666666666666
+kfuse_slo_budget_burn_ratio{pipeline="idle"} NaN
+# HELP kfuse_slo_miss_rate Fraction of deadlined jobs that missed; NaN with no deadlined jobs.
+# TYPE kfuse_slo_miss_rate gauge
+kfuse_slo_miss_rate{pipeline="a\"b\\c\nd"} 0.3333333333333333
+kfuse_slo_miss_rate{pipeline="idle"} NaN
+# HELP kfuse_request_latency_exemplar_us Latency-histogram bucket exemplars: sample value is the bucket's inclusive upper bound (µs); the trace_id label links to the flight-recorder trace of the last request in the bucket.
+# TYPE kfuse_request_latency_exemplar_us gauge
+kfuse_request_latency_exemplar_us{pipeline="a\"b\\c\nd",trace_id="000000000000feed"} 111
+kfuse_request_latency_exemplar_us{pipeline="a\"b\\c\nd",trace_id="000000000000beef"} 1023
+# HELP kfuse_queue_depth Stateless jobs queued for a worker (session runners not counted).
+# TYPE kfuse_queue_depth gauge
+kfuse_queue_depth 3
+# HELP kfuse_queue_depth_hwm Deepest the queue has ever been (high-water mark).
+# TYPE kfuse_queue_depth_hwm gauge
+kfuse_queue_depth_hwm 7
+# HELP kfuse_in_flight_requests Jobs currently executing.
+# TYPE kfuse_in_flight_requests gauge
+kfuse_in_flight_requests 2
+# HELP kfuse_plan_cache_size Compiled plans currently cached.
+# TYPE kfuse_plan_cache_size gauge
+kfuse_plan_cache_size 5
+# HELP kfuse_plan_cache_capacity Plan cache capacity.
+# TYPE kfuse_plan_cache_capacity gauge
+kfuse_plan_cache_capacity 8
+# HELP kfuse_sessions_open Streaming sessions currently open.
+# TYPE kfuse_sessions_open gauge
+kfuse_sessions_open 4
+# HELP kfuse_plan_cache_evictions_total Plans evicted from the cache.
+# TYPE kfuse_plan_cache_evictions_total counter
+kfuse_plan_cache_evictions_total 1
+# HELP kfuse_plan_cache_fingerprint_hits_total Plan-cache hits per structural pipeline fingerprint.
+# TYPE kfuse_plan_cache_fingerprint_hits_total counter
+kfuse_plan_cache_fingerprint_hits_total{fingerprint="00000000deadbeef"} 9
+kfuse_plan_cache_fingerprint_hits_total{fingerprint="0000000000000001"} 0
+# HELP kfuse_plan_cache_fingerprint_misses_total Plan-cache misses per structural pipeline fingerprint.
+# TYPE kfuse_plan_cache_fingerprint_misses_total counter
+kfuse_plan_cache_fingerprint_misses_total{fingerprint="00000000deadbeef"} 1
+kfuse_plan_cache_fingerprint_misses_total{fingerprint="0000000000000001"} 3
+"#;
+
+    /// JSON and Prometheus are two renderings of one family list: both
+    /// carry the same (name, labels, value) samples, with NaN as `null`.
+    #[test]
+    fn json_and_prometheus_carry_the_same_samples() {
+        let families = rich_snapshot().families();
+        let text = kfuse_obs::render_prometheus(&families);
+        let mut from_text: Vec<String> = kfuse_obs::parse_prometheus(&text)
+            .unwrap()
+            .iter()
+            .map(|s| format!("{}{{{}}} {}", s.name, s.labels, s.value))
+            .collect();
+        let doc = kfuse_obs::parse_json(&kfuse_obs::render_json(&families)).unwrap();
+        let mut from_json = Vec::new();
+        for family in doc.get("families").and_then(Json::as_arr).unwrap() {
+            let name = family.get("name").and_then(Json::as_str).unwrap();
+            for sample in family.get("samples").and_then(Json::as_arr).unwrap() {
+                let Some(Json::Obj(labels)) = sample.get("labels") else {
+                    panic!("labels is not an object");
+                };
+                let labels: Vec<String> = labels
+                    .iter()
+                    .map(|(k, v)| {
+                        let v = kfuse_obs::escape_label_value(v.as_str().unwrap());
+                        format!("{k}=\"{v}\"")
+                    })
+                    .collect();
+                let value = match sample.get("value") {
+                    Some(Json::Null) => f64::NAN,
+                    v => v.and_then(Json::as_num).unwrap(),
+                };
+                from_json.push(format!("{name}{{{}}} {value}", labels.join(",")));
+            }
+        }
+        assert_eq!(from_text.len(), 47);
+        from_text.sort();
+        from_json.sort();
+        assert_eq!(from_text, from_json);
+    }
+
+    /// Tenant names come from the wire: past [`MAX_PIPELINES`] distinct
+    /// names, new ones share the overflow entry, and no request is lost.
+    #[test]
+    fn pipeline_names_are_capped_without_losing_requests() {
+        let reg = MetricsRegistry::default();
+        let submissions = 2 * MAX_PIPELINES;
+        for i in 0..submissions {
+            reg.handle(&format!("tenant-{i}")).record_request();
+        }
+        // A name seen before the cap keeps its own entry.
+        reg.handle("tenant-0").record_request();
+        let snap = reg.snapshot();
+        assert_eq!(snap.pipelines.len(), MAX_PIPELINES + 1);
+        let requests: u64 = snap.pipelines.iter().map(|p| p.requests).sum();
+        assert_eq!(requests, submissions as u64 + 1);
+        assert_eq!(snap.pipeline("tenant-0").unwrap().requests, 2);
+        let overflow = snap.pipeline(OVERFLOW_PIPELINE).unwrap();
+        assert_eq!(overflow.requests, MAX_PIPELINES as u64);
     }
 }

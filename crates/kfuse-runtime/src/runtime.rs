@@ -1672,10 +1672,14 @@ mod tests {
             RuntimeConfig::default().plan_cache_capacity as u64
         );
         assert_eq!(snap.runtime.cache_evictions, 0);
-        let json = snap.to_json();
-        assert!(json.contains("\"cache_size\":1"));
-        assert!(json.contains("\"cache_evictions\":0,\"sessions_open\":0}"));
-        assert!(kfuse_obs::validate_prometheus(&snap.to_prometheus()).is_ok());
+        let families = snap.families();
+        let doc = kfuse_obs::parse_json(&kfuse_obs::render_json(&families)).unwrap();
+        let gauge = |name| doc.sample(name, &[]).and_then(kfuse_obs::Json::as_num);
+        assert_eq!(gauge("kfuse_plan_cache_size"), Some(1.0));
+        assert_eq!(gauge("kfuse_plan_cache_evictions_total"), Some(0.0));
+        assert_eq!(gauge("kfuse_sessions_open"), Some(0.0));
+        let text = kfuse_obs::render_prometheus(&families);
+        assert!(kfuse_obs::validate_prometheus(&text).is_ok());
     }
 
     /// Records completion order: each submitted job appends its label at
@@ -1897,9 +1901,11 @@ mod tests {
         assert_eq!(snap.pipeline("beta").unwrap().requests, 2);
         // Both tenants submitted the identical structure: one shared plan.
         assert_eq!(rt.cached_plans(), 1);
-        // JSON snapshot round-trips the names.
-        let json = snap.to_json();
-        assert!(json.contains("\"name\":\"alpha\""));
-        assert!(json.contains("\"name\":\"beta\""));
+        // The JSON families document round-trips the names.
+        let doc = kfuse_obs::parse_json(&kfuse_obs::render_json(&snap.families())).unwrap();
+        for (tenant, requests) in [("alpha", 1.0), ("beta", 2.0)] {
+            let sample = doc.sample("kfuse_requests_total", &[("pipeline", tenant)]);
+            assert_eq!(sample.and_then(kfuse_obs::Json::as_num), Some(requests));
+        }
     }
 }

@@ -288,8 +288,10 @@ fn metrics_nan_mean_exports_validate() {
     reg.handle("idle").record_request();
     let snap = reg.snapshot();
     assert!(snap.pipeline("idle").unwrap().mean_us.is_nan());
-    kfuse_obs::parse_json(&snap.to_json()).expect("JSON export parses");
-    kfuse_obs::validate_prometheus(&snap.to_prometheus()).expect("exposition validates");
+    let families = snap.families();
+    kfuse_obs::parse_json(&kfuse_obs::render_json(&families)).expect("JSON export parses");
+    let text = kfuse_obs::render_prometheus(&families);
+    kfuse_obs::validate_prometheus(&text).expect("exposition validates");
 }
 
 /// The shrinker must preserve the failure predicate it is given and only

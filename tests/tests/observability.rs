@@ -16,7 +16,8 @@ use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_model::GpuSpec;
 use kfuse_obs::{
-    parse_json, validate_chrome_trace, validate_prometheus, ArgValue, EventKind, Tracer,
+    parse_json, render_json, render_prometheus, validate_chrome_trace, validate_prometheus,
+    ArgValue, EventKind, Tracer,
 };
 use kfuse_runtime::{Runtime, RuntimeConfig};
 use kfuse_sim::{
@@ -209,6 +210,7 @@ fn runtime_exporters_round_trip_validators() {
 
     let snap = rt.metrics();
     assert_eq!(snap.runtime.cache_size, 3);
-    parse_json(&snap.to_json()).unwrap();
-    assert!(validate_prometheus(&snap.to_prometheus()).unwrap() > 0);
+    let families = snap.families();
+    parse_json(&render_json(&families)).unwrap();
+    assert!(validate_prometheus(&render_prometheus(&families)).unwrap() > 0);
 }

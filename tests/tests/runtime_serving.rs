@@ -128,8 +128,10 @@ fn repeat_submission_is_cache_hit() {
     assert_eq!(m.cache_hits, 1, "second submission reuses the plan");
     assert_eq!(rt.cached_plans(), 1);
     // The snapshot serializes without external crates.
-    let json = snap.to_json();
-    assert!(json.contains("\"cache_hits\":1"));
+    let json = kfuse_obs::render_json(&snap.families());
+    let doc = kfuse_obs::parse_json(&json).expect("families document parses");
+    let hits = doc.sample("kfuse_plan_cache_hits_total", &[("pipeline", app.name)]);
+    assert_eq!(hits.and_then(kfuse_obs::Json::as_num), Some(1.0));
 }
 
 /// A graceful shutdown drains everything that was admitted.
